@@ -114,66 +114,103 @@ let read_dir pmem ~dir =
   then Error "directory checksum mismatch"
   else Ok d
 
-(* The exactly-once dispatch wrapper.  Args: client, seq, opcode, a, b.
-   Body: consult the dedup slot; on New, nest the per-op call and record
-   its answer before returning — [Exec.call]'s completion protocol then
-   persists our own answer, so by the time the response frame is written
-   the record is durable.  Recover: a recorded slot answers immediately; a
-   completed-but-unrecorded nested call (last_answer) is recorded now; an
-   incomplete one re-runs the body, which re-enters the nested recovery. *)
+(* The dispatch opcodes.  Each entry names its opcode number, the
+   recoverable function it nests, how the dispatch operands [a], [b] become
+   that function's arguments, and how its answer becomes a wire result.
+   Opcode numbers and function ids are persisted in stack frames (the
+   dispatch arguments are [client; seq; opcode; a; b]), so an image written
+   by one build is recovered by the next: never renumber. *)
+type opcode = {
+  code : int;
+  func_id : int;
+  args : int -> int -> bytes;
+  result : int64 -> Wire.result;
+}
+
+let first a _ = Value.of_int a
+let value_or_nothing = function Some v -> Wire.Value v | None -> Wire.Nothing
+
+let op_put =
+  {
+    code = 1;
+    func_id = put_id;
+    args = Value.of_int2;
+    result = (fun _ -> Wire.Done);
+  }
+
+let op_get =
+  {
+    code = 2;
+    func_id = find_id;
+    args = first;
+    result = (fun r -> value_or_nothing (Map_op.find_answer r));
+  }
+
+let op_del =
+  {
+    code = 3;
+    func_id = remove_id;
+    args = first;
+    result = (fun r -> if Int64.equal r 0L then Wire.Nothing else Wire.Done);
+  }
+
+let op_enq =
+  {
+    code = 4;
+    func_id = enq_id;
+    args = first;
+    result = (fun _ -> Wire.Done);
+  }
+
+let op_deq =
+  {
+    code = 5;
+    func_id = deq_id;
+    args = (fun _ _ -> Bytes.empty);
+    result = (fun r -> value_or_nothing (Queue_op.dequeue_answer r));
+  }
+
+let opcode_of_code code =
+  match
+    List.find_opt
+      (fun o -> o.code = code)
+      [ op_put; op_get; op_del; op_enq; op_deq ]
+  with
+  | Some o -> o
+  | None -> invalid_arg (Printf.sprintf "nvkv.dispatch: opcode %d" code)
+
+(* The exactly-once dispatch wrapper.  Body: consult the dedup slot; on
+   New, nest the per-op call and record its answer before returning —
+   [Exec.call]'s completion protocol then persists our own answer, so by
+   the time the response frame is written the record is durable.  Recover:
+   the same, except that a completed-but-unrecorded nested call
+   ([last_answer]) is recorded instead of re-run; an incomplete one re-runs
+   the body, which re-enters the nested recovery. *)
 let register_dispatch registry dedup_handle =
-  let parse args =
+  let serve ~resume ctx args =
     match Value.to_ints args with
-    | [ client; seq; opcode; a; b ] -> (client, seq, opcode, a, b)
+    | [ client; seq; code; a; b ] -> (
+        let dedup = dedup_handle () in
+        match Dedup.lookup dedup ~client ~seq with
+        | Dedup.Hit answer ->
+            Obs.Counters.incr_dedup_hits Obs.Probe.counters;
+            answer
+        | Dedup.Stale -> stale_answer
+        | Dedup.New ->
+            let answer =
+              match if resume then Exec.last_answer ctx else None with
+              | Some answer -> answer
+              | None ->
+                  let o = opcode_of_code code in
+                  Exec.call ctx ~func_id:o.func_id ~args:(o.args a b)
+            in
+            Dedup.record dedup ~client ~seq ~answer;
+            answer)
     | _ -> invalid_arg "nvkv.dispatch: malformed arguments"
   in
-  let inner_call ctx ~opcode ~a ~b =
-    match opcode with
-    | 1 -> Exec.call ctx ~func_id:put_id ~args:(Value.of_int2 a b)
-    | 2 -> Exec.call ctx ~func_id:find_id ~args:(Value.of_int a)
-    | 3 -> Exec.call ctx ~func_id:remove_id ~args:(Value.of_int a)
-    | 4 -> Exec.call ctx ~func_id:enq_id ~args:(Value.of_int a)
-    | 5 -> Exec.call ctx ~func_id:deq_id ~args:Bytes.empty
-    | _ -> invalid_arg (Printf.sprintf "nvkv.dispatch: opcode %d" opcode)
-  in
-  let hit_recorded () =
-    if Obs.Config.enabled () then
-      Obs.Counters.incr_dedup_hits Obs.Probe.counters
-  in
-  let body ctx args =
-    let client, seq, opcode, a, b = parse args in
-    let dedup = dedup_handle () in
-    match Dedup.lookup dedup ~client ~seq with
-    | Dedup.Hit answer ->
-        hit_recorded ();
-        answer
-    | Dedup.Stale -> stale_answer
-    | Dedup.New ->
-        let answer = inner_call ctx ~opcode ~a ~b in
-        Dedup.record dedup ~client ~seq ~answer;
-        answer
-  in
-  let recover ctx args =
-    let client, seq, opcode, a, b = parse args in
-    let dedup = dedup_handle () in
-    Registry.Complete
-      (match Dedup.lookup dedup ~client ~seq with
-      | Dedup.Hit answer ->
-          hit_recorded ();
-          answer
-      | Dedup.Stale -> stale_answer
-      | Dedup.New -> (
-          match Exec.last_answer ctx with
-          | Some answer ->
-              Dedup.record dedup ~client ~seq ~answer;
-              answer
-          | None ->
-              let answer = inner_call ctx ~opcode ~a ~b in
-              Dedup.record dedup ~client ~seq ~answer;
-              answer))
-  in
-  Registry.register registry ~id:dispatch_id ~name:"nvkv.dispatch" ~body
-    ~recover
+  Registry.register registry ~id:dispatch_id ~name:"nvkv.dispatch"
+    ~body:(serve ~resume:false)
+    ~recover:(fun ctx args -> Registry.Complete (serve ~resume:true ctx args))
 
 let make_registry () =
   let registry = Registry.create () in
@@ -189,22 +226,6 @@ let make_registry () =
   register_dispatch registry (fun () -> Option.get !dedup);
   (registry, map, queue, dedup)
 
-let decode_answer ~opcode answer =
-  if Int64.equal answer stale_answer then Wire.Refused Wire.err_stale
-  else
-    match opcode with
-    | 1 | 4 -> Wire.Done
-    | 2 -> (
-        match Map_op.find_answer answer with
-        | Some v -> Wire.Value v
-        | None -> Wire.Nothing)
-    | 3 -> if Int64.equal answer 0L then Wire.Nothing else Wire.Done
-    | 5 -> (
-        match Queue_op.dequeue_answer answer with
-        | Some v -> Wire.Value v
-        | None -> Wire.Nothing)
-    | _ -> Wire.Refused Wire.err_bad_request
-
 let handler ~service ~dedup ~nclients (req : Wire.request) k =
   let bad_client = req.Wire.client < 0 || req.Wire.client >= nclients in
   match req.Wire.op with
@@ -216,19 +237,21 @@ let handler ~service ~dedup ~nclients (req : Wire.request) k =
       if bad_client then k (Wire.Refused Wire.err_unknown)
       else if req.Wire.seq <= 0 then k (Wire.Refused Wire.err_bad_request)
       else
-        let opcode, a, b =
+        let o, a, b =
           match op with
-          | Wire.Put (key, value) -> (1, key, value)
-          | Wire.Get key -> (2, key, 0)
-          | Wire.Del key -> (3, key, 0)
-          | Wire.Enqueue v -> (4, v, 0)
-          | Wire.Dequeue -> (5, 0, 0)
+          | Wire.Put (key, value) -> (op_put, key, value)
+          | Wire.Get key -> (op_get, key, 0)
+          | Wire.Del key -> (op_del, key, 0)
+          | Wire.Enqueue v -> (op_enq, v, 0)
+          | Wire.Dequeue -> (op_deq, 0, 0)
           | Wire.Ping | Wire.Last_seq -> assert false
         in
         Service.submit service ~func_id:dispatch_id
-          ~args:(Value.of_ints [ req.Wire.client; req.Wire.seq; opcode; a; b ])
+          ~args:(Value.of_ints [ req.Wire.client; req.Wire.seq; o.code; a; b ])
           ~k:(function
-            | Ok answer -> k (decode_answer ~opcode answer)
+            | Ok answer when Int64.equal answer stale_answer ->
+                k (Wire.Refused Wire.err_stale)
+            | Ok answer -> k (o.result answer)
             | Error exn ->
                 Printf.eprintf "nvkv_server: request failed: %s\n%!"
                   (Printexc.to_string exn);

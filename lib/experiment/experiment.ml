@@ -53,6 +53,9 @@ let run ?(device_size = 1 lsl 22) spec =
   in
   (* Section 5: the CAS algorithm assumes no volatile NVRAM cache, so the
      device persists every write immediately. *)
+  let lines_before =
+    (Obs.Counters.totals Obs.Probe.counters).Obs.Counters.lines_flushed
+  in
   let pmem = Pmem.create ~auto_flush:true ~yield_probability:0.3 ~size:device_size () in
   let registry = Runtime.Registry.create () in
   let rcas = ref None in
@@ -123,7 +126,9 @@ let run ?(device_size = 1 lsl 22) spec =
     verdict = Verify.Serializability.check history;
     eras = report.eras;
     crashes = report.crashes;
-    flushes = Nvram.Stats.lines_flushed (Pmem.stats pmem);
+    flushes =
+      (Obs.Counters.totals Obs.Probe.counters).Obs.Counters.lines_flushed
+      - lines_before;
   }
 
 let pp_range fmt = function

@@ -43,7 +43,9 @@ type outcome = {
   verdict : Verify.Serializability.verdict;
   eras : int;
   crashes : int;
-  flushes : int;  (** total line flushes over the whole run *)
+  flushes : int;
+      (** lines persisted over the whole run: the ledger's [lines_flushed]
+          delta *)
 }
 
 val run : ?device_size:int -> spec -> outcome

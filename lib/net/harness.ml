@@ -4,6 +4,7 @@ type server = {
   sockaddr : Unix.sockaddr;
   recovery_ms : float;
   fresh : bool;
+  output : in_channel;
 }
 
 let server_exe () =
@@ -88,6 +89,7 @@ let start_server ?(size = 1 lsl 21) ?(workers = 1) ?(buckets = 64)
                 sockaddr = parse_addr addr;
                 recovery_ms = float_of_string recovery;
                 fresh = bool_of_string fresh;
+                output = ic;
               }
         | _ -> Error ("malformed READY line: " ^ line)
       )
@@ -103,10 +105,9 @@ let start_server ?(size = 1 lsl 21) ?(workers = 1) ?(buckets = 64)
           | _ -> "server died before READY")
   in
   let result = wait_ready () in
-  (* The pipe's read end stays open in this process for the server's
-     lifetime (STATS lines fit the pipe buffer); closing it here would
-     SIGPIPE-silence nothing since the server ignores SIGPIPE, but keep
-     descriptors tidy on failure. *)
+  (* On success the pipe's read end stays open as [output] for the
+     server's lifetime (its STATS line fits the pipe buffer); on failure
+     keep descriptors tidy. *)
   (match result with Error _ -> ( try Unix.close out_r with _ -> ()) | Ok _ -> ());
   result
 

@@ -17,6 +17,9 @@ type server = {
   sockaddr : Unix.sockaddr;
   recovery_ms : float;  (** the READY line's measured recovery span *)
   fresh : bool;  (** created a new image rather than attached *)
+  output : in_channel;
+      (** the server's stdout after the READY line: a graceful stop
+          prints its [STATS] line here *)
 }
 
 val server_exe : unit -> string

@@ -76,8 +76,6 @@ let drop t conn =
 
 let push_out conn frame = Queue.add frame conn.out
 
-let obs_on () = Obs.Config.enabled ()
-
 let drain_wake_pipe t =
   let junk = Bytes.create 64 in
   let rec loop () =
@@ -104,11 +102,8 @@ let drain_completions t =
         push_out conn
           (Wire.encode_response
              { Wire.client = req.Wire.client; seq = req.Wire.seq; result });
-        if obs_on () then begin
-          Obs.Counters.incr_requests_served Obs.Probe.counters;
-          if t0_ns <> 0 then
-            Obs.Probe.record_latency Obs.Probe.Net_request ~t0_ns
-        end
+        Obs.Counters.incr Obs.Probe.counters Requests_served;
+        Obs.Probe.stop Net_request t0_ns
       end)
     batch
 
@@ -122,7 +117,7 @@ let dispatch t conn (req : Wire.request) =
            result = Wire.Refused Wire.err_shutdown;
          })
   else begin
-    let t0_ns = if obs_on () then Obs.Config.now_ns () else 0 in
+    let t0_ns = Obs.Probe.start () in
     conn.inflight <- conn.inflight + 1;
     t.inflight_total <- t.inflight_total + 1;
     t.handler req (fun result ->
@@ -199,7 +194,7 @@ let accept_ready t =
             eof = false;
             dead = false;
           };
-        if obs_on () then Obs.Counters.incr_conns_accepted Obs.Probe.counters;
+        Obs.Counters.incr Obs.Probe.counters Conns_accepted;
         loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->

@@ -56,16 +56,12 @@ let arena_magic = 0x4E56484541503031L (* "NVHEAP01" *)
    {!Integrity.enabled} is off. *)
 let tag_payload_mask = (1 lsl 48) - 1
 
-let tag_code payload =
-  let h = Integrity.fnv64_int64 Integrity.fnv64_init (Int64.of_int payload) in
-  let c = Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 32)) in
-  (c lxor (c lsr 15) lxor (c lsr 30)) land 0x7FFF
-
-let mk_tag payload = payload lor (tag_code payload lsl 48)
+let mk_tag payload = payload lor (Integrity.code15_of_int payload lsl 48)
 
 let tag_ok tag =
   (not (Integrity.enabled ()))
-  || (tag lsr 48) land 0x7FFF = tag_code (tag land tag_payload_mask)
+  || (tag lsr 48) land 0x7FFF
+     = Integrity.code15_of_int (tag land tag_payload_mask)
 
 let superblock_crc ~len ~arenas =
   let h = Integrity.fnv64_int64 Integrity.fnv64_init magic in
@@ -76,17 +72,11 @@ let arena_crc ~alen =
   let h = Integrity.fnv64_int64 Integrity.fnv64_init arena_magic in
   Integrity.fnv64_int64 h (Int64.of_int alen)
 
-let note_detected () =
-  if Obs.Config.enabled () then
-    Obs.Counters.incr_faults_detected Obs.Probe.counters
-
-let note_repaired () =
-  if Obs.Config.enabled () then
-    Obs.Counters.incr_faults_repaired Obs.Probe.counters
+let note_detected () = Obs.Counters.incr Obs.Probe.counters Faults_detected
+let note_repaired () = Obs.Counters.incr Obs.Probe.counters Faults_repaired
 
 let note_quarantined () =
-  if Obs.Config.enabled () then
-    Obs.Counters.incr_faults_quarantined Obs.Probe.counters
+  Obs.Counters.incr Obs.Probe.counters Faults_quarantined
 
 type repair =
   | Rebuilt_free_list of { arena : int; reason : string }

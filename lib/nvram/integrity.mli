@@ -26,12 +26,23 @@ val fnv64_sub : int64 -> bytes -> pos:int -> len:int -> int64
 (** [fnv64_sub acc b ~pos ~len] folds more bytes into a running hash.
     [fnv64 b ~pos ~len = fnv64_sub fnv64_init b ~pos ~len]. *)
 
+val fnv64_into : bytes -> at:int -> bytes -> pos:int -> len:int -> unit
+(** [fnv64_into acc ~at b ~pos ~len] is {!fnv64_sub} with the running hash
+    kept in place, as the little-endian int64 at [at] in [acc]: a chain of
+    calls passes no [int64] across a function boundary, so it allocates
+    nothing. *)
+
 val fnv64_byte : int64 -> int -> int64
 (** [fnv64_byte acc b] folds one byte into a running hash. *)
 
 val fnv64_int64 : int64 -> int64 -> int64
 (** [fnv64_int64 acc v] folds the 8 little-endian bytes of [v] into a
     running hash without materialising them. *)
+
+val code15_of_int : int -> int
+(** A 15-bit integrity code of a native int — its FNV-1a hash (over the 8
+    little-endian bytes of [Int64.of_int v]) xor-folded to the width a heap
+    block header has room for.  Computed without allocating. *)
 
 val code_of_int64 : int64 -> int
 (** A one-byte nonzero integrity code of a 64-bit value: the FNV-1a hash

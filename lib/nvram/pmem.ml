@@ -38,6 +38,7 @@ type faults = {
 
 type t = {
   line_size : int;
+  line_shift : int;  (* log2 line_size *)
   size : int;
   lines : int;
   policy : policy;
@@ -56,7 +57,6 @@ type t = {
          demonstrate that the model checker's equivalence check fires on a
          broken drain.  0 in real use. *)
   crash_ctl : Crash.t;
-  stats : Stats.t;
   faults : faults;
   crash_rng : Random.State.t;
   yield_probability : float;
@@ -92,6 +92,13 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
     | Lose_random seed -> Random.State.make [| seed |]
     | Lose_all | Lose_none -> Random.State.make [| 0 |]
   in
+  let line_shift =
+    let s = ref 0 in
+    while 1 lsl !s < line_size do
+      incr s
+    done;
+    !s
+  in
   (* Power of two, and never more stripes than lines. *)
   let nstripes =
     let target = max 1 (min stripes lines) in
@@ -103,6 +110,7 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
   in
   {
     line_size;
+    line_shift;
     size;
     lines;
     policy;
@@ -117,7 +125,6 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
           { log_mu = Mutex.create (); log_lines = [||]; log_len = 0 });
     drain_breakage = 0;
     crash_ctl = Crash.create ();
-    stats = Stats.create ();
     faults =
       {
         fault_mu = Mutex.create ();
@@ -140,7 +147,6 @@ let line_size t = t.line_size
 let auto_flush t = t.auto_flush
 let flush_mode t = t.flush_mode
 let crash_ctl t = t.crash_ctl
-let stats t = t.stats
 let backend t = t.backend
 let stripe_count t = Array.length t.stripes
 
@@ -173,19 +179,25 @@ let maybe_yield t =
    worker's hot line 0 lands on the *same* stripe and the "striped" lock
    degenerates to a single shared mutex.  Mixing the bits first spreads
    any stride pattern across all stripes. *)
+(* The line holding device offset [off]: line sizes are powers of two, so
+   a shift rather than a division on every access. *)
+let line_of t off = off lsr t.line_shift
+
 let stripe_of t line =
   (line * 0x2545F4914F6CDD1D) lsr 40 land (Array.length t.stripes - 1)
 
-(* Write-amplification accounting: payload bytes requested vs cache-line
-   bytes dirtied.  Only called when recording is enabled. *)
-let record_write_counters t ~off ~len =
-  if len = 0 then
-    Obs.Counters.record_write Obs.Probe.counters ~payload:0 ~amplified:0
-  else begin
-    let first, last = Layout.lines_covering ~line_size:t.line_size off ~len in
-    Obs.Counters.record_write Obs.Probe.counters ~payload:len
-      ~amplified:((last - first + 1) * t.line_size)
-  end
+(* Every device event is counted in the always-on ledger (counters.mli has
+   the accounting rules).  An event on a line is counted on the ledger
+   stripe the line picks: lines already spread concurrent callers, so the
+   hot paths skip the per-domain stripe lookup. *)
+let ledger = Obs.Probe.counters
+let count c = Obs.Counters.incr ledger c
+let count_at line c = Obs.Counters.add_at ledger line c 1
+
+let count_write t ~at ~lines ~len =
+  count_at at Writes;
+  Obs.Counters.add_at ledger at Payload_bytes len;
+  Obs.Counters.add_at ledger at Amplified_bytes (lines * t.line_size)
 
 (* Run [f] holding the stripes of lines [first..last].  Stripes are locked
    in ascending index order and released in reverse, also on exceptions
@@ -232,6 +244,12 @@ let persist_line t index =
   t.dirty.(index) <- false;
   t.pending.(index) <- false
 
+(* Write line [index] back on behalf of a flush, a drain or an auto-flush
+   write: the persists [lines_flushed] counts. *)
+let flush_line t index =
+  persist_line t index;
+  count_at index Lines_flushed
+
 (* {2 Media faults: torn lines and bit rot} *)
 
 let arm_faults ?(targets = [||]) t fplan =
@@ -257,10 +275,6 @@ let plan_fires ~counter ~rng = function
   | Crash.At_op n -> counter >= n
   | Crash.Random { probability; _ } ->
       Random.State.float rng 1.0 < probability
-
-let note_fault_injected () =
-  if Obs.Config.enabled () then
-    Obs.Counters.incr_faults_injected Obs.Probe.counters
 
 (* Tear the persist of line [index] that the crash just interrupted.  The
    in-flight bytes are [seg_len] bytes at device offset [seg_start], with
@@ -290,8 +304,7 @@ let tear_line_locked t ~index ~seg_start ~seg_len ~src ~src_off ~rng =
     ~dst_off:line_start ~len:line_len;
   t.dirty.(index) <- false;
   t.pending.(index) <- false;
-  Stats.incr_torn_lines t.stats;
-  note_fault_injected ()
+  count Faults_injected
 
 (* Crash-scheduler step at a persistence point covering line [index], with
    tearing: when this step is the one that {e fires} the crash (not a
@@ -356,25 +369,24 @@ let apply_bitflips t =
   in
   Array.iter
     (fun (off, bit) ->
-      let index = off / t.line_size in
+      let index = line_of t off in
       with_lines t ~first:index ~last:index (fun () ->
           Backend.flip_bit t.backend ~off ~bit;
           Bytes.set t.volatile off
             (Char.chr
                (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit))));
-      Stats.incr_bits_flipped t.stats 1;
-      note_fault_injected ())
+      count Faults_injected)
     flips
 
 let inject_bitflip t ~off ~bit =
   check_range t off 1;
   let off = Offset.to_int off in
-  let index = off / t.line_size in
+  let index = line_of t off in
   with_lines t ~first:index ~last:index (fun () ->
       Backend.flip_bit t.backend ~off ~bit;
       Bytes.set t.volatile off
         (Char.chr (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit))));
-  Stats.incr_bits_flipped t.stats 1
+  count Faults_injected
 
 (* {2 Coalesced-mode pending logs and drains} *)
 
@@ -423,10 +435,7 @@ let drain_log t log =
               t.pending.(index) <- false;
               t.dirty.(index) <- false
             end
-            else begin
-              persist_line t index;
-              Stats.incr_lines_flushed t.stats 1
-            end;
+            else flush_line t index;
             incr drained
           end
         with
@@ -445,19 +454,14 @@ let drain_log t log =
 
 (* One drain event = one moment the device wrote pending lines back; only
    events that persisted something count, so an empty barrier is free. *)
-let note_drain t ~lines =
-  if lines > 0 then begin
-    Stats.incr_drains t.stats;
-    if Obs.Config.enabled () then
-      Obs.Counters.record_drain Obs.Probe.counters ~lines
-  end
+let note_drain lines = if lines > 0 then count Drains
 
-let drain_own t = note_drain t ~lines:(drain_log t (my_log t))
+let drain_own t = note_drain (drain_log t (my_log t))
 
 let drain_every_log t =
   let lines = ref 0 in
   Array.iter (fun log -> lines := !lines + drain_log t log) t.logs;
-  note_drain t ~lines:!lines
+  note_drain !lines
 
 (* Dependent read: in coalesced mode, reading a pending line is a persist
    barrier (FliT's flush-on-shared-read rule) — the reader may act on the
@@ -466,22 +470,148 @@ let drain_every_log t =
    delays the drain to the next barrier, and a stale positive drains early;
    both are sound because drains only persist.  Drain own log first (the
    common case — a domain reading its own recent writes), then everyone's
-   if the line is still pending under another domain's log. *)
+   if the line is still pending under another domain's log.  [any_pending]
+   is top-level, not a local closure over [t] and [last]: a closure would
+   allocate on every coalesced read. *)
+let rec any_pending t i last =
+  i <= last && (t.pending.(i) || any_pending t (i + 1) last)
+
 let read_drain t ~first ~last =
-  let rec any_pending i = i <= last && (t.pending.(i) || any_pending (i + 1)) in
-  if any_pending first then begin
+  if any_pending t first last then begin
     drain_own t;
-    if any_pending first then drain_every_log t
+    if any_pending t first last then drain_every_log t
   end
 
-(* Persist (or auto-flush) the lines covering [off, off+len), consulting the
-   crash scheduler once per line so a crash can land between lines.  Caller
-   holds the covering stripes.  Returns the number of lines persisted. *)
-let flush_lines_locked t ~off ~len =
-  (* inline [Layout.lines_covering]: returning the pair would allocate *)
-  let first = Offset.to_int off / t.line_size in
-  let last = (Offset.to_int off + len - 1) / t.line_size in
-  let persisted = ref 0 in
+(* {2 The access path}
+
+   Every data operation and every flush runs one sequence: lock the
+   stripes of the lines it covers (ascending), refuse if the system has
+   crashed, count the call, run the operation's body, unlock — also when
+   the body's crash step raises, since crash signals fire mid-operation by
+   design — and yield.  [span] is that sequence.
+
+   A span of one or two lines (every byte, word and CAS access, and
+   frame-sized writes and flushes) locks its stripes by hand, and the body
+   is a top-level function taking its operands as plain arguments, so the
+   whole call allocates nothing: no closure, no tuple, no staging buffer.
+   That matters because minor collections stop the world across all
+   domains in OCaml 5; on the measured host they, not the locks, dominated
+   the multicore anti-scaling (DESIGN.md section 10).  Wider spans go
+   through [with_lines].
+
+   Within a body the order is crash step, mutation, dirty bit, auto-flush:
+   crash-point numbering, and so every pinned crash sweep, depends on it. *)
+
+let count_call t counter ~first ~last ~len =
+  match counter with
+  | Obs.Counters.Writes -> count_write t ~at:first ~lines:(last - first + 1) ~len
+  | c -> count_at first c
+
+let span t ~first ~last ~len counter body a b c =
+  if last - first > 1 then
+    with_lines t ~first ~last (fun () ->
+        Crash.check t.crash_ctl;
+        count_call t counter ~first ~last ~len;
+        body t a b c)
+  else begin
+    let sa = stripe_of t first in
+    let sb = if last = first then sa else stripe_of t last in
+    let lo = if sa < sb then sa else sb and hi = if sa < sb then sb else sa in
+    Mutex.lock t.stripes.(lo);
+    if hi <> lo then Mutex.lock t.stripes.(hi);
+    match
+      Crash.check t.crash_ctl;
+      count_call t counter ~first ~last ~len;
+      body t a b c
+    with
+    | result ->
+        if hi <> lo then Mutex.unlock t.stripes.(hi);
+        Mutex.unlock t.stripes.(lo);
+        maybe_yield t;
+        result
+    | exception e ->
+        if hi <> lo then Mutex.unlock t.stripes.(hi);
+        Mutex.unlock t.stripes.(lo);
+        raise e
+  end
+
+(* {3 Bodies} *)
+
+(* Loads.  [get_int] serves the byte and native-int accessors: fusing the
+   [Int64] conversion into the body keeps the word unboxed, where an
+   [int64] crossing a function boundary costs one minor allocation. *)
+let get_int t base len () =
+  if len = 1 then Char.code (Bytes.get t.volatile base)
+  else Int64.to_int (Bytes.get_int64_le t.volatile base)
+
+let get_int64 t base _len () = Bytes.get_int64_le t.volatile base
+let get_bytes t base len () = Bytes.sub t.volatile base len
+
+(* A written line is dirty; an auto-flush device writes it back at once. *)
+let mark_written t index =
+  t.dirty.(index) <- true;
+  if t.auto_flush then flush_line t index
+
+(* Write [len] bytes of [src] at [base], line by line, consulting the crash
+   scheduler once per touched line (multi-line writes are not atomic). *)
+let put_bytes t base src len =
+  for index = line_of t base to line_of t (base + len - 1) do
+    let line_start = index * t.line_size in
+    let line_end = min (line_start + t.line_size) t.size in
+    let seg_start = max base line_start in
+    let seg_len = min (base + len) line_end - seg_start in
+    (if t.faults.armed then
+       (* In-flight content: this write's segment of the line — the
+          store-plus-writeback the crash interrupts. *)
+       step_fault t ~index ~seg_start ~seg_len ~src
+         ~src_off:(seg_start - base)
+     else Crash.step t.crash_ctl);
+    Bytes.blit src (seg_start - base) t.volatile seg_start seg_len;
+    mark_written t index
+  done
+
+(* Word stores.  A word inside one line is one crash point and never tears
+   (8-byte hardware atomicity); a word straddling two lines is a two-line
+   write, one crash point per line. *)
+let straddles t base len = line_of t (base + len - 1) <> line_of t base
+
+let put_straddling t base v =
+  let src = Bytes.create 8 in
+  Bytes.set_int64_le src 0 v;
+  put_bytes t base src 8
+
+let put_int64 t base v _len =
+  if straddles t base 8 then put_straddling t base v
+  else begin
+    Crash.step t.crash_ctl;
+    Bytes.set_int64_le t.volatile base v;
+    mark_written t (line_of t base)
+  end
+
+let put_int t base v len =
+  if straddles t base len then put_straddling t base (Int64.of_int v)
+  else begin
+    Crash.step t.crash_ctl;
+    if len = 1 then Bytes.set t.volatile base (Char.chr v)
+    else Bytes.set_int64_le t.volatile base (Int64.of_int v);
+    mark_written t (line_of t base)
+  end
+
+(* The CAS reads, then writes on a match, with one crash step and no crash
+   point in between: a hardware CAS instruction. *)
+let cas_word t base expected desired =
+  Crash.step t.crash_ctl;
+  if Int64.equal (Bytes.get_int64_le t.volatile base) expected then begin
+    count_write t ~at:(line_of t base) ~lines:1 ~len:8;
+    Bytes.set_int64_le t.volatile base desired;
+    mark_written t (line_of t base);
+    true
+  end
+  else false
+
+(* Eager flush of lines [first..last]: one crash step per line, so a crash
+   can land between lines, then the dirty ones are written back. *)
+let persist_lines t first last () =
   for index = first to last do
     (if t.faults.armed then begin
        (* In-flight content: the whole dirty line about to be written back
@@ -494,554 +624,179 @@ let flush_lines_locked t ~off ~len =
          ~src_off:line_start
      end
      else Crash.step t.crash_ctl);
-    if t.dirty.(index) then begin
-      persist_line t index;
-      Stats.incr_lines_flushed t.stats 1;
-      incr persisted
-    end
-  done;
-  !persisted
+    if t.dirty.(index) then flush_line t index
+  done
 
-(* Write [len] bytes from [src] at [off], line by line, consulting the crash
-   scheduler once per touched line (multi-line writes are not atomic).
-   Caller holds the covering stripes. *)
-let write_locked t ~off ~src ~src_off ~len =
-  if len > 0 then begin
-    let base = Offset.to_int off in
-    (* inline [Layout.lines_covering]: returning the pair would allocate *)
-    let first = base / t.line_size in
-    let last = (base + len - 1) / t.line_size in
-    let written = ref 0 in
-    for index = first to last do
-      let line_start = index * t.line_size in
-      let line_end = min (line_start + t.line_size) t.size in
-      let seg_start = max base line_start in
-      let seg_end = min (base + len) line_end in
-      let seg_len = seg_end - seg_start in
-      (if t.faults.armed then
-         (* In-flight content: this write's segment of the line — the
-            store-plus-writeback the crash interrupts. *)
-         step_fault t ~index ~seg_start ~seg_len ~src
-           ~src_off:(src_off + (seg_start - base))
-       else Crash.step t.crash_ctl);
-      Bytes.blit src (src_off + (seg_start - base)) t.volatile seg_start
-        seg_len;
-      t.dirty.(index) <- true;
-      written := !written + seg_len;
-      if t.auto_flush then begin
-        persist_line t index;
-        Stats.incr_lines_flushed t.stats 1
-      end
-    done;
-    assert (!written = len)
+(* Coalesced flush of one line: the same crash step as the eager body — so
+   crash-point numbering is identical in both modes and an [At_op] plan
+   lands at the same operation either way — but a dirty line is only marked
+   pending.  True iff this call newly marked it; the caller logs newly
+   marked lines once the stripes are released (see [pending_log]). *)
+let mark_line t index =
+  Crash.step t.crash_ctl;
+  if t.dirty.(index) && not t.pending.(index) then begin
+    t.pending.(index) <- true;
+    true
   end
+  else false
 
-let covering t off ~len = Layout.lines_covering ~line_size:t.line_size off ~len
+(* The newly marked lines of a one- or two-line span, as a bit set: bit 0
+   for [first], bit 1 for [last] — no list, so no allocation. *)
+let mark_pending t first last () =
+  let a = mark_line t first in
+  let b = last <> first && mark_line t last in
+  (if a then 1 else 0) lor if b then 2 else 0
 
-(* Observability hooks for the three operation classes.  Each public
-   operation is a named [_raw] body plus an inline gate: when recording is
-   disabled the hook is one atomic load, a branch and a *direct* call into
-   the raw body — no closure is allocated, which keeps the instrumented
-   device within the <5% overhead budget (DESIGN.md section 8).  The
-   latency window surrounds the lock acquisition and the locked body, so
-   contention shows up in the histograms — that is the point of measuring.
-   No sample is recorded when the body raises: a crash signal aborts the
-   operation, so there is no completed latency to report. *)
+let mark_pending_wide t first last marked =
+  for index = first to last do
+    if mark_line t index then marked := index :: !marked
+  done
 
-let read_bytes_raw t ~off ~len =
-  if len = 0 then begin
-    (* Zero-length reads, writes and flushes all consult the crash
-       scheduler exactly once, via [Crash.check]: a crashed device
-       refuses them like any other operation, but they never count as a
-       crash *point* (no persistence op is recorded), so crash-point
-       sweeps see the same op numbering whether or not a protocol
-       issues degenerate empty calls (see pmem.mli / stats.mli). *)
-    Crash.check t.crash_ctl;
-    Stats.incr_reads t.stats;
-    Bytes.empty
-  end
-  else begin
-    let first, last = covering t off ~len in
-    (* Reads are not scheduling points, but the model checker's reduction
-       needs them to detect read/write races between coarser transitions
-       (crash.mli, "Scheduler hook"). *)
-    Crash.note_read t.crash_ctl ~first_line:first ~last_line:last;
-    if t.flush_mode = Coalesced then read_drain t ~first ~last;
-    if first = last then begin
-      let mu = t.stripes.(stripe_of t first) in
-      Mutex.lock mu;
-      match
-        Crash.check t.crash_ctl;
-        Stats.incr_reads t.stats;
-        Bytes.sub t.volatile (Offset.to_int off) len
-      with
-      | result ->
-          Mutex.unlock mu;
-          maybe_yield t;
-          result
-      | exception e ->
-          Mutex.unlock mu;
-          raise e
-    end
-    else
-      with_lines t ~first ~last (fun () ->
-          Crash.check t.crash_ctl;
-          Stats.incr_reads t.stats;
-          Bytes.sub t.volatile (Offset.to_int off) len)
-  end
+(* {3 Operations}
+
+   Each public operation is one timing guard around its body: while
+   observability is off, [Obs.Probe.start] is one atomic load and a branch
+   and no clock is read.  The latency window surrounds the lock acquisition
+   and the locked body, so contention shows up in the histograms — that is
+   the point of measuring.  No sample is recorded when the body raises: a
+   crash signal aborts the operation, so there is no completed latency to
+   report.
+
+   Zero-length reads, writes and flushes all consult the crash scheduler
+   exactly once, via [Crash.check]: a crashed device refuses them like any
+   other operation, but they never count as a crash {e point}, so
+   crash-point sweeps see the same op numbering whether or not a protocol
+   issues degenerate empty calls.  They still count as one call each. *)
+
+(* Reads are not scheduling points, but the model checker's reduction
+   needs them to detect read/write races between coarser transitions
+   (crash.mli, "Scheduler hook"). *)
+let load t off ~len body =
+  let base = Offset.to_int off in
+  let first = line_of t base and last = line_of t (base + len - 1) in
+  Crash.note_read t.crash_ctl ~first_line:first ~last_line:last;
+  if t.flush_mode = Coalesced then read_drain t ~first ~last;
+  span t ~first ~last ~len Reads body base len ()
+
+(* Stores are scheduling points for the cooperative model checker, taken
+   before any stripe lock so a suspended fiber holds no device mutex.  The
+   footprint names the covered lines so partial-order reduction can tell
+   whether this store commutes with a neighbour's op. *)
+let store t off ~len body v =
+  let base = Offset.to_int off in
+  let first = line_of t base and last = line_of t (base + len - 1) in
+  Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:first
+    ~last_line:last ~persists:t.auto_flush;
+  span t ~first ~last ~len Writes body base v len
 
 let read_bytes t ~off ~len =
   check_range t off len;
-  if not (Obs.Config.enabled ()) then read_bytes_raw t ~off ~len
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = read_bytes_raw t ~off ~len in
-    Obs.Probe.record_latency Obs.Probe.Pmem_read ~t0_ns;
-    Obs.Counters.incr_reads Obs.Probe.counters;
-    result
-  end
-
-let write_bytes_raw t ~off ~src ~len =
-  if len = 0 then begin
-    (* One [Crash.check], like a zero-length read; the call still
-       counts as a write (see stats.mli). *)
-    Crash.check t.crash_ctl;
-    Stats.incr_writes t.stats
-  end
-  else begin
-    (* inline [covering]: returning the pair would allocate per write *)
-    let first = Offset.to_int off / t.line_size in
-    let last = (Offset.to_int off + len - 1) / t.line_size in
-    (* Scheduling point for the cooperative model checker: before any
-       stripe lock is taken, so a suspended fiber holds no device mutex.
-       The footprint names the covered lines so partial-order reduction
-       can tell whether this store commutes with a neighbour's op. *)
-    Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:first
-      ~last_line:last ~persists:t.auto_flush;
-    if last - first <= 1 then begin
-      (* One- or two-line fast path (frame-sized writes): lock the covering
-         stripes by hand in ascending order — no occupancy array, no
-         closures (see the fast-path note above). *)
-      let sa = stripe_of t first in
-      let sb = if last = first then sa else stripe_of t last in
-      let lo = min sa sb and hi = max sa sb in
-      Mutex.lock t.stripes.(lo);
-      if hi <> lo then Mutex.lock t.stripes.(hi);
-      match
-        Stats.incr_writes t.stats;
-        write_locked t ~off ~src ~src_off:0 ~len
-      with
-      | () ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          maybe_yield t
-      | exception e ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          raise e
+  let t0 = Obs.Probe.start () in
+  let result =
+    if len = 0 then begin
+      Crash.check t.crash_ctl;
+      count Reads;
+      Bytes.empty
     end
-    else
-      with_lines t ~first ~last (fun () ->
-          Stats.incr_writes t.stats;
-          write_locked t ~off ~src ~src_off:0 ~len)
-  end
+    else load t off ~len get_bytes
+  in
+  Obs.Probe.stop Pmem_read t0;
+  result
 
 let write_bytes t ~off src =
   let len = Bytes.length src in
   check_range t off len;
-  if not (Obs.Config.enabled ()) then write_bytes_raw t ~off ~src ~len
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    write_bytes_raw t ~off ~src ~len;
-    Obs.Probe.record_latency Obs.Probe.Pmem_write ~t0_ns;
-    record_write_counters t ~off ~len
-  end
-
-(* Single-line fast paths.
-
-   The byte/word operations below lock their one stripe by hand instead of
-   going through [with_lines], and write into [volatile] directly instead
-   of staging through a temporary buffer.  The point is allocation: a
-   closure for [Mutex.protect] plus a [Bytes.create 8] per operation feeds
-   OCaml's minor heap on every simulated device access, and minor
-   collections are stop-the-world across *all* domains in OCaml 5 — on the
-   measured host they, not the locks, dominated the multicore anti-scaling.
-   Each fast path preserves the exact operation order of the general path
-   (stats, [Crash.step], mutation, dirty bit, auto-flush), so crash-point
-   numbering is unchanged, and unlocks before re-raising a crash signal. *)
-
-let read_byte_raw t off =
-  let base = Offset.to_int off in
-  let index = base / t.line_size in
-  Crash.note_read t.crash_ctl ~first_line:index ~last_line:index;
-  if t.flush_mode = Coalesced then read_drain t ~first:index ~last:index;
-  let mu = t.stripes.(stripe_of t index) in
-  Mutex.lock mu;
-  match
+  let t0 = Obs.Probe.start () in
+  if len = 0 then begin
     Crash.check t.crash_ctl;
-    Stats.incr_reads t.stats;
-    Char.code (Bytes.get t.volatile base)
-  with
-  | result ->
-      Mutex.unlock mu;
-      maybe_yield t;
-      result
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
-let read_byte t off =
-  check_range t off 1;
-  if not (Obs.Config.enabled ()) then read_byte_raw t off
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = read_byte_raw t off in
-    Obs.Probe.record_latency Obs.Probe.Pmem_read ~t0_ns;
-    Obs.Counters.incr_reads Obs.Probe.counters;
-    result
+    count_write t ~at:0 ~lines:0 ~len:0
   end
+  else store t off ~len put_bytes src;
+  Obs.Probe.stop Pmem_write t0
 
-let write_byte_raw t off b =
-  let base = Offset.to_int off in
-  let index = base / t.line_size in
-  Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:index
-    ~last_line:index ~persists:t.auto_flush;
-  let mu = t.stripes.(stripe_of t index) in
-  Mutex.lock mu;
-  match
-    Stats.incr_writes t.stats;
-    Crash.step t.crash_ctl;
-    Bytes.set t.volatile base (Char.chr b);
-    t.dirty.(index) <- true;
-    if t.auto_flush then begin
-      persist_line t index;
-      Stats.incr_lines_flushed t.stats 1
-    end
-  with
-  | () ->
-      Mutex.unlock mu;
-      maybe_yield t
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
+let read_int_sized t off len =
+  check_range t off len;
+  let t0 = Obs.Probe.start () in
+  let v = load t off ~len get_int in
+  Obs.Probe.stop Pmem_read t0;
+  v
+
+let write_int_sized t off len v =
+  check_range t off len;
+  let t0 = Obs.Probe.start () in
+  store t off ~len put_int v;
+  Obs.Probe.stop Pmem_write t0
+
+let read_byte t off = read_int_sized t off 1
 
 let write_byte t off b =
   if b < 0 || b > 255 then invalid_arg "Pmem.write_byte: not a byte";
-  check_range t off 1;
-  if not (Obs.Config.enabled ()) then write_byte_raw t off b
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    write_byte_raw t off b;
-    Obs.Probe.record_latency Obs.Probe.Pmem_write ~t0_ns;
-    record_write_counters t ~off ~len:1
-  end
+  write_int_sized t off 1 b
 
-let read_int64_raw t off =
-  let base = Offset.to_int off in
-  let index = base / t.line_size in
-  Crash.note_read t.crash_ctl ~first_line:index
-    ~last_line:((base + 7) / t.line_size);
-  if t.flush_mode = Coalesced then
-    read_drain t ~first:index ~last:((base + 7) / t.line_size);
-  if (base + 7) / t.line_size = index then begin
-    let mu = t.stripes.(stripe_of t index) in
-    Mutex.lock mu;
-    match
-      Crash.check t.crash_ctl;
-      Stats.incr_reads t.stats;
-      Bytes.get_int64_le t.volatile base
-    with
-    | result ->
-        Mutex.unlock mu;
-        maybe_yield t;
-        result
-    | exception e ->
-        Mutex.unlock mu;
-        raise e
-  end
-  else
-    let first, last = covering t off ~len:8 in
-    with_lines t ~first ~last (fun () ->
-        Crash.check t.crash_ctl;
-        Stats.incr_reads t.stats;
-        Bytes.get_int64_le t.volatile base)
+let read_int t off = read_int_sized t off 8
+let write_int t off v = write_int_sized t off 8 v
 
 let read_int64 t off =
   check_range t off 8;
-  if not (Obs.Config.enabled ()) then read_int64_raw t off
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = read_int64_raw t off in
-    Obs.Probe.record_latency Obs.Probe.Pmem_read ~t0_ns;
-    Obs.Counters.incr_reads Obs.Probe.counters;
-    result
-  end
-
-let write_int64_raw t off v =
-  let base = Offset.to_int off in
-  let index = base / t.line_size in
-  Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:index
-    ~last_line:((base + 7) / t.line_size) ~persists:t.auto_flush;
-  if (base + 7) / t.line_size = index then begin
-    let mu = t.stripes.(stripe_of t index) in
-    Mutex.lock mu;
-    match
-      Stats.incr_writes t.stats;
-      Crash.step t.crash_ctl;
-      Bytes.set_int64_le t.volatile base v;
-      t.dirty.(index) <- true;
-      if t.auto_flush then begin
-        persist_line t index;
-        Stats.incr_lines_flushed t.stats 1
-      end
-    with
-    | () ->
-        Mutex.unlock mu;
-        maybe_yield t
-    | exception e ->
-        Mutex.unlock mu;
-        raise e
-  end
-  else
-    let first, last = covering t off ~len:8 in
-    with_lines t ~first ~last (fun () ->
-        Stats.incr_writes t.stats;
-        let src = Bytes.create 8 in
-        Bytes.set_int64_le src 0 v;
-        write_locked t ~off ~src ~src_off:0 ~len:8)
+  let t0 = Obs.Probe.start () in
+  let v = load t off ~len:8 get_int64 in
+  Obs.Probe.stop Pmem_read t0;
+  v
 
 let write_int64 t off v =
   check_range t off 8;
-  if not (Obs.Config.enabled ()) then write_int64_raw t off v
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    write_int64_raw t off v;
-    Obs.Probe.record_latency Obs.Probe.Pmem_write ~t0_ns;
-    record_write_counters t ~off ~len:8
-  end
+  let t0 = Obs.Probe.start () in
+  store t off ~len:8 put_int64 v;
+  Obs.Probe.stop Pmem_write t0
 
-(* Native-[int] accessors with the [Int64] conversion fused into the
-   locked fast path.  [Int64.to_int (read_int64 t off)] boxes the value
-   across the function boundary — one minor-heap allocation per device
-   word read.  The heap allocator touches several device words per
-   [alloc]/[free]; fusing the conversion into the same body as
-   [Bytes.get_int64_le] lets the compiler keep the intermediate unboxed
-   (see the stop-the-world note above [read_byte_raw]). *)
-let read_int t off =
+let cas_int64 t off ~expected ~desired =
   check_range t off 8;
-  if Obs.Config.enabled () then Int64.to_int (read_int64 t off)
-  else begin
-    let base = Offset.to_int off in
-    let index = base / t.line_size in
-    if (base + 7) / t.line_size = index then begin
-      Crash.note_read t.crash_ctl ~first_line:index ~last_line:index;
-      if t.flush_mode = Coalesced then read_drain t ~first:index ~last:index;
-      let mu = t.stripes.(stripe_of t index) in
-      Mutex.lock mu;
-      match
-        Crash.check t.crash_ctl;
-        Stats.incr_reads t.stats;
-        Int64.to_int (Bytes.get_int64_le t.volatile base)
-      with
-      | result ->
-          Mutex.unlock mu;
-          maybe_yield t;
-          result
-      | exception e ->
-          Mutex.unlock mu;
-          raise e
-    end
-    else Int64.to_int (read_int64_raw t off)
-  end
-
-let write_int t off v =
-  check_range t off 8;
-  if Obs.Config.enabled () then write_int64 t off (Int64.of_int v)
-  else begin
-    let base = Offset.to_int off in
-    let index = base / t.line_size in
-    if (base + 7) / t.line_size = index then begin
-      Crash.sched_point t.crash_ctl ~kind:Crash.Write ~first_line:index
-        ~last_line:index ~persists:t.auto_flush;
-      let mu = t.stripes.(stripe_of t index) in
-      Mutex.lock mu;
-      match
-        Stats.incr_writes t.stats;
-        Crash.step t.crash_ctl;
-        Bytes.set_int64_le t.volatile base (Int64.of_int v);
-        t.dirty.(index) <- true;
-        if t.auto_flush then begin
-          persist_line t index;
-          Stats.incr_lines_flushed t.stats 1
-        end
-      with
-      | () ->
-          Mutex.unlock mu;
-          maybe_yield t
-      | exception e ->
-          Mutex.unlock mu;
-          raise e
-    end
-    else write_int64_raw t off (Int64.of_int v)
-  end
-
-let cas_int64_raw t off ~expected ~desired ~index =
+  let base = Offset.to_int off in
+  if straddles t base 8 then
+    invalid_arg "Pmem.cas_int64: word crosses a cache line";
+  let index = line_of t base in
+  let t0 = Obs.Probe.start () in
   Crash.sched_point t.crash_ctl ~kind:Crash.Cas ~first_line:index
     ~last_line:index ~persists:t.auto_flush;
   (* The CAS reads the word before deciding: a dependent read like any
      other, so a pending line is drained first. *)
   if t.flush_mode = Coalesced then read_drain t ~first:index ~last:index;
-  let base = Offset.to_int off in
-  let mu = t.stripes.(stripe_of t index) in
-  Mutex.lock mu;
-  match
-    Crash.step t.crash_ctl;
-    Stats.incr_reads t.stats;
-    let current = Bytes.get_int64_le t.volatile base in
-    if Int64.equal current expected then begin
-      Stats.incr_writes t.stats;
-      (* A single-line write: no extra crash point between the read and
-         the write, which models a hardware CAS instruction. *)
-      Bytes.set_int64_le t.volatile base desired;
-      t.dirty.(index) <- true;
-      if t.auto_flush then begin
-        persist_line t index;
-        Stats.incr_lines_flushed t.stats 1
-      end;
-      true
-    end
-    else false
-  with
-  | result ->
-      Mutex.unlock mu;
-      maybe_yield t;
-      result
-  | exception e ->
-      Mutex.unlock mu;
-      raise e
-
-let cas_int64 t off ~expected ~desired =
-  check_range t off 8;
-  if not (Layout.same_line ~line_size:t.line_size off ~len:8) then
-    invalid_arg "Pmem.cas_int64: word crosses a cache line";
-  let index = Layout.line_index ~line_size:t.line_size off in
-  if not (Obs.Config.enabled ()) then cas_int64_raw t off ~expected ~desired ~index
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let result = cas_int64_raw t off ~expected ~desired ~index in
-    Obs.Probe.record_latency Obs.Probe.Pmem_cas ~t0_ns;
-    result
-  end
-
-(* Coalesced-mode flush body: consult the crash scheduler once per covering
-   line exactly like the eager path — crash-point numbering is identical in
-   both modes, so an [At_op] placement lands at the same operation whether
-   or not coalescing is on — but instead of persisting, mark each dirty
-   line pending and remember the newly-marked ones for the caller to log
-   once the stripes are released.  The two-line fast path mirrors the eager
-   one: no closure, at most two ref cells. *)
-let elide_fast t ~first ~last =
-  let sa = stripe_of t first in
-  let sb = if last = first then sa else stripe_of t last in
-  let lo = min sa sb and hi = max sa sb in
-  let m0 = ref (-1) and m1 = ref (-1) in
-  Mutex.lock t.stripes.(lo);
-  if hi <> lo then Mutex.lock t.stripes.(hi);
-  (match
-     Stats.incr_flushes_elided t.stats;
-     for index = first to last do
-       Crash.step t.crash_ctl;
-       if t.dirty.(index) && not t.pending.(index) then begin
-         t.pending.(index) <- true;
-         if !m0 < 0 then m0 := index else m1 := index
-       end
-     done
-   with
-  | () ->
-      if hi <> lo then Mutex.unlock t.stripes.(hi);
-      Mutex.unlock t.stripes.(lo)
-  | exception e ->
-      if hi <> lo then Mutex.unlock t.stripes.(hi);
-      Mutex.unlock t.stripes.(lo);
-      raise e);
-  if !m0 >= 0 then log_append t !m0;
-  if !m1 >= 0 then log_append t !m1;
-  maybe_yield t;
-  0
-
-let elide_slow t ~first ~last =
-  let marked = ref [] in
-  with_lines t ~first ~last (fun () ->
-      Stats.incr_flushes_elided t.stats;
-      for index = first to last do
-        Crash.step t.crash_ctl;
-        if t.dirty.(index) && not t.pending.(index) then begin
-          t.pending.(index) <- true;
-          marked := index :: !marked
-        end
-      done);
-  List.iter (log_append t) (List.rev !marked);
-  0
-
-let flush_raw t ~off ~len =
-  if len = 0 then begin
-    (* One [Crash.check], like a zero-length read; the call still
-       counts as a flush (see stats.mli). *)
-    Crash.check t.crash_ctl;
-    (match t.flush_mode with
-    | Eager -> Stats.incr_flushes t.stats
-    | Coalesced -> Stats.incr_flushes_elided t.stats);
-    0
-  end
-  else begin
-    (* inline [covering]: returning the pair would allocate per flush *)
-    let first = Offset.to_int off / t.line_size in
-    let last = (Offset.to_int off + len - 1) / t.line_size in
-    Crash.sched_point t.crash_ctl ~kind:Crash.Flush ~first_line:first
-      ~last_line:last ~persists:true;
-    match t.flush_mode with
-    | Coalesced ->
-        if last - first <= 1 then elide_fast t ~first ~last
-        else elide_slow t ~first ~last
-    | Eager ->
-    if last - first <= 1 then begin
-      let sa = stripe_of t first in
-      let sb = if last = first then sa else stripe_of t last in
-      let lo = min sa sb and hi = max sa sb in
-      Mutex.lock t.stripes.(lo);
-      if hi <> lo then Mutex.lock t.stripes.(hi);
-      match
-        Stats.incr_flushes t.stats;
-        flush_lines_locked t ~off ~len
-      with
-      | persisted ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          maybe_yield t;
-          persisted
-      | exception e ->
-          if hi <> lo then Mutex.unlock t.stripes.(hi);
-          Mutex.unlock t.stripes.(lo);
-          raise e
-    end
-    else
-      with_lines t ~first ~last (fun () ->
-          Stats.incr_flushes t.stats;
-          flush_lines_locked t ~off ~len)
-  end
+  let swapped =
+    span t ~first:index ~last:index ~len:8 Reads cas_word base expected
+      desired
+  in
+  Obs.Probe.stop Pmem_cas t0;
+  swapped
 
 let flush t ~off ~len =
   if len < 0 then invalid_arg "Pmem.flush: negative length";
   check_range t off len;
-  if not (Obs.Config.enabled ()) then ignore (flush_raw t ~off ~len : int)
-  else begin
-    let t0_ns = Obs.Config.now_ns () in
-    let persisted = flush_raw t ~off ~len in
-    Obs.Probe.record_latency Obs.Probe.Pmem_flush ~t0_ns;
-    match t.flush_mode with
-    | Eager -> Obs.Counters.record_flush Obs.Probe.counters ~lines:persisted
-    | Coalesced -> Obs.Counters.record_flush_elided Obs.Probe.counters
-  end
+  let t0 = Obs.Probe.start () in
+  (if len = 0 then begin
+     Crash.check t.crash_ctl;
+     count
+       (match t.flush_mode with Eager -> Flushes | Coalesced -> Flushes_elided)
+   end
+   else begin
+     let base = Offset.to_int off in
+     let first = line_of t base and last = line_of t (base + len - 1) in
+     Crash.sched_point t.crash_ctl ~kind:Crash.Flush ~first_line:first
+       ~last_line:last ~persists:true;
+     match t.flush_mode with
+     | Eager -> span t ~first ~last ~len Flushes persist_lines first last ()
+     | Coalesced when last - first <= 1 ->
+         let marked =
+           span t ~first ~last ~len Flushes_elided mark_pending first last ()
+         in
+         if marked land 1 <> 0 then log_append t first;
+         if marked land 2 <> 0 then log_append t last
+     | Coalesced ->
+         let marked = ref [] in
+         span t ~first ~last ~len Flushes_elided mark_pending_wide first last
+           marked;
+         List.iter (log_append t) (List.rev !marked)
+   end);
+  Obs.Probe.stop Pmem_flush t0
 
 let flush_byte t off = flush t ~off ~len:1
 
@@ -1076,7 +831,7 @@ let crash t =
       Mutex.unlock log.log_mu)
     t.logs;
   with_all_lines t (fun () ->
-      Stats.incr_crashes t.stats;
+      count Crashes;
       Crash.trigger t.crash_ctl;
       Array.iteri
         (fun index dirty ->
@@ -1089,12 +844,12 @@ let crash t =
             in
             if survives then begin
               persist_line t index;
-              Stats.incr_lines_survived t.stats 1
+              count Lines_survived
             end
             else begin
               t.dirty.(index) <- false;
               t.pending.(index) <- false;
-              Stats.incr_lines_lost t.stats 1
+              count Lines_lost
             end
           end)
         t.dirty;

@@ -24,15 +24,15 @@
     All operations are linearizable, which models x86-TSO-style atomic
     cache-line access closely enough for the protocols in this repository.
     Internally the device is {e striped}: cache lines are partitioned over a
-    fixed set of locks (stripe [s] guards every line [l] with
-    [l mod stripes = s]), so operations on disjoint lines proceed in
-    parallel across worker domains while an operation spanning several lines
-    holds every covering stripe for its whole duration.  Whole-device
-    operations ({!crash}, {!peek_volatile}, {!peek_persistent},
-    {!dirty_line_count}) take all stripes, in ascending order like every
-    other operation, so the locking is deadlock-free.  Operations raise
-    {!Crash.Crash_now} once the system has crashed, so that all worker
-    domains of a crashed system stop promptly. *)
+    fixed set of locks (a hash of the line index picks the stripe), so
+    operations on disjoint lines proceed in parallel across worker domains
+    while an operation spanning several lines holds every covering stripe
+    for its whole duration.  Whole-device operations ({!crash},
+    {!peek_volatile}, {!peek_persistent}, {!dirty_line_count}) take all
+    stripes, in ascending order like every other operation, so the locking
+    is deadlock-free.  Operations raise {!Crash.Crash_now} once the system
+    has crashed, so that all worker domains of a crashed system stop
+    promptly.  Every operation is counted in the [Obs.Counters] ledger. *)
 
 type t
 
@@ -83,9 +83,9 @@ val create :
     {!Lose_all}; [auto_flush] defaults to [false]; [backend] defaults to an
     in-memory image of [size] bytes.
 
-    [stripes] (default 64) is the number of device-lock stripes; it is
-    clamped to the number of cache lines and rounded down to a power of
-    two.  More stripes mean less contention between worker domains
+    [stripes] (default {!default_stripes}) is the number of device-lock
+    stripes; it is clamped to the number of cache lines and rounded down to
+    a power of two.  More stripes mean less contention between worker domains
     operating on disjoint lines; one stripe restores the old fully
     serialised device.
 
@@ -122,8 +122,6 @@ val crash_ctl : t -> Crash.t
     mutexes.  Reads and zero-length operations are not scheduling points,
     mirroring the crash-point rule. *)
 
-val stats : t -> Stats.t
-
 (** {1 Data access} *)
 
 val read_byte : t -> Offset.t -> int
@@ -138,13 +136,13 @@ val read_bytes : t -> off:Offset.t -> len:int -> bytes
     content.  A zero-length read touches no line; like every zero-length
     operation it consults the crash scheduler exactly once via
     [Crash.check] (so it raises if a crash has already fired) but is never
-    itself a crash {e point}, and it still counts as one call in
-    {!Stats}. *)
+    itself a crash {e point}, and it still counts as one read call in the
+    [Obs.Counters] ledger. *)
 
 val write_bytes : t -> off:Offset.t -> bytes -> unit
 (** [write_bytes t ~off data] stores [data] into the cache.  A zero-length
     write follows the same rule as a zero-length read: one [Crash.check],
-    never a crash point, one {!Stats} call. *)
+    never a crash point, one counted write call. *)
 
 val read_int64 : t -> Offset.t -> int64
 (** Little-endian 8-byte read. *)
@@ -170,7 +168,8 @@ val flush : t -> off:Offset.t -> len:int -> unit
     range.  Each line is persisted atomically; the crash scheduler is
     consulted once per line, so a crash can land between lines.  A
     zero-length flush persists nothing but still counts as one flush call
-    in {!Stats} — every call counts, whatever its length (see stats.mli).
+    in the [Obs.Counters] ledger — every call counts, whatever its length
+    (see counters.mli).
     Like zero-length reads and writes it consults the crash scheduler
     exactly once via [Crash.check]: it raises if a crash has already
     fired, but contributes no crash point of its own. *)

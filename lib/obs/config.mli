@@ -1,9 +1,10 @@
 (** Global observability switch and clock.
 
-    Every recording site in the runtime checks {!enabled} first — one atomic
-    load and a branch — so a disabled system pays (almost) nothing for the
-    instrumentation: no timestamps are taken, no histograms touched, no
-    trace events written.  The switch is global because the hook points sit
+    The switch gates timing work only: every latency or trace site checks
+    {!enabled} first — one atomic load and a branch — so a disabled system
+    takes no timestamps, touches no histograms and writes no trace events.
+    The {!Counters} ledger is not gated: it counts whether or not the
+    switch is on.  The switch is global because the hook points sit
     below the layers that know about systems or workers (the device, the
     heap), where there is no natural handle to thread a recorder through.
 

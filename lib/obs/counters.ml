@@ -1,27 +1,56 @@
 let stripes = 16 (* power of two *)
 
-type stripe = {
-  ops : int Atomic.t;
-  reads : int Atomic.t;
-  writes : int Atomic.t;
-  flushes : int Atomic.t;
-  flushes_elided : int Atomic.t;
-  drains : int Atomic.t;
-  lines_flushed : int Atomic.t;
-  crashes_survived : int Atomic.t;
-  recovery_passes : int Atomic.t;
-  payload_bytes : int Atomic.t;
-  amplified_bytes : int Atomic.t;
-  faults_injected : int Atomic.t;
-  faults_detected : int Atomic.t;
-  faults_repaired : int Atomic.t;
-  faults_quarantined : int Atomic.t;
-  conns_accepted : int Atomic.t;
-  requests_served : int Atomic.t;
-  dedup_hits : int Atomic.t;
-}
+type counter =
+  | Ops
+  | Reads
+  | Writes
+  | Flushes
+  | Flushes_elided
+  | Drains
+  | Lines_flushed
+  | Crashes
+  | Lines_lost
+  | Lines_survived
+  | Crashes_survived
+  | Recovery_passes
+  | Payload_bytes
+  | Amplified_bytes
+  | Faults_injected
+  | Faults_detected
+  | Faults_repaired
+  | Faults_quarantined
+  | Conns_accepted
+  | Requests_served
+  | Dedup_hits
 
-type t = stripe array
+(* Slot of each counter in a stripe (declaration order). *)
+let index = function
+  | Ops -> 0
+  | Reads -> 1
+  | Writes -> 2
+  | Flushes -> 3
+  | Flushes_elided -> 4
+  | Drains -> 5
+  | Lines_flushed -> 6
+  | Crashes -> 7
+  | Lines_lost -> 8
+  | Lines_survived -> 9
+  | Crashes_survived -> 10
+  | Recovery_passes -> 11
+  | Payload_bytes -> 12
+  | Amplified_bytes -> 13
+  | Faults_injected -> 14
+  | Faults_detected -> 15
+  | Faults_repaired -> 16
+  | Faults_quarantined -> 17
+  | Conns_accepted -> 18
+  | Requests_served -> 19
+  | Dedup_hits -> 20
+
+let count = 21
+
+(* [stripes] stripes; slot [index c] of a stripe holds counter [c]. *)
+type t = int Atomic.t array array
 
 type totals = {
   ops : int;
@@ -31,6 +60,9 @@ type totals = {
   flushes_elided : int;
   drains : int;
   lines_flushed : int;
+  crashes : int;
+  lines_lost : int;
+  lines_survived : int;
   crashes_survived : int;
   recovery_passes : int;
   payload_bytes : int;
@@ -45,128 +77,48 @@ type totals = {
 }
 
 let create () : t =
-  Array.init stripes (fun _ : stripe ->
-      {
-        ops = Atomic.make 0;
-        reads = Atomic.make 0;
-        writes = Atomic.make 0;
-        flushes = Atomic.make 0;
-        flushes_elided = Atomic.make 0;
-        drains = Atomic.make 0;
-        lines_flushed = Atomic.make 0;
-        crashes_survived = Atomic.make 0;
-        recovery_passes = Atomic.make 0;
-        payload_bytes = Atomic.make 0;
-        amplified_bytes = Atomic.make 0;
-        faults_injected = Atomic.make 0;
-        faults_detected = Atomic.make 0;
-        faults_repaired = Atomic.make 0;
-        faults_quarantined = Atomic.make 0;
-        conns_accepted = Atomic.make 0;
-        requests_served = Atomic.make 0;
-        dedup_hits = Atomic.make 0;
-      })
+  Array.init stripes (fun _ -> Array.init count (fun _ -> Atomic.make 0))
 
-let mine (t : t) = t.((Domain.self () :> int) land (stripes - 1))
-let add counter n = ignore (Atomic.fetch_and_add counter n)
-let incr_ops t = add (mine t).ops 1
-let incr_reads t = add (mine t).reads 1
-let incr_crashes_survived t = add (mine t).crashes_survived 1
-let incr_recovery_passes t = add (mine t).recovery_passes 1
-let incr_faults_injected t = add (mine t).faults_injected 1
-let incr_faults_detected t = add (mine t).faults_detected 1
-let incr_faults_repaired t = add (mine t).faults_repaired 1
-let incr_faults_quarantined t = add (mine t).faults_quarantined 1
-let incr_conns_accepted t = add (mine t).conns_accepted 1
-let incr_requests_served t = add (mine t).requests_served 1
-let incr_dedup_hits t = add (mine t).dedup_hits 1
+(* The calling domain's stripe index, computed once per domain. *)
+let my_stripe =
+  Domain.DLS.new_key (fun () -> (Domain.self () :> int) land (stripes - 1))
 
-let record_write t ~payload ~amplified =
-  let s = mine t in
-  add s.writes 1;
-  add s.payload_bytes payload;
-  add s.amplified_bytes amplified
-
-let record_flush t ~lines =
-  let s = mine t in
-  add s.flushes 1;
-  add s.lines_flushed lines
-
-let record_flush_elided t = add (mine t).flushes_elided 1
-
-let record_drain t ~lines =
-  let s = mine t in
-  add s.drains 1;
-  add s.lines_flushed lines
+let bump stripe c n = ignore (Atomic.fetch_and_add stripe.(index c) n)
+let add (t : t) c n = bump t.(Domain.DLS.get my_stripe) c n
+let add_at (t : t) hint c n = bump t.(hint land (stripes - 1)) c n
+let incr t c = add t c 1
+let incr_dedup_hits t = incr t Dedup_hits
 
 let totals (t : t) =
-  Array.fold_left
-    (fun (acc : totals) (s : stripe) ->
-      {
-        ops = acc.ops + Atomic.get s.ops;
-        reads = acc.reads + Atomic.get s.reads;
-        writes = acc.writes + Atomic.get s.writes;
-        flushes = acc.flushes + Atomic.get s.flushes;
-        flushes_elided = acc.flushes_elided + Atomic.get s.flushes_elided;
-        drains = acc.drains + Atomic.get s.drains;
-        lines_flushed = acc.lines_flushed + Atomic.get s.lines_flushed;
-        crashes_survived = acc.crashes_survived + Atomic.get s.crashes_survived;
-        recovery_passes = acc.recovery_passes + Atomic.get s.recovery_passes;
-        payload_bytes = acc.payload_bytes + Atomic.get s.payload_bytes;
-        amplified_bytes = acc.amplified_bytes + Atomic.get s.amplified_bytes;
-        faults_injected = acc.faults_injected + Atomic.get s.faults_injected;
-        faults_detected = acc.faults_detected + Atomic.get s.faults_detected;
-        faults_repaired = acc.faults_repaired + Atomic.get s.faults_repaired;
-        faults_quarantined =
-          acc.faults_quarantined + Atomic.get s.faults_quarantined;
-        conns_accepted = acc.conns_accepted + Atomic.get s.conns_accepted;
-        requests_served = acc.requests_served + Atomic.get s.requests_served;
-        dedup_hits = acc.dedup_hits + Atomic.get s.dedup_hits;
-      })
-    {
-      ops = 0;
-      reads = 0;
-      writes = 0;
-      flushes = 0;
-      flushes_elided = 0;
-      drains = 0;
-      lines_flushed = 0;
-      crashes_survived = 0;
-      recovery_passes = 0;
-      payload_bytes = 0;
-      amplified_bytes = 0;
-      faults_injected = 0;
-      faults_detected = 0;
-      faults_repaired = 0;
-      faults_quarantined = 0;
-      conns_accepted = 0;
-      requests_served = 0;
-      dedup_hits = 0;
-    }
-    t
+  let get c =
+    let i = index c in
+    Array.fold_left (fun acc stripe -> acc + Atomic.get stripe.(i)) 0 t
+  in
+  {
+    ops = get Ops;
+    reads = get Reads;
+    writes = get Writes;
+    flushes = get Flushes;
+    flushes_elided = get Flushes_elided;
+    drains = get Drains;
+    lines_flushed = get Lines_flushed;
+    crashes = get Crashes;
+    lines_lost = get Lines_lost;
+    lines_survived = get Lines_survived;
+    crashes_survived = get Crashes_survived;
+    recovery_passes = get Recovery_passes;
+    payload_bytes = get Payload_bytes;
+    amplified_bytes = get Amplified_bytes;
+    faults_injected = get Faults_injected;
+    faults_detected = get Faults_detected;
+    faults_repaired = get Faults_repaired;
+    faults_quarantined = get Faults_quarantined;
+    conns_accepted = get Conns_accepted;
+    requests_served = get Requests_served;
+    dedup_hits = get Dedup_hits;
+  }
 
-let reset (t : t) =
-  Array.iter
-    (fun (s : stripe) ->
-      Atomic.set s.ops 0;
-      Atomic.set s.reads 0;
-      Atomic.set s.writes 0;
-      Atomic.set s.flushes 0;
-      Atomic.set s.flushes_elided 0;
-      Atomic.set s.drains 0;
-      Atomic.set s.lines_flushed 0;
-      Atomic.set s.crashes_survived 0;
-      Atomic.set s.recovery_passes 0;
-      Atomic.set s.payload_bytes 0;
-      Atomic.set s.amplified_bytes 0;
-      Atomic.set s.faults_injected 0;
-      Atomic.set s.faults_detected 0;
-      Atomic.set s.faults_repaired 0;
-      Atomic.set s.faults_quarantined 0;
-      Atomic.set s.conns_accepted 0;
-      Atomic.set s.requests_served 0;
-      Atomic.set s.dedup_hits 0)
-    t
+let reset (t : t) = Array.iter (Array.iter (fun a -> Atomic.set a 0)) t
 
 let write_amplification totals =
   if totals.payload_bytes = 0 then 0.
@@ -183,11 +135,13 @@ let flush_per_op totals =
 let pp fmt t =
   Format.fprintf fmt
     "ops=%d reads=%d writes=%d flushes=%d flushes_elided=%d drains=%d \
-     lines_flushed=%d crashes_survived=%d recovery_passes=%d \
-     payload_bytes=%d amplified_bytes=%d faults_injected=%d \
-     faults_detected=%d faults_repaired=%d faults_quarantined=%d \
-     conns_accepted=%d requests_served=%d dedup_hits=%d"
+     lines_flushed=%d crashes=%d lines_lost=%d lines_survived=%d \
+     crashes_survived=%d recovery_passes=%d payload_bytes=%d \
+     amplified_bytes=%d faults_injected=%d faults_detected=%d \
+     faults_repaired=%d faults_quarantined=%d conns_accepted=%d \
+     requests_served=%d dedup_hits=%d"
     t.ops t.reads t.writes t.flushes t.flushes_elided t.drains
-    t.lines_flushed t.crashes_survived t.recovery_passes t.payload_bytes
-    t.amplified_bytes t.faults_injected t.faults_detected t.faults_repaired
+    t.lines_flushed t.crashes t.lines_lost t.lines_survived
+    t.crashes_survived t.recovery_passes t.payload_bytes t.amplified_bytes
+    t.faults_injected t.faults_detected t.faults_repaired
     t.faults_quarantined t.conns_accepted t.requests_served t.dedup_hits

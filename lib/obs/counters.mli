@@ -1,23 +1,59 @@
-(** Observability counter sets.
+(** The counter ledger: the one place the runtime counts events.
 
-    Unlike {!Nvram.Stats} (seven global lifetime counters owned by the
-    device), these are the reporting-facing counters the bench suite and
-    the fuzzer read: operations executed, flush calls and lines actually
-    persisted, crashes survived and recovery passes, and the write
-    amplification a protocol pays — payload bytes the caller asked to
-    write vs the cache-line bytes the device actually touched.
+    The device counts its reads, writes, flush calls and persisted lines
+    here; the executor counts operations and recovery passes; recovery and
+    the scrubber count media faults; the network server counts connections,
+    requests and dedup hits.  The bench suite, the fuzzer and
+    [nvkv_server]'s [STATS] line read {!totals}.
 
-    Recording is striped by domain id like {!Histogram}; {!totals} sums
-    the stripes.  All recording respects nothing — callers gate on
-    {!Config.enabled} before calling, so the counters themselves stay
-    branch-free. *)
+    Counters are {b always on}: {!Config.enabled} gates only timing work
+    (histograms, clock reads, the trace ring), never a count, so the
+    numbers are the same whether or not observability is switched on.
+    Recording is striped like {!Histogram} — an increment is one
+    [fetch_and_add] on the calling domain's stripe, or on the stripe a
+    caller's hint picks ({!add_at}) — and {!totals} sums the stripes.
+
+    Device accounting rules:
+    - counters measure API calls (what a protocol {e issues}), not bytes:
+      every read, write and flush call counts once, including zero-length
+      calls;
+    - a CAS counts as one read, plus one write (8 payload bytes, one line)
+      when it swaps;
+    - [lines_flushed] counts every line actually written back: by an eager
+      flush, by a drain, and by an auto-flush write. *)
 
 type t
 
+(** One counter per field of {!totals}, with the same name. *)
+type counter =
+  | Ops
+  | Reads
+  | Writes
+  | Flushes
+  | Flushes_elided
+  | Drains
+  | Lines_flushed
+  | Crashes
+  | Lines_lost
+  | Lines_survived
+  | Crashes_survived
+  | Recovery_passes
+  | Payload_bytes
+  | Amplified_bytes
+  | Faults_injected
+  | Faults_detected
+  | Faults_repaired
+  | Faults_quarantined
+  | Conns_accepted
+  | Requests_served
+  | Dedup_hits
+
 type totals = {
-  ops : int;  (** completed [Exec.call] invocations *)
-  reads : int;
-  writes : int;
+  ops : int;
+      (** completed [Exec.call] invocations, counted on return: a call a
+          crash aborts is not counted *)
+  reads : int;  (** device read calls, CAS included *)
+  writes : int;  (** device write calls, swapping CAS included *)
   flushes : int;  (** flush calls served eagerly *)
   flushes_elided : int;
       (** flush calls the coalescer turned into pending marks (coalesced
@@ -26,12 +62,18 @@ type totals = {
       (** drain events (persist barriers / dependent reads / era
           boundaries) that persisted at least one pending line *)
   lines_flushed : int;  (** cache lines actually persisted *)
+  crashes : int;  (** simulated crash events applied to a device *)
+  lines_lost : int;  (** dirty lines a crash discarded *)
+  lines_survived : int;
+      (** dirty lines a crash happened to write back (see
+          [Nvram.Pmem.policy]) *)
   crashes_survived : int;  (** device crashes followed by a reboot *)
   recovery_passes : int;  (** [Exec.recover] completions *)
   payload_bytes : int;  (** bytes the callers asked to write *)
   amplified_bytes : int;  (** cache-line bytes those writes dirtied *)
   faults_injected : int;
-      (** media faults the device injected: torn lines + bitflip events *)
+      (** media faults the device injected: one per torn line, one per
+          flipped bit *)
   faults_detected : int;
       (** checksum/shape mismatches recovery or the scrubber noticed *)
   faults_repaired : int;
@@ -50,31 +92,20 @@ type totals = {
 
 val create : unit -> t
 
-val incr_ops : t -> unit
-val incr_reads : t -> unit
-val incr_crashes_survived : t -> unit
-val incr_recovery_passes : t -> unit
-val incr_faults_injected : t -> unit
-val incr_faults_detected : t -> unit
-val incr_faults_repaired : t -> unit
-val incr_faults_quarantined : t -> unit
-val incr_conns_accepted : t -> unit
-val incr_requests_served : t -> unit
+val add : t -> counter -> int -> unit
+(** [add t c n] adds [n] to counter [c]. *)
+
+val incr : t -> counter -> unit
+(** [incr t c] is [add t c 1]. *)
+
+val add_at : t -> int -> counter -> int -> unit
+(** [add_at t hint c n] is [add t c n] on the stripe [hint] picks, for a
+    caller that already holds a value which spreads concurrent callers —
+    the device passes the line index — and so skips the per-domain
+    lookup. *)
+
 val incr_dedup_hits : t -> unit
-
-val record_write : t -> payload:int -> amplified:int -> unit
-(** One write call: [payload] bytes requested, [amplified] bytes of cache
-    lines covered (always [>= payload] for non-empty writes). *)
-
-val record_flush : t -> lines:int -> unit
-(** One flush call that persisted [lines] cache lines. *)
-
-val record_flush_elided : t -> unit
-(** One flush call elided by the coalescer: nothing was persisted, the
-    covered dirty lines were only marked pending. *)
-
-val record_drain : t -> lines:int -> unit
-(** One drain event that persisted [lines] pending cache lines. *)
+(** [incr t Dedup_hits]. *)
 
 val totals : t -> totals
 val reset : t -> unit

@@ -47,6 +47,9 @@ let counters = Counters.create ()
 let record_latency kind ~t0_ns =
   Histogram.record (histogram kind) (Config.now_ns () - t0_ns)
 
+let start () = if Config.enabled () then Config.now_ns () else -1
+let stop kind t0_ns = if t0_ns >= 0 then record_latency kind ~t0_ns
+
 let reset () =
   Array.iter Histogram.reset histograms;
   Counters.reset counters

@@ -1,12 +1,12 @@
 (** The runtime's standard hook points.
 
-    One global {!Histogram} per operation class, plus one global
-    {!Counters} set.  The device, the executor and the heap record here;
+    One global {!Histogram} per operation class, plus the global
+    {!Counters} ledger.  The device, the executor and the heap record here;
     reporting layers ({!Sink}, the bench harness, the fuzzer) read here.
 
-    Recording sites gate on {!Config.enabled} themselves (so a disabled
-    system never takes a timestamp); the helpers below assume the caller
-    already checked. *)
+    The ledger is always on.  Latency recording is timing work and follows
+    {!Config.enabled}: a site takes its start stamp with {!start} and
+    records with {!stop}, so a disabled system never reads the clock. *)
 
 type kind =
   | Pmem_read
@@ -30,10 +30,19 @@ val histogram : kind -> Histogram.t
 (** The global latency histogram for one operation class. *)
 
 val counters : Counters.t
-(** The global counter set. *)
+(** The global counter ledger. *)
 
 val record_latency : kind -> t0_ns:int -> unit
-(** [record_latency k ~t0_ns] records [now - t0_ns] into [histogram k]. *)
+(** [record_latency k ~t0_ns] records [now - t0_ns] into [histogram k],
+    unconditionally. *)
+
+val start : unit -> int
+(** The start stamp of a timed operation: [Config.now_ns ()] while
+    recording is enabled, [-1] (no clock read) while it is disabled. *)
+
+val stop : kind -> int -> unit
+(** [stop k t0] records the latency since [t0 = start ()] into
+    [histogram k]; nothing when [t0] was taken while disabled. *)
 
 val reset : unit -> unit
 (** Zero every histogram and counter (not the trace ring). *)

@@ -29,11 +29,13 @@ let check_marker m =
    deliberately excludes the answer slot (rewritten after the push by the
    callee, protected by its own one-byte code) and the end marker (flipped
    by every neighbouring push/pop; its two legal values are their own
-   check). *)
-let crc_of_parts buf ~args ~args_len =
-  let h = Integrity.fnv64_sub Integrity.fnv64_init buf ~pos:0 ~len:9 in
-  let h = Integrity.fnv64_sub h buf ~pos:args_len_rel ~len:8 in
-  Integrity.fnv64_sub h args ~pos:0 ~len:args_len
+   check).  It is accumulated in its own slot, so a push allocates
+   nothing. *)
+let write_crc buf ~args ~args_len =
+  Bytes.set_int64_le buf crc_rel Integrity.fnv64_init;
+  Integrity.fnv64_into buf ~at:crc_rel buf ~pos:0 ~len:9;
+  Integrity.fnv64_into buf ~at:crc_rel buf ~pos:args_len_rel ~len:8;
+  Integrity.fnv64_into buf ~at:crc_rel args ~pos:0 ~len:args_len
 
 let encode_ordinary_into buf ~func_id ~args ~marker =
   check_marker marker;
@@ -45,7 +47,7 @@ let encode_ordinary_into buf ~func_id ~args ~marker =
   (* the answer slot is zeroed explicitly: the buffer may be reused *)
   Bytes.fill buf answer_flag_rel 9 '\000';
   Bytes.set_int64_le buf args_len_rel (Int64.of_int args_len);
-  Bytes.set_int64_le buf crc_rel (crc_of_parts buf ~args ~args_len);
+  write_crc buf ~args ~args_len;
   Bytes.blit args 0 buf ordinary_header_size args_len;
   Bytes.set buf (ordinary_header_size + args_len) (Char.chr marker)
 
@@ -168,8 +170,7 @@ let read_answer pmem ~frame =
     if (not (Integrity.enabled ())) || code = Integrity.code_of_int64 v then
       Some v
     else begin
-      if Obs.Config.enabled () then
-        Obs.Counters.incr_faults_detected Obs.Probe.counters;
+      Obs.Counters.incr Obs.Probe.counters Faults_detected;
       None
     end
   end

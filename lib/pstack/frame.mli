@@ -101,12 +101,6 @@ val encode_ordinary : t -> marker:int -> bytes
 
 val encode_pointer : next:Nvram.Offset.t -> marker:int -> bytes
 
-val crc_of_parts : bytes -> args:bytes -> args_len:int -> int64
-(** The frame checksum over an encoded header buffer (preamble, function
-    id, argument length already in place) and the argument bytes — what
-    {!encode_ordinary} stores at [crc_rel].  Exposed for integrity
-    checkers that re-derive checksums ([Dump], the scrubber, tests). *)
-
 val pointer_code : int -> int
 (** The one-byte code a pointer frame stores for a next-offset. *)
 

@@ -22,14 +22,10 @@ let pp_event fmt = function
 
 let event_to_string e = Format.asprintf "%a" pp_event e
 
-(* One truncation = one fault detected and repaired in place.  Recorded
-   through the default-off observability gate like every other obs
-   counter. *)
+(* One truncation = one fault detected and repaired in place. *)
 let note_truncation () =
-  if Obs.Config.enabled () then begin
-    Obs.Counters.incr_faults_detected Obs.Probe.counters;
-    Obs.Counters.incr_faults_repaired Obs.Probe.counters
-  end
+  Obs.Counters.incr Obs.Probe.counters Faults_detected;
+  Obs.Counters.incr Obs.Probe.counters Faults_repaired
 
 let corrupt_stack ~stack ~at reason =
   raise (Corrupt_stack { stack; at; reason })

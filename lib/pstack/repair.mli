@@ -38,8 +38,8 @@ val pp_event : Format.formatter -> event -> unit
 val event_to_string : event -> string
 
 val note_truncation : unit -> unit
-(** Count one detected + one repaired fault in [Obs.Counters] (when
-    observability is enabled).  Called by the stack [attach] scans. *)
+(** Count one detected + one repaired fault in [Obs.Counters].  Called by
+    the stack [attach] scans. *)
 
 val corrupt_stack : stack:string -> at:Nvram.Offset.t -> string -> 'a
 (** Raise {!Corrupt_stack}. *)

@@ -80,10 +80,9 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
        is where the era's plan actually fired, which is what a replay needs
        to turn a probabilistic schedule into a deterministic one. *)
     let at_op = Crash.ops (Pmem.crash_ctl pmem) in
-    if Obs.Config.enabled () then begin
+    if Obs.Config.enabled () then
       Obs.Trace.record (Obs.Trace.Crash_fired { era = !eras; at_op });
-      Obs.Counters.incr_crashes_survived Obs.Probe.counters
-    end;
+    Obs.Counters.incr Obs.Probe.counters Crashes_survived;
     observer (Crash_fired { era = !eras; at_op });
     Log.info (fun m -> m "crash %d: rebooting and recovering" !crashes);
     if !crashes > max_crashes then

@@ -80,13 +80,14 @@ let call t ~func_id ~args =
        persistence points must take effect before the answer escapes to the
        caller.  No-op on an eager device. *)
     Pmem.persist_barrier t.pmem;
+    (* Counted on return: a call a crash aborts is not an op. *)
+    Obs.Counters.incr Obs.Probe.counters Ops;
     emit_probe (Op_responded { worker = t.worker_id; func_id });
     answer
   in
   if Obs.Config.enabled () then begin
     let t0_ns = Obs.Config.now_ns () in
     Obs.Trace.record (Obs.Trace.Op_begin { func_id });
-    Obs.Counters.incr_ops Obs.Probe.counters;
     match invoke () with
     | answer ->
         Obs.Probe.record_latency Obs.Probe.Exec_call ~t0_ns;
@@ -109,18 +110,18 @@ let clear_last_answer t =
 let recover t =
   emit_probe (Recovery_pass { worker = t.worker_id; frames = stack_depth t });
   let obs = Obs.Config.enabled () in
-  let t0_ns = if obs then Obs.Config.now_ns () else 0 in
-  if obs then begin
+  let t0_ns = Obs.Probe.start () in
+  if obs then
     Obs.Trace.record (Obs.Trace.Recovery_begin { worker = t.worker_id });
-    Obs.Counters.incr_recovery_passes Obs.Probe.counters
-  end;
   let finish_span ~completed =
-    if obs then begin
-      (* A pass interrupted by a fresh crash closes its trace span but does
-         not contribute a latency sample. *)
-      if completed then Obs.Probe.record_latency Obs.Probe.Exec_recover ~t0_ns;
+    (* A pass interrupted by a fresh crash closes its trace span but neither
+       counts nor contributes a latency sample. *)
+    if completed then begin
+      Obs.Counters.incr Obs.Probe.counters Recovery_passes;
+      Obs.Probe.stop Exec_recover t0_ns
+    end;
+    if obs then
       Obs.Trace.record (Obs.Trace.Recovery_end { worker = t.worker_id })
-    end
   in
   let rec drain () =
     match top t with

@@ -8,9 +8,7 @@ type t = { findings : finding list; fatal : bool }
 
 let is_clean t = t.findings = [] && not t.fatal
 
-let note_detected () =
-  if Obs.Config.enabled () then
-    Obs.Counters.incr_faults_detected Obs.Probe.counters
+let note_detected () = Obs.Counters.incr Obs.Probe.counters Faults_detected
 
 (* A healthy dump is frames with good CRCs ending in a STACK-END marker; the
    trailing [Invalid_tail] after the top frame is the normal "rest of the

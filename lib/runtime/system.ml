@@ -121,8 +121,7 @@ let read_superblock pmem =
     Integrity.enabled ()
     && not (Int64.equal (Pmem.read_int64 pmem crc_off) (superblock_crc config))
   then begin
-    if Obs.Config.enabled () then
-      Obs.Counters.incr_faults_detected Obs.Probe.counters;
+    Obs.Counters.incr Obs.Probe.counters Faults_detected;
     invalid_arg "System.attach: superblock checksum mismatch"
   end;
   config

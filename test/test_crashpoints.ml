@@ -382,20 +382,20 @@ let test_dependent_read_drains () =
 
 let test_repeated_flushes_coalesce () =
   let pmem = Pmem.create ~flush_mode:Pmem.Coalesced ~size:4096 () in
-  let st = Pmem.stats pmem in
-  let elided0 = Nvram.Stats.flushes_elided st in
-  let lines0 = Nvram.Stats.lines_flushed st in
+  let ledger () = Obs.Counters.totals Obs.Probe.counters in
+  let before = ledger () in
   for i = 1 to 10 do
     Pmem.write_int64 pmem (Offset.of_int 0) (Int64.of_int i);
     Pmem.flush pmem ~off:(Offset.of_int 0) ~len:8
   done;
   Pmem.drain_all pmem;
-  Alcotest.(check int) "ten flush calls elided" (elided0 + 10)
-    (Nvram.Stats.flushes_elided st);
+  let after = ledger () in
+  Alcotest.(check int) "ten flush calls elided" 10
+    (after.Obs.Counters.flushes_elided - before.Obs.Counters.flushes_elided);
   Alcotest.(check int64) "last value wins" 10L
     (persistent_int pmem (Offset.of_int 0));
   Alcotest.(check int) "one line written back once" 1
-    (Nvram.Stats.lines_flushed st - lines0)
+    (after.Obs.Counters.lines_flushed - before.Obs.Counters.lines_flushed)
 
 let () =
   Alcotest.run "crashpoints"

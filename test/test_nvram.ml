@@ -7,9 +7,17 @@ module Offset = Nvram.Offset
 module Crash = Nvram.Crash
 module Layout = Nvram.Layout
 module Backend = Nvram.Backend
-module Stats = Nvram.Stats
+module Counters = Obs.Counters
 
 let off = Offset.of_int
+
+(* The counter ledger is global: a test reads the events it caused as the
+   change of a [Counters.totals] field across [f]. *)
+let counted f =
+  let before = Counters.totals Obs.Probe.counters in
+  f ();
+  let after = Counters.totals Obs.Probe.counters in
+  fun (field : Counters.totals -> int) -> field after - field before
 
 let test_offset_basics () =
   Alcotest.(check int) "roundtrip" 42 (Offset.to_int (off 42));
@@ -184,30 +192,58 @@ let test_peek_views () =
 
 let test_stats () =
   let p = Pmem.create ~size:1024 () in
-  ignore (Pmem.read_int p (off 0));
-  Pmem.write_int p (off 0) 1;
-  Pmem.flush p ~off:(off 0) ~len:8;
-  let s = Pmem.stats p in
-  Alcotest.(check int) "reads" 1 (Nvram.Stats.reads s);
-  Alcotest.(check int) "writes" 1 (Nvram.Stats.writes s);
-  Alcotest.(check int) "flushes" 1 (Nvram.Stats.flushes s);
-  Alcotest.(check int) "lines flushed" 1 (Nvram.Stats.lines_flushed s);
-  Nvram.Stats.reset s;
-  Alcotest.(check int) "reset" 0 (Nvram.Stats.writes s)
+  let n =
+    counted (fun () ->
+        ignore (Pmem.read_int p (off 0));
+        Pmem.write_int p (off 0) 1;
+        Pmem.flush p ~off:(off 0) ~len:8)
+  in
+  Alcotest.(check int) "reads" 1 (n (fun c -> c.Counters.reads));
+  Alcotest.(check int) "writes" 1 (n (fun c -> c.Counters.writes));
+  Alcotest.(check int) "flushes" 1 (n (fun c -> c.Counters.flushes));
+  Alcotest.(check int) "lines flushed" 1 (n (fun c -> c.Counters.lines_flushed));
+  Obs.Probe.reset ();
+  Alcotest.(check int) "reset" 0
+    (Counters.totals Obs.Probe.counters).Counters.writes
 
 let test_stats_zero_length () =
   (* counters measure API calls, not bytes: a zero-length read, write or
-     flush each count exactly one call (see stats.mli) *)
+     flush each count exactly one call (see counters.mli) *)
   let p = Pmem.create ~size:1024 () in
-  ignore (Pmem.read_bytes p ~off:(off 0) ~len:0);
-  Pmem.write_bytes p ~off:(off 0) Bytes.empty;
-  Pmem.flush p ~off:(off 0) ~len:0;
-  let s = Pmem.stats p in
-  Alcotest.(check int) "zero-length read counts" 1 (Nvram.Stats.reads s);
-  Alcotest.(check int) "zero-length write counts" 1 (Nvram.Stats.writes s);
-  Alcotest.(check int) "zero-length flush counts" 1 (Nvram.Stats.flushes s);
-  Alcotest.(check int) "no lines flushed" 0 (Nvram.Stats.lines_flushed s);
+  let n =
+    counted (fun () ->
+        ignore (Pmem.read_bytes p ~off:(off 0) ~len:0);
+        Pmem.write_bytes p ~off:(off 0) Bytes.empty;
+        Pmem.flush p ~off:(off 0) ~len:0)
+  in
+  Alcotest.(check int) "zero-length read counts" 1 (n (fun c -> c.Counters.reads));
+  Alcotest.(check int) "zero-length write counts" 1
+    (n (fun c -> c.Counters.writes));
+  Alcotest.(check int) "zero-length flush counts" 1
+    (n (fun c -> c.Counters.flushes));
+  Alcotest.(check int) "no lines flushed" 0
+    (n (fun c -> c.Counters.lines_flushed));
   Alcotest.(check int) "nothing dirtied" 0 (Pmem.dirty_line_count p)
+
+(* Accounting rules (counters.mli): a CAS is a read plus, when it swaps, a
+   write; an auto-flush write persists, and counts, its line. *)
+let test_cas_and_auto_flush_accounting () =
+  let p = Pmem.create ~size:1024 () in
+  let swap = counted (fun () ->
+      ignore (Pmem.cas_int64 p (off 0) ~expected:0L ~desired:1L)) in
+  Alcotest.(check int) "swapping CAS: one read" 1 (swap (fun c -> c.Counters.reads));
+  Alcotest.(check int) "swapping CAS: one write" 1
+    (swap (fun c -> c.Counters.writes));
+  let miss = counted (fun () ->
+      ignore (Pmem.cas_int64 p (off 0) ~expected:0L ~desired:2L)) in
+  Alcotest.(check int) "failed CAS: one read" 1 (miss (fun c -> c.Counters.reads));
+  Alcotest.(check int) "failed CAS: no write" 0 (miss (fun c -> c.Counters.writes));
+  let a = Pmem.create ~auto_flush:true ~size:1024 () in
+  let w = counted (fun () -> Pmem.write_int a (off 64) 5) in
+  Alcotest.(check int) "auto-flush write: one line" 1
+    (w (fun c -> c.Counters.lines_flushed));
+  Alcotest.(check int) "auto-flush write: no flush call" 0
+    (w (fun c -> c.Counters.flushes))
 
 let test_zero_length_crash_semantics () =
   (* every zero-length op consults the scheduler exactly once, via
@@ -276,12 +312,16 @@ let test_torn_write_fault () =
       { Crash.tear = Crash.At_op 1; bitflip = Crash.Never; fault_seed = 42 };
     Pmem.write_bytes p ~off:(off 0) (Bytes.make 64 'n');
     Crash.arm (Pmem.crash_ctl p) (Crash.At_op 1);
-    (try
-       Pmem.flush p ~off:(off 0) ~len:64;
-       Alcotest.fail "expected crash"
-     with Crash.Crash_now -> ());
-    Pmem.crash_and_restart p;
-    Alcotest.(check int) "one torn line" 1 (Stats.torn_lines (Pmem.stats p));
+    let n =
+      counted (fun () ->
+          (try
+             Pmem.flush p ~off:(off 0) ~len:64;
+             Alcotest.fail "expected crash"
+           with Crash.Crash_now -> ());
+          Pmem.crash_and_restart p)
+    in
+    Alcotest.(check int) "one torn line" 1
+      (n (fun c -> c.Counters.faults_injected));
     (* after the reboot the visible content IS the torn image *)
     Alcotest.(check bytes) "volatile view agrees with the torn image"
       (Pmem.peek_persistent p ~off:(off 0) ~len:64)
@@ -311,8 +351,8 @@ let test_bitflip_on_restart () =
   Pmem.arm_faults p
     ~targets:[| (128, 64) |]
     { Crash.tear = Crash.Never; bitflip = Crash.At_op 1; fault_seed = 7 };
-  Pmem.crash_and_restart p;
-  let flipped = Stats.bits_flipped (Pmem.stats p) in
+  let n = counted (fun () -> Pmem.crash_and_restart p) in
+  let flipped = n (fun c -> c.Counters.faults_injected) in
   Alcotest.(check bool) "1-3 bits flipped" true (flipped >= 1 && flipped <= 3);
   let img = Pmem.peek_persistent p ~off:(off 0) ~len:1024 in
   let set_bits = ref 0 in
@@ -359,6 +399,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "zero-length ops count" `Quick
             test_stats_zero_length;
+          Alcotest.test_case "CAS and auto-flush accounting" `Quick
+            test_cas_and_auto_flush_accounting;
           Alcotest.test_case "zero-length crash semantics" `Quick
             test_zero_length_crash_semantics;
         ] );

@@ -77,14 +77,16 @@ let test_histogram_multi_domain () =
 
 let test_counters () =
   let c = Counters.create () in
-  Counters.incr_ops c;
-  Counters.incr_ops c;
-  Counters.incr_reads c;
-  Counters.record_write c ~payload:10 ~amplified:64;
-  Counters.record_write c ~payload:100 ~amplified:128;
-  Counters.record_flush c ~lines:3;
-  Counters.incr_crashes_survived c;
-  Counters.incr_recovery_passes c;
+  Counters.incr c Ops;
+  Counters.incr c Ops;
+  Counters.incr c Reads;
+  Counters.add c Writes 2;
+  Counters.add c Payload_bytes 110;
+  Counters.add c Amplified_bytes 192;
+  Counters.incr c Flushes;
+  Counters.add c Lines_flushed 3;
+  Counters.incr c Crashes_survived;
+  Counters.incr c Recovery_passes;
   let t = Counters.totals c in
   Alcotest.(check int) "ops" 2 t.Counters.ops;
   Alcotest.(check int) "reads" 1 t.Counters.reads;
@@ -108,13 +110,13 @@ let test_counters () =
    the historical flushes/ops, bit for bit. *)
 let test_counters_elision_partition () =
   let c = Counters.create () in
-  Counters.incr_ops c;
-  Counters.incr_ops c;
-  Counters.record_flush c ~lines:1;
-  Counters.record_flush_elided c;
-  Counters.record_flush_elided c;
-  Counters.record_flush_elided c;
-  Counters.record_drain c ~lines:2;
+  Counters.incr c Ops;
+  Counters.incr c Ops;
+  Counters.incr c Flushes;
+  Counters.add c Lines_flushed 1;
+  Counters.add c Flushes_elided 3;
+  Counters.incr c Drains;
+  Counters.add c Lines_flushed 2;
   let t = Counters.totals c in
   Alcotest.(check int) "flushes counts only eager calls" 1 t.Counters.flushes;
   Alcotest.(check int) "elided calls counted apart" 3
@@ -275,16 +277,32 @@ let test_sink_capture_from_device () =
   Alcotest.(check bool) "lines flushed" true (t.Counters.lines_flushed >= 2);
   Obs.Probe.reset ()
 
-let test_disabled_records_nothing () =
+(* The switch gates timing work only: while disabled no latency sample and
+   no trace event is recorded ... *)
+let disabled_snapshot () =
   Obs.Probe.reset ();
+  Trace.clear ();
   let pmem = Pmem.create ~size:4096 () in
   Pmem.write_int64 pmem (off 0) 42L;
   Pmem.flush pmem ~off:(off 0) ~len:8;
   let snap = Obs.Sink.capture () in
+  Obs.Probe.reset ();
+  snap
+
+let test_disabled_records_nothing () =
+  let snap = disabled_snapshot () in
   Alcotest.(check int) "no samples while disabled" 0
     (Obs.Sink.summary_exn snap "pmem_write").Histogram.count;
-  Alcotest.(check int) "no counters while disabled" 0
-    snap.Obs.Sink.counters.Counters.writes
+  Alcotest.(check int) "no trace events while disabled" 0
+    (List.length snap.Obs.Sink.trace_tail)
+
+(* ... but the counter ledger counts either way. *)
+let test_disabled_still_counts () =
+  let snap = disabled_snapshot () in
+  Alcotest.(check int) "writes count while disabled" 1
+    snap.Obs.Sink.counters.Counters.writes;
+  Alcotest.(check int) "flushes count while disabled" 1
+    snap.Obs.Sink.counters.Counters.flushes
 
 let () =
   Alcotest.run "obs"
@@ -327,5 +345,7 @@ let () =
             test_sink_capture_from_device;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing;
+          Alcotest.test_case "disabled still counts" `Quick
+            test_disabled_still_counts;
         ] );
     ]

@@ -228,6 +228,23 @@ let test_last_answer () =
   Alcotest.(check int64) "outer result" 42L
     (R.Exec.call ctx ~func_id:21 ~args:Bytes.empty)
 
+(* [ops] counts completed calls: it ticks when a call returns, so a call a
+   crash aborts leaves it unchanged. *)
+let test_crashed_call_not_counted () =
+  let registry = R.Registry.create () in
+  register_fib registry;
+  let pmem, sys = make_system registry in
+  let ctx = R.System.ctx sys 0 in
+  let ops () = (Obs.Counters.totals Obs.Probe.counters).Obs.Counters.ops in
+  let before = ops () in
+  ignore (R.Exec.call ctx ~func_id:fib_id ~args:(R.Value.of_int 1));
+  Alcotest.(check int) "a completed call counts" (before + 1) (ops ());
+  Crash.arm (Pmem.crash_ctl pmem) (Crash.At_op 1);
+  (match R.Exec.call ctx ~func_id:fib_id ~args:(R.Value.of_int 1) with
+  | _ -> Alcotest.fail "expected a crash"
+  | exception Crash.Crash_now -> ());
+  Alcotest.(check int) "a crashed call does not" (before + 1) (ops ())
+
 (* Crash-point sweep of a nested computation driven through the full
    system: whatever the crash point, after recovery every task completes
    with the right answer (Nesting-Safe Recoverable Linearizability for an
@@ -408,6 +425,8 @@ let () =
           Alcotest.test_case "all stack kinds" `Quick
             test_nested_calls_all_stack_kinds;
           Alcotest.test_case "answer slots" `Quick test_last_answer;
+          Alcotest.test_case "crashed call not counted" `Quick
+            test_crashed_call_not_counted;
         ] );
       ( "system",
         [

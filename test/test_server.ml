@@ -70,6 +70,22 @@ let with_image f =
       try Sys.remove sock with _ -> ())
     (fun () -> f ~image ~sock)
 
+(* The [STATS] line a graceful stop prints, as (field, value) pairs. *)
+let stats_line s =
+  let rec find () =
+    match input_line s.Harness.output with
+    | line when String.length line > 6 && String.sub line 0 6 = "STATS " ->
+        List.filter_map
+          (fun word ->
+            match String.split_on_char '=' word with
+            | [ k; v ] -> Some (k, int_of_string v)
+            | _ -> None)
+          (String.split_on_char ' ' line)
+    | _ -> find ()
+    | exception End_of_file -> Alcotest.fail "no STATS line before exit"
+  in
+  find ()
+
 let graceful_stop_persists () =
   with_image (fun ~image ~sock ->
       let s = ok_server (Harness.start_server ~image ~sock ()) in
@@ -79,11 +95,32 @@ let graceful_stop_persists () =
       Alcotest.check result_t "put" Wire.Done (Client.call c (Wire.Put (7, 70)));
       Alcotest.check result_t "enqueue" Wire.Done
         (Client.call c (Wire.Enqueue 5));
+      for k = 1 to 3 do
+        Alcotest.check result_t "get" Wire.Nothing
+          (Client.call c (Wire.Get (100 + k)))
+      done;
+      (* a verbatim retry is answered from the dedup record *)
+      Alcotest.check result_t "retried get" Wire.Nothing
+        (Client.call_seq c ~seq:(Client.seq c) (Wire.Get 103));
       Client.close c;
       (match Harness.stop_server s.Harness.pid with
       | Unix.WEXITED 0 -> ()
       | Unix.WEXITED n -> Alcotest.failf "graceful stop exited %d" n
       | _ -> Alcotest.fail "graceful stop died of a signal");
+      (* The counters are always on: without --obs the STATS line still
+         reports the 5 requests + 1 retry, and the retry as a dedup hit. *)
+      let stats = stats_line s in
+      let field k =
+        match List.assoc_opt k stats with
+        | Some v -> v
+        | None -> Alcotest.failf "STATS line has no %s field" k
+      in
+      Alcotest.(check bool) "STATS counts every request" true
+        (field "requests" >= 6);
+      Alcotest.(check bool) "STATS counts the dedup hit" true
+        (field "dedup_hits" >= 1);
+      Alcotest.(check bool) "STATS counts the connection" true
+        (field "conns" >= 1);
       let s2 = ok_server (Harness.start_server ~image ~sock ()) in
       Alcotest.(check bool) "second start attaches" false s2.Harness.fresh;
       let c2 = Client.connect ~addr:s2.Harness.sockaddr ~client:0 in
