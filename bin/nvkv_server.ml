@@ -170,14 +170,13 @@ let op_deq =
     result = (fun r -> value_or_nothing (Queue_op.dequeue_answer r));
   }
 
+(* Opcode [code] sits at position [code - 1]. *)
+let opcodes = [| op_put; op_get; op_del; op_enq; op_deq |]
+
 let opcode_of_code code =
-  match
-    List.find_opt
-      (fun o -> o.code = code)
-      [ op_put; op_get; op_del; op_enq; op_deq ]
-  with
-  | Some o -> o
-  | None -> invalid_arg (Printf.sprintf "nvkv.dispatch: opcode %d" code)
+  if code < 1 || code > Array.length opcodes then
+    invalid_arg (Printf.sprintf "nvkv.dispatch: opcode %d" code);
+  opcodes.(code - 1)
 
 (* The exactly-once dispatch wrapper.  Body: consult the dedup slot; on
    New, nest the per-op call and record its answer before returning —

@@ -173,31 +173,28 @@ let maybe_yield t =
     if u < t.yield_probability then Unix.sleepf 1e-6
   end
 
+(* The line holding device offset [off]: line sizes are powers of two, so
+   a shift rather than a division on every access. *)
+let line_of t off = off lsr t.line_shift
+
 (* Fibonacci-hash the line index onto a stripe.  The naive [line mod
    stripes] map aliases badly in practice: worker-private regions are
    usually a round number of lines apart (a power-of-two stride), so every
    worker's hot line 0 lands on the *same* stripe and the "striped" lock
    degenerates to a single shared mutex.  Mixing the bits first spreads
    any stride pattern across all stripes. *)
-(* The line holding device offset [off]: line sizes are powers of two, so
-   a shift rather than a division on every access. *)
-let line_of t off = off lsr t.line_shift
-
 let stripe_of t line =
   (line * 0x2545F4914F6CDD1D) lsr 40 land (Array.length t.stripes - 1)
 
 (* Every device event is counted in the always-on ledger (counters.mli has
-   the accounting rules).  An event on a line is counted on the ledger
-   stripe the line picks: lines already spread concurrent callers, so the
-   hot paths skip the per-domain stripe lookup. *)
+   the accounting rules). *)
 let ledger = Obs.Probe.counters
 let count c = Obs.Counters.incr ledger c
-let count_at line c = Obs.Counters.add_at ledger line c 1
 
-let count_write t ~at ~lines ~len =
-  count_at at Writes;
-  Obs.Counters.add_at ledger at Payload_bytes len;
-  Obs.Counters.add_at ledger at Amplified_bytes (lines * t.line_size)
+let count_write t ~lines ~len =
+  count Writes;
+  Obs.Counters.add ledger Payload_bytes len;
+  Obs.Counters.add ledger Amplified_bytes (lines * t.line_size)
 
 (* Run [f] holding the stripes of lines [first..last].  Stripes are locked
    in ascending index order and released in reverse, also on exceptions
@@ -248,7 +245,7 @@ let persist_line t index =
    write: the persists [lines_flushed] counts. *)
 let flush_line t index =
   persist_line t index;
-  count_at index Lines_flushed
+  count Lines_flushed
 
 (* {2 Media faults: torn lines and bit rot} *)
 
@@ -504,8 +501,8 @@ let read_drain t ~first ~last =
 
 let count_call t counter ~first ~last ~len =
   match counter with
-  | Obs.Counters.Writes -> count_write t ~at:first ~lines:(last - first + 1) ~len
-  | c -> count_at first c
+  | Obs.Counters.Writes -> count_write t ~lines:(last - first + 1) ~len
+  | c -> count c
 
 let span t ~first ~last ~len counter body a b c =
   if last - first > 1 then
@@ -602,7 +599,7 @@ let put_int t base v len =
 let cas_word t base expected desired =
   Crash.step t.crash_ctl;
   if Int64.equal (Bytes.get_int64_le t.volatile base) expected then begin
-    count_write t ~at:(line_of t base) ~lines:1 ~len:8;
+    count_write t ~lines:1 ~len:8;
     Bytes.set_int64_le t.volatile base desired;
     mark_written t (line_of t base);
     true
@@ -709,7 +706,7 @@ let write_bytes t ~off src =
   let t0 = Obs.Probe.start () in
   if len = 0 then begin
     Crash.check t.crash_ctl;
-    count_write t ~at:0 ~lines:0 ~len:0
+    count_write t ~lines:0 ~len:0
   end
   else store t off ~len put_bytes src;
   Obs.Probe.stop Pmem_write t0

@@ -85,7 +85,6 @@ let my_stripe =
 
 let bump stripe c n = ignore (Atomic.fetch_and_add stripe.(index c) n)
 let add (t : t) c n = bump t.(Domain.DLS.get my_stripe) c n
-let add_at (t : t) hint c n = bump t.(hint land (stripes - 1)) c n
 let incr t c = add t c 1
 let incr_dedup_hits t = incr t Dedup_hits
 

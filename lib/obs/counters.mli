@@ -10,8 +10,8 @@
     (histograms, clock reads, the trace ring), never a count, so the
     numbers are the same whether or not observability is switched on.
     Recording is striped like {!Histogram} — an increment is one
-    [fetch_and_add] on the calling domain's stripe, or on the stripe a
-    caller's hint picks ({!add_at}) — and {!totals} sums the stripes.
+    [fetch_and_add] on the calling domain's stripe — and {!totals} sums the
+    stripes.
 
     Device accounting rules:
     - counters measure API calls (what a protocol {e issues}), not bytes:
@@ -97,12 +97,6 @@ val add : t -> counter -> int -> unit
 
 val incr : t -> counter -> unit
 (** [incr t c] is [add t c 1]. *)
-
-val add_at : t -> int -> counter -> int -> unit
-(** [add_at t hint c n] is [add t c n] on the stripe [hint] picks, for a
-    caller that already holds a value which spreads concurrent callers —
-    the device passes the line index — and so skips the per-domain
-    lookup. *)
 
 val incr_dedup_hits : t -> unit
 (** [incr t Dedup_hits]. *)
