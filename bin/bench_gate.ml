@@ -35,17 +35,6 @@
    without the flush_per_op field, is a parse error (exit 2): a budget
    that cannot be evaluated must never pass vacuously.
 
-   [--max-recovery-ms BENCH=MS] (repeatable) is the recovery-time SLA on
-   the candidate alone: every candidate row of BENCH must report
-   recovery_ms <= MS.  Recovery time is the paper's headline claim — a
-   restart replays the persistent stack instead of the whole history, so
-   it must stay bounded by live state, not by run length.  The budget is
-   deliberately generous (wall-clock on shared CI), but a recovery that
-   walks the full image or loops will blow any bound.  Same
-   no-vacuous-pass contract as the flush budget: a budgeted bench with no
-   candidate rows, or a budgeted row without the recovery_ms field, is a
-   parse error (exit 2).
-
    Exit codes: 0 pass, 1 regression, 2 usage/parse error. *)
 
 type row = {
@@ -55,9 +44,6 @@ type row = {
   (* Absent in pre-coalescing bench files; only consulted when a
      [--max-flush-per-op] budget names the row's bench. *)
   flush_per_op : float option;
-  (* Worst observed recovery span (ms); written by nvkv_load's kill loop.
-     Only consulted when a [--max-recovery-ms] budget names the bench. *)
-  recovery_ms : float option;
 }
 
 exception Parse_error of string
@@ -121,9 +107,6 @@ let parse_rows content =
             ops_per_sec = number_field row_content at "ops_per_sec";
             flush_per_op =
               (try Some (number_field row_content at "flush_per_op")
-               with Parse_error _ -> None);
-            recovery_ms =
-              (try Some (number_field row_content at "recovery_ms")
                with Parse_error _ -> None);
           }
         in
@@ -209,39 +192,8 @@ let flush_budget_failures cand ~budgets =
         rows)
     budgets
 
-(* Recovery-time SLA, same contract as the flush budget: absolute bound
-   on the candidate alone, never evaluable-but-vacuous. *)
-let recovery_budget_failures cand ~budgets =
-  List.concat_map
-    (fun (bench, budget) ->
-      let rows = List.filter (fun c -> c.bench = bench) cand in
-      if rows = [] then
-        raise
-          (Parse_error
-             (Printf.sprintf "--max-recovery-ms %s=%g matches no candidate row"
-                bench budget));
-      List.filter_map
-        (fun c ->
-          match c.recovery_ms with
-          | None ->
-              raise
-                (Parse_error
-                   (Printf.sprintf
-                      "candidate row %s/%dw has no recovery_ms field \
-                       (required by --max-recovery-ms)"
-                      c.bench c.workers))
-          | Some ms ->
-              let bad = ms > budget in
-              Printf.printf
-                "recover %-22s %dw  %.3f ms (budget %.1f) %s\n" c.bench
-                c.workers ms budget
-                (if bad then "FAIL" else "ok");
-              if bad then Some (c.bench, c.workers, ms) else None)
-        rows)
-    budgets
-
 let run baseline candidate tolerance absolute allow_missing min_scaling
-    flush_budgets recovery_budgets =
+    flush_budgets =
   let base = read_rows baseline and cand = read_rows candidate in
   let missing =
     List.filter
@@ -300,9 +252,6 @@ let run baseline candidate tolerance absolute allow_missing min_scaling
     | Some r -> scaling_failures cand ~floor:r
   in
   let flush_failed = flush_budget_failures cand ~budgets:flush_budgets in
-  let recovery_failed =
-    recovery_budget_failures cand ~budgets:recovery_budgets
-  in
   let verdicts =
     [
       (failures <> [],
@@ -327,13 +276,6 @@ let run baseline candidate tolerance absolute allow_missing min_scaling
                (fun (bench, w, f) ->
                  Printf.sprintf "%s/%dw=%.2f flush/op" bench w f)
                flush_failed)));
-      (recovery_failed <> [],
-       Printf.sprintf "recovery SLA exceeded: %s"
-         (String.concat ", "
-            (List.map
-               (fun (bench, w, ms) ->
-                 Printf.sprintf "%s/%dw=%.3f ms" bench w ms)
-               recovery_failed)));
     ]
     |> List.filter_map (fun (bad, msg) -> if bad then Some msg else None)
   in
@@ -350,14 +292,14 @@ let usage () =
   prerr_endline
     "usage: bench_gate --baseline PATH --candidate PATH [--tolerance T] \
      [--absolute] [--allow-missing] [--min-scaling R] \
-     [--max-flush-per-op BENCH=B]... [--max-recovery-ms BENCH=MS]...";
+     [--max-flush-per-op BENCH=B]...";
   exit 2
 
 let () =
   let baseline = ref None and candidate = ref None in
   let tolerance = ref 0.30 and absolute = ref false in
   let allow_missing = ref false and min_scaling = ref None in
-  let flush_budgets = ref [] and recovery_budgets = ref [] in
+  let flush_budgets = ref [] in
   let rec parse = function
     | [] -> ()
     | "--baseline" :: path :: rest ->
@@ -397,19 +339,6 @@ let () =
                 parse rest
             | _ -> usage ())
         | None -> usage ())
-    | "--max-recovery-ms" :: spec :: rest -> (
-        match String.index_opt spec '=' with
-        | Some i -> (
-            let bench = String.sub spec 0 i in
-            let budget =
-              String.sub spec (i + 1) (String.length spec - i - 1)
-            in
-            match float_of_string_opt budget with
-            | Some b when bench <> "" && b >= 0. ->
-                recovery_budgets := !recovery_budgets @ [ (bench, b) ];
-                parse rest
-            | _ -> usage ())
-        | None -> usage ())
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -418,7 +347,7 @@ let () =
       try
         exit
           (run b c !tolerance !absolute !allow_missing !min_scaling
-             !flush_budgets !recovery_budgets)
+             !flush_budgets)
       with
       | Parse_error msg ->
           Printf.eprintf "error: %s\n" msg;

@@ -1,5 +1,4 @@
-(* The network-facing recoverable KV/queue service — ROADMAP item 1's
-   production artifact.
+(* The network-facing recoverable KV/queue service.
 
    One process serves a persistent image over the nvkv wire protocol
    (lib/net): a select/accept event loop decodes requests and hands them to
@@ -15,10 +14,15 @@
    Startup decides fresh-vs-restart by the system superblock and user
    root: a valid superblock whose root cell is published means the
    previous incarnation committed its structures, so the server attaches,
-   replays stack recovery and re-attaches the dedup table; anything else
-   (empty file, kill before the root was set) formats from scratch.  The
-   attach-to-serving span is the measured recovery time, printed on the
-   READY line and gated in CI via bench_gate --max-recovery-ms.
+   replays stack recovery and re-attaches the dedup table.  An image with
+   no superblock magic (empty file), or one killed before the root was
+   set, is formatted from scratch.  A superblock whose checksum fails is
+   damage, not a fresh image: the server refuses it (exit 3) rather than
+   format over acked data.  The attach-to-serving span is the measured
+   recovery time, printed on the READY line; --max-recovery-ms refuses to
+   serve (exit 4) when it exceeds the budget.  Net.Harness passes that
+   budget on every start, so every restart the tests and the crash fuzzer
+   perform runs under it.
 
    --kill-at-point K arms a deterministic self-SIGKILL at the Kth
    persistence operation (counted from READY by default), which is how the
@@ -265,11 +269,11 @@ let string_of_addr = function
 
 type kill_from = From_ready | From_startup
 
-let run image size sock port workers buckets nclients coalesced persist_delay
-    kill_at kill_from max_recovery_ms obs =
+let run image size sock port workers buckets nclients coalesced kill_at
+    kill_from max_recovery_ms obs =
   if obs then Obs.Config.set_enabled true;
   let t_start = now_ms () in
-  let backend = Backend.file ~persist_delay ~path:image ~size () in
+  let backend = Backend.file ~path:image ~size () in
   let pmem =
     Pmem.create ~auto_flush:false
       ~flush_mode:(if coalesced then Pmem.Coalesced else Pmem.Eager)
@@ -293,7 +297,10 @@ let run image size sock port workers buckets nclients coalesced persist_delay
   let fresh =
     match System.image_root pmem with
     | Some _ -> false
-    | None | (exception Invalid_argument _) -> true
+    | None -> true
+    | exception Invalid_argument what ->
+        Printf.eprintf "nvkv_server: %s: %s\n%!" image what;
+        exit 3
   in
   let sys, nclients =
     if fresh then begin
@@ -434,9 +441,6 @@ let main_term =
   let coalesced =
     Arg.(value & flag & info [ "coalesced" ] ~doc:"FliT-style flush mode.")
   in
-  let persist_delay =
-    Arg.(value & opt float 0. & info [ "persist-delay" ] ~docv:"SECONDS")
-  in
   let kill_at =
     Arg.(
       value & opt int 0
@@ -464,7 +468,7 @@ let main_term =
   let obs = Arg.(value & flag & info [ "obs" ] ~doc:"Enable observability.") in
   Term.(
     const run $ image $ size $ sock $ port $ workers $ buckets $ nclients
-    $ coalesced $ persist_delay $ kill_at $ kill_from $ max_recovery_ms $ obs)
+    $ coalesced $ kill_at $ kill_from $ max_recovery_ms $ obs)
 
 let () =
   let doc = "recoverable KV/queue server over a persistent image" in

@@ -19,7 +19,6 @@ let connect ~addr ~client =
      try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
   { addr; client; fd = None; seq = 0; rbuf = Bytes.create 4096; rlen = 0 }
 
-let client_id t = t.client
 let seq t = t.seq
 let set_seq t seq = t.seq <- seq
 
@@ -108,27 +107,3 @@ let sync_seq t =
   | other ->
       raise
         (Protocol (Format.asprintf "last-seq answered %a" Wire.pp_result other))
-
-(* Monotonic-ish clock for deadlines; Unix.gettimeofday suffices for
-   retry budgets measured in seconds. *)
-let call_retry ?(deadline_s = 30.) t op =
-  t.seq <- t.seq + 1;
-  let seq = t.seq in
-  let give_up_at = Unix.gettimeofday () +. deadline_s in
-  let rec attempt backoff =
-    let outcome =
-      match call_seq t ~seq op with
-      | Wire.Refused code when code = Wire.err_shutdown ->
-          disconnect t;
-          Error (Failure "server shutting down")
-      | result -> Ok result
-      | exception ((Unix.Unix_error _ | End_of_file) as exn) -> Error exn
-    in
-    match outcome with
-    | Ok result -> result
-    | Error exn ->
-        if Unix.gettimeofday () >= give_up_at then raise exn;
-        Unix.sleepf backoff;
-        attempt (Float.min 0.5 (backoff *. 2.))
-  in
-  attempt 0.05

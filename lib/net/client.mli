@@ -2,9 +2,9 @@
 
     A client owns one dedup slot ([client]) and a monotonic sequence
     counter.  {!call} issues a request under a fresh sequence number and
-    makes exactly one attempt; {!call_retry} keeps re-sending the {e same}
-    [(client, seq)] across reconnects until the server answers — the
-    retried identity is what lets the server's persistent dedup table turn
+    makes exactly one attempt.  A retry is a re-send of the {e same}
+    [(client, seq)] with {!call_seq} after reconnecting: the retried
+    identity is what lets the server's persistent dedup table turn
     at-least-once delivery into exactly-once execution, even when the
     server is killed and restarted between the execution and the ack.
 
@@ -21,8 +21,6 @@ val connect : addr:Unix.sockaddr -> client:int -> t
     {!call} uses [1]); a process resuming a previous client identity must
     call {!sync_seq} before issuing requests. *)
 
-val client_id : t -> int
-
 val seq : t -> int
 (** Last sequence number used. *)
 
@@ -35,18 +33,13 @@ val sync_seq : t -> unit
 val call : t -> Wire.op -> Wire.result
 (** Fresh sequence number, single attempt.  Connection failures
     ([Unix.Unix_error], [End_of_file]) are raised to the caller, who must
-    assume the request may or may not have executed — exactly the
-    ambiguity {!call_retry} resolves. *)
+    assume the request may or may not have executed; re-sending it with
+    {!call_seq} under the same sequence number resolves the ambiguity. *)
 
 val call_seq : t -> seq:int -> Wire.op -> Wire.result
 (** Single attempt under an explicit sequence number, without touching the
-    counter — the harness's duplicate-probe: re-sending an already-acked
-    [(client, seq)] must yield the recorded answer, not a re-execution. *)
-
-val call_retry : ?deadline_s:float -> t -> Wire.op -> Wire.result
-(** Fresh sequence number, retried with the same [(client, seq)] across
-    connection failures, server restarts and shutdown refusals, with
-    backoff, until an answer arrives or [deadline_s] (default 30) elapses
-    — then the last failure is re-raised. *)
+    counter.  This is the retry after a connection failure, and the
+    harness's duplicate probe: re-sending an already-acked [(client, seq)]
+    must yield the recorded answer, not a re-execution. *)
 
 val close : t -> unit

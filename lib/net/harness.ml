@@ -2,10 +2,18 @@ type server = {
   pid : int;
   addr : string;
   sockaddr : Unix.sockaddr;
-  recovery_ms : float;
   fresh : bool;
   output : in_channel;
 }
+
+type start_failure = Killed_before_ready | Died of string
+
+(* The recovery-time budget every start runs under: the server itself
+   refuses to serve (exit 4) when attach-to-serving takes longer.  2000 ms
+   is generous for a 2 MiB image on a shared runner; recovery replays the
+   persistent stack, so it is bounded by live state, and a recovery that
+   walks the whole history or loops blows any constant. *)
+let recovery_budget_ms = 2000.
 
 let server_exe () =
   let dir = Filename.dirname Sys.executable_name in
@@ -57,7 +65,8 @@ let start_server ?(size = 1 lsl 21) ?(workers = 1) ?(buckets = 64)
     [
       exe; "--image"; image; "--size"; string_of_int size; "--workers";
       string_of_int workers; "--buckets"; string_of_int buckets; "--nclients";
-      string_of_int nclients; "--unix"; sock;
+      string_of_int nclients; "--unix"; sock; "--max-recovery-ms";
+      Printf.sprintf "%g" recovery_budget_ms;
     ]
     @ (if kill_at > 0 then
          [
@@ -76,33 +85,32 @@ let start_server ?(size = 1 lsl 21) ?(workers = 1) ?(buckets = 64)
   let rec wait_ready () =
     match input_line ic with
     | line when String.length line >= 5 && String.sub line 0 5 = "READY" -> (
-        match
-          ( ready_field line "addr",
-            ready_field line "recovery_ms",
-            ready_field line "fresh" )
-        with
-        | Some addr, Some recovery, Some fresh ->
+        match (ready_field line "addr", ready_field line "fresh") with
+        | Some addr, Some fresh ->
             Ok
               {
                 pid;
                 addr;
                 sockaddr = parse_addr addr;
-                recovery_ms = float_of_string recovery;
                 fresh = bool_of_string fresh;
                 output = ic;
               }
-        | _ -> Error ("malformed READY line: " ^ line)
-      )
+        | _ -> Error (Died ("malformed READY line: " ^ line)))
     | _ -> wait_ready ()
     | exception End_of_file ->
         let _, status = Unix.waitpid [] pid in
         Error
           (match status with
-          | Unix.WSIGNALED s when s = Sys.sigkill ->
-              "server killed before READY"
+          | Unix.WSIGNALED s when s = Sys.sigkill -> Killed_before_ready
+          | Unix.WEXITED 4 ->
+              Died
+                (Printf.sprintf
+                   "server exited 4 before READY: startup recovery exceeded \
+                    the %g ms budget (--max-recovery-ms)"
+                   recovery_budget_ms)
           | Unix.WEXITED code ->
-              Printf.sprintf "server exited %d before READY" code
-          | _ -> "server died before READY")
+              Died (Printf.sprintf "server exited %d before READY" code)
+          | _ -> Died "server died before READY")
   in
   let result = wait_ready () in
   (* On success the pipe's read end stays open as [output] for the
@@ -238,12 +246,23 @@ let run_spec ?(verbose = false) spec =
     try Sys.remove sock with _ -> ()
   in
   let restarts = ref 0 in
+  (* Once an incarnation has printed READY the root is published, so every
+     later start must attach: a fresh format there would drop acked
+     writes. *)
+  let ready_seen = ref false in
+  let started = function
+    | Ok s ->
+        server := Some s;
+        if !ready_seen && s.fresh then
+          violate "restart after READY formatted a fresh image";
+        ready_seen := true
+    | Error Killed_before_ready -> violate "restart killed before READY"
+    | Error (Died m) -> violate "%s" m
+  in
   let restart_clean reason =
     say "restarting server (%s)" reason;
     incr restarts;
-    match start ~kill:false with
-    | Ok s -> server := Some s
-    | Error m -> failwith ("harness restart failed: " ^ m)
+    started (start ~kill:false)
   in
   let restart_if_dead () =
     match !server with
@@ -291,11 +310,11 @@ let run_spec ?(verbose = false) spec =
   in
   let run () =
     (match start ~kill:(spec.kill_at > 0) with
-    | Ok s -> server := Some s
-    | Error _ ->
+    | Error Killed_before_ready ->
         (* A startup kill landed inside create/recovery — the recovery
            under test.  Restart clean; attach must finish the job. *)
-        restart_clean "died before READY");
+        restart_clean "killed before READY"
+    | first -> started first);
     (* Exact sequential model: one worker and one request in flight mean
        execution order is send order. *)
     let map_model : (int, int) Hashtbl.t = Hashtbl.create 16 in

@@ -15,12 +15,19 @@ type server = {
   pid : int;
   addr : string;  (** as printed on the READY line, e.g. [unix:/tmp/x.sock] *)
   sockaddr : Unix.sockaddr;
-  recovery_ms : float;  (** the READY line's measured recovery span *)
   fresh : bool;  (** created a new image rather than attached *)
   output : in_channel;
       (** the server's stdout after the READY line: a graceful stop
           prints its [STATS] line here *)
 }
+
+type start_failure =
+  | Killed_before_ready
+      (** SIGKILL before READY: an armed [`Startup] kill landed inside
+          create or recovery *)
+  | Died of string
+      (** any other death before READY, e.g. exit 3 (damaged image) or
+          exit 4 (recovery over budget), or a malformed READY line *)
 
 val server_exe : unit -> string
 (** Locate [nvkv_server.exe] next to (or in [../bin] of) the running
@@ -41,10 +48,14 @@ val start_server :
   image:string ->
   sock:string ->
   unit ->
-  (server, string) result
-(** Spawn and wait for READY.  [Error] when the process dies first — the
-    expected outcome when a [`Startup] kill lands inside create or
-    recovery; the caller restarts without the kill armed. *)
+  (server, start_failure) result
+(** Spawn and wait for READY.  Every start passes
+    [--max-recovery-ms 2000], so the server refuses to serve (exit 4,
+    reported as a [Died] message naming the budget) when its startup
+    recovery takes longer.  [Error Killed_before_ready] is the expected
+    outcome when a [`Startup] kill lands inside create or recovery; the
+    caller restarts without the kill armed.  [extra_args] come after the
+    harness's own flags and must not repeat them. *)
 
 val kill_server : int -> unit
 (** SIGKILL and reap; fails if the process died of anything else first. *)
@@ -78,7 +89,11 @@ type stats = { restarts : int }
 val run_spec : ?verbose:bool -> spec -> (stats, string) result
 (** Execute the schedule against a fresh image with one worker (so the
     sequential model is exact): drive each request with same-identity
-    retry, restarting the server (kill disarmed) whenever it dies; then
+    retry, restarting the server (kill disarmed) whenever it dies.  A
+    restart that fails before READY is a violation, and so is one that
+    prints [fresh=true] after some earlier incarnation printed READY (the
+    root was published before READY, so the image must be attached).
+    Then:
 
     - {b duplicate probe}: re-send every client's last [(seq, op)] — the
       answer must equal the recorded one (exactly-once across recovery);

@@ -452,10 +452,12 @@ let image_config pmem = read_superblock pmem
 let anchor_cell i = anchor_off i
 
 let image_root pmem =
-  let _config = read_superblock pmem in
-  match Pmem.read_int pmem root_off with
-  | 0 -> None
-  | off -> Some (Offset.of_int off)
+  if not (Int64.equal (Pmem.read_int64 pmem Offset.null) magic) then None
+  else
+    let _config = read_superblock pmem in
+    match Pmem.read_int pmem root_off with
+    | 0 -> None
+    | off -> Some (Offset.of_int off)
 
 let image_heap_base pmem config =
   let base, _len = heap_region pmem config in

@@ -185,11 +185,12 @@ val image_heap_base : Nvram.Pmem.t -> config -> Nvram.Offset.t
 val image_root : Nvram.Pmem.t -> Nvram.Offset.t option
 (** The persisted user root of the image on [pmem] without attaching it —
     how a restarting server decides between {!attach} (root present: the
-    previous incarnation committed its structures) and {!create} (fresh
-    device, or a crash before the root was published).
+    previous incarnation committed its structures) and {!create} (no
+    superblock magic, or a crash before the root was published).
 
-    @raise Invalid_argument if there is no superblock or its checksum does
-    not verify. *)
+    @raise Invalid_argument if the superblock magic is present but its
+    checksum does not verify: the image is damaged, not fresh, and must
+    not be formatted over. *)
 
 val pp_image : Format.formatter -> Nvram.Pmem.t -> unit
 (** [pp_image fmt pmem] prints a human-readable summary of the system

@@ -58,7 +58,9 @@ let no_kill_case () =
 
 let ok_server = function
   | Ok s -> s
-  | Error msg -> Alcotest.failf "server failed to start: %s" msg
+  | Error Harness.Killed_before_ready ->
+      Alcotest.fail "server killed before READY"
+  | Error (Harness.Died msg) -> Alcotest.failf "server failed to start: %s" msg
 
 let with_image f =
   let image = Filename.temp_file "nvkv_e2e" ".img" in
@@ -179,6 +181,172 @@ let unknown_client_refused () =
             (Client.call c Wire.Ping);
           Client.close c))
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let flip_bit path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let b = Bytes.create 1 in
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      if Unix.read fd b 0 1 <> 1 then Alcotest.fail "short read";
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      if Unix.write fd b 0 1 <> 1 then Alcotest.fail "short write")
+
+(* A superblock whose checksum fails is damage, not a fresh image: the
+   restart must refuse it before READY and leave every byte past the
+   superblock as it was, instead of formatting over the acked writes. *)
+let damaged_superblock_refused () =
+  with_image (fun ~image ~sock ->
+      let s = ok_server (Harness.start_server ~image ~sock ()) in
+      let c = Client.connect ~addr:s.Harness.sockaddr ~client:0 in
+      Alcotest.check result_t "put" Wire.Done
+        (Client.call c (Wire.Put (3, 30)));
+      Client.close c;
+      ignore (Harness.stop_server s.Harness.pid);
+      let before = read_file image in
+      flip_bit image 8;
+      (match Harness.start_server ~image ~sock () with
+      | Ok s2 ->
+          ignore (Harness.stop_server s2.Harness.pid);
+          Alcotest.failf "damaged image reached READY (fresh=%b)"
+            s2.Harness.fresh
+      | Error Harness.Killed_before_ready ->
+          Alcotest.fail "server killed before READY"
+      | Error (Harness.Died msg) ->
+          Alcotest.(check string) "refused with exit 3"
+            "server exited 3 before READY" msg);
+      let after = read_file image in
+      let tail s = String.sub s 64 (String.length s - 64) in
+      Alcotest.(check int) "image size unchanged" (String.length before)
+        (String.length after);
+      Alcotest.(check bool) "image bytes from offset 64 unchanged" true
+        (String.equal (tail before) (tail after)))
+
+(* The server's recovery budget refuses for real: started directly (the
+   harness passes its own 2000 ms budget) on an existing image with a
+   budget no recovery can meet, the server must exit 4 before READY. *)
+let recovery_budget_refused () =
+  with_image (fun ~image ~sock ->
+      let s = ok_server (Harness.start_server ~image ~sock ()) in
+      ignore (Harness.stop_server s.Harness.pid);
+      let exe = Harness.server_exe () in
+      let out_r, out_w = Unix.pipe () and err_r, err_w = Unix.pipe () in
+      let pid =
+        Unix.create_process exe
+          [|
+            exe; "--image"; image; "--unix"; sock; "--max-recovery-ms"; "0.001";
+          |]
+          Unix.stdin out_w err_w
+      in
+      Unix.close out_w;
+      Unix.close err_w;
+      let out = Unix.in_channel_of_descr out_r in
+      let rec wait_ready () =
+        match input_line out with
+        | line when String.starts_with ~prefix:"READY" line ->
+            ignore (Harness.stop_server pid);
+            Alcotest.failf "server ignored its recovery budget: %s" line
+        | _ -> wait_ready ()
+        | exception End_of_file -> ()
+      in
+      wait_ready ();
+      close_in out;
+      let err = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+      Unix.close err_r;
+      (match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 4 -> ()
+      | _, Unix.WEXITED n -> Alcotest.failf "exited %d, expected 4" n
+      | _ -> Alcotest.fail "died of a signal, expected exit 4");
+      Alcotest.(check bool) "refusal names the budget" true
+        (String.ends_with ~suffix:"budget 0.001 ms\n" err))
+
+(* --coalesced across a kill: a READY-armed SIGKILL lands mid-schedule, the
+   server restarts coalesced without the kill, and the one client re-sends
+   the interrupted (client, seq).  One client and one request in flight make
+   the sequential model exact.  Persistence op 225 lands inside the first
+   Dequeue (the sixth request). *)
+let coalesced_kill_point = 225
+
+let coalesced_kill_recover () =
+  with_image (fun ~image ~sock ->
+      let start ~kill_at =
+        ok_server
+          (Harness.start_server ~kill_at ~extra_args:[ "--coalesced" ] ~image
+             ~sock ())
+      in
+      let server = ref (start ~kill_at:coalesced_kill_point) in
+      let kills = ref 0 in
+      let c = Client.connect ~addr:!server.Harness.sockaddr ~client:0 in
+      let rec send_seq seq op =
+        match Client.call_seq c ~seq op with
+        | result -> result
+        | exception (Unix.Unix_error _ | End_of_file) ->
+            (match Unix.waitpid [] !server.Harness.pid with
+            | _, Unix.WSIGNALED sg when sg = Sys.sigkill && !kills = 0 -> ()
+            | _ -> Alcotest.fail "server died other than by its armed kill");
+            incr kills;
+            server := start ~kill_at:0;
+            Alcotest.(check bool) "restart attaches" false
+              !server.Harness.fresh;
+            send_seq seq op
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close c;
+          try ignore (Harness.stop_server !server.Harness.pid) with _ -> ())
+        (fun () ->
+          let map_model = Hashtbl.create 8 and queue_model = Queue.create () in
+          let last = ref (0, Wire.Ping, Wire.Done) in
+          List.iter
+            (fun op ->
+              let seq = Client.seq c + 1 in
+              Client.set_seq c seq;
+              let expected =
+                match op with
+                | Wire.Put (k, v) ->
+                    Hashtbl.replace map_model k v;
+                    Wire.Done
+                | Wire.Get k -> (
+                    match Hashtbl.find_opt map_model k with
+                    | Some v -> Wire.Value v
+                    | None -> Wire.Nothing)
+                | Wire.Enqueue v ->
+                    Queue.add v queue_model;
+                    Wire.Done
+                | Wire.Dequeue -> (
+                    match Queue.take_opt queue_model with
+                    | Some v -> Wire.Value v
+                    | None -> Wire.Nothing)
+                | _ -> assert false
+              in
+              let result = send_seq seq op in
+              Alcotest.check result_t (Wire.op_to_string op) expected result;
+              last := (seq, op, result))
+            [
+              Wire.Put (1, 10); Wire.Enqueue 100; Wire.Put (2, 20);
+              Wire.Enqueue 101; Wire.Put (1, 11); Wire.Dequeue;
+              Wire.Put (3, 30); Wire.Enqueue 102; Wire.Get 1; Wire.Dequeue;
+            ];
+          Alcotest.(check int) "the armed kill fired once" 1 !kills;
+          let seq, op, recorded = !last in
+          Alcotest.check result_t "re-sent last request gets its answer"
+            recorded (send_seq seq op);
+          Hashtbl.iter
+            (fun k v ->
+              Alcotest.check result_t "acked put is visible" (Wire.Value v)
+                (Client.call c (Wire.Get k)))
+            map_model;
+          Queue.iter
+            (fun v ->
+              Alcotest.check result_t "acked enqueue is visible in order"
+                (Wire.Value v) (Client.call c Wire.Dequeue))
+            queue_model;
+          Alcotest.check result_t "queue drained" Wire.Nothing
+            (Client.call c Wire.Dequeue)))
+
 let reproducer_text_roundtrips () =
   let spec =
     { Harness.seed = 7; case = 3; kill_at = 17; kill_from = `Startup;
@@ -220,6 +388,12 @@ let () =
           Alcotest.test_case "dedup retry protocol" `Slow dedup_protocol;
           Alcotest.test_case "unknown client refused" `Slow
             unknown_client_refused;
+          Alcotest.test_case "damaged superblock refused" `Slow
+            damaged_superblock_refused;
+          Alcotest.test_case "recovery budget refused" `Slow
+            recovery_budget_refused;
+          Alcotest.test_case "coalesced kill-recover" `Slow
+            coalesced_kill_recover;
           Alcotest.test_case "reproducer text round-trips" `Quick
             reproducer_text_roundtrips;
         ] );

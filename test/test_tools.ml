@@ -400,53 +400,6 @@ let test_bench_gate_flush_budget_unverifiable_is_an_error () =
     (run_gate baseline bare);
   List.iter Sys.remove [ baseline; candidate; bare ]
 
-(* --max-recovery-ms: the recovery-time SLA, same absolute-budget and
-   no-vacuous-pass contract as the flush budget, on the recovery_ms column
-   nvkv_load writes. *)
-let load_row ~bench ~recovery_ms =
-  Printf.sprintf
-    "{ \"bench\": \"%s\", \"workers\": 2, \"clients\": 2, \"ops\": 100, \
-     \"ops_per_sec\": 1000.0, \"p50_ns\": 1024, \"p95_ns\": 2048, \
-     \"p99_ns\": 4096, \"kills\": 1, \"recovery_ms\": %.3f }"
-    bench recovery_ms
-
-let test_bench_gate_recovery_budget () =
-  let baseline =
-    in_temp "gate_base7" [ load_row ~bench:"nvkv_mixed" ~recovery_ms:10. ]
-  in
-  let candidate =
-    in_temp "gate_cand7" [ load_row ~bench:"nvkv_mixed" ~recovery_ms:40. ]
-  in
-  Alcotest.(check int) "within the SLA passes" 0
-    (run_gate ~flags:"--max-recovery-ms nvkv_mixed=2000" baseline candidate);
-  let code, out =
-    run_gate_capturing ~flags:"--max-recovery-ms nvkv_mixed=25" baseline
-      candidate
-  in
-  Alcotest.(check int) "over the SLA fails" 1 code;
-  Alcotest.(check bool) "verdict names the offending row" true
-    (contains out "nvkv_mixed/2w=40.000 ms");
-  List.iter Sys.remove [ baseline; candidate ]
-
-let test_bench_gate_recovery_budget_unverifiable_is_an_error () =
-  let baseline =
-    in_temp "gate_base8" [ load_row ~bench:"nvkv_mixed" ~recovery_ms:10. ]
-  in
-  let candidate =
-    in_temp "gate_cand8" [ load_row ~bench:"nvkv_mixed" ~recovery_ms:10. ]
-  in
-  Alcotest.(check int) "SLA naming no candidate row is a parse error" 2
-    (run_gate ~flags:"--max-recovery-ms ghost=100" baseline candidate);
-  (* rows without the recovery_ms column cannot certify an SLA *)
-  let bare =
-    in_temp "gate_bare8" [ old_row ~bench:"nvkv_mixed" ~workers:2 ~ops:1000. ]
-  in
-  Alcotest.(check int) "missing recovery_ms field is a parse error" 2
-    (run_gate ~flags:"--max-recovery-ms nvkv_mixed=100" baseline bare);
-  Alcotest.(check int) "without the flag the same files pass" 0
-    (run_gate baseline bare);
-  List.iter Sys.remove [ baseline; candidate; bare ]
-
 let test_bench_gate_missing_field_is_an_error () =
   (* row-bounded parsing: a row without its own throughput must be a parse
      error, not silently borrow the next row's value *)
@@ -508,9 +461,5 @@ let () =
           Alcotest.test_case "flush budget" `Quick test_bench_gate_flush_budget;
           Alcotest.test_case "unverifiable flush budget is an error" `Quick
             test_bench_gate_flush_budget_unverifiable_is_an_error;
-          Alcotest.test_case "recovery SLA" `Quick
-            test_bench_gate_recovery_budget;
-          Alcotest.test_case "unverifiable recovery SLA is an error" `Quick
-            test_bench_gate_recovery_budget_unverifiable_is_an_error;
         ] );
     ]
