@@ -425,6 +425,235 @@ let test_swap_crash_sweep () =
         final
   done
 
+(* ------------------------------------------------------------------ *)
+(* Device-traffic pins                                                  *)
+
+(* One fixed single-worker script per structure, run inline with no crash
+   and then with a crash at every persistence point of era 1, each run
+   followed by recovery to completion.  Every persistence access the device
+   announces (kind, line range, persists), every read range, every answer
+   and the final content feed one digest per structure, so the digest pins
+   the device calls of each op and of each recover, in order. *)
+
+type pinned = {
+  register : R.Exec.t R.Registry.t -> unit;
+  init : R.System.t -> unit;
+  reattach : R.System.t -> unit;
+  reclaim : R.System.t -> Offset.t list;
+  script : (int * bytes) list;
+  final : unit -> string;
+}
+
+let pin_config =
+  {
+    R.System.workers = 1;
+    stack_kind = R.System.Bounded_stack 4096;
+    task_capacity = 8;
+    task_max_args = 16;
+  }
+
+let inline_spawn body n =
+  for i = 0 to n - 1 do
+    body i
+  done
+
+let root_exn sys = Option.get (R.System.root sys)
+
+(* A structure living at the system root: [create] formats it, [attach]
+   rebinds it after a restart, [roots] lists its heap blocks. *)
+let rooted ~size ~create ~attach ~roots =
+  let cell = ref None in
+  let handle () = Option.get !cell in
+  let init sys =
+    let base = Heap.alloc (R.System.heap sys) size in
+    cell := Some (create sys base);
+    R.System.set_root sys base
+  in
+  let reattach sys = cell := Some (attach sys (root_exn sys)) in
+  let reclaim sys = root_exn sys :: roots (handle ()) in
+  (handle, init, reattach, reclaim)
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let stack_pin () =
+  let module S = Recoverable.Rstack in
+  let handle, init, reattach, reclaim =
+    rooted ~size:(S.region_size ~nprocs:1)
+      ~create:(fun sys base ->
+        S.create (R.System.pmem sys) ~heap:(R.System.heap sys) ~base ~nprocs:1)
+      ~attach:(fun sys base ->
+        S.attach (R.System.pmem sys) ~heap:(R.System.heap sys) ~base ~nprocs:1)
+      ~roots:S.live_nodes
+  in
+  {
+    register =
+      (fun registry ->
+        Recoverable.Stack_op.register_push registry ~id:40 ~attempt_id:41
+          handle;
+        Recoverable.Stack_op.register_pop registry ~id:42 ~attempt_id:43
+          handle);
+    init;
+    reattach;
+    reclaim;
+    script =
+      [
+        (40, R.Value.of_int 1);
+        (40, R.Value.of_int 2);
+        (42, Bytes.empty);
+        (42, Bytes.empty);
+        (42, Bytes.empty);
+      ];
+    final = (fun () -> ints (S.to_list (handle ())));
+  }
+
+let queue_pin () =
+  let module Q = Recoverable.Rqueue in
+  let handle, init, reattach, reclaim =
+    rooted ~size:(Q.region_size ~nprocs:1)
+      ~create:(fun sys base ->
+        Q.create (R.System.pmem sys) ~heap:(R.System.heap sys) ~base ~nprocs:1)
+      ~attach:(fun sys base ->
+        Q.attach (R.System.pmem sys) ~heap:(R.System.heap sys) ~base ~nprocs:1)
+      ~roots:Q.live_nodes
+  in
+  {
+    register =
+      (fun registry ->
+        Recoverable.Queue_op.register_enqueue registry ~id:44 ~attempt_id:45
+          handle;
+        Recoverable.Queue_op.register_dequeue registry ~id:46 ~attempt_id:47
+          handle);
+    init;
+    reattach;
+    reclaim;
+    script =
+      [
+        (44, R.Value.of_int 1);
+        (44, R.Value.of_int 2);
+        (46, Bytes.empty);
+        (46, Bytes.empty);
+        (46, Bytes.empty);
+      ];
+    final = (fun () -> ints (Q.to_list (handle ())));
+  }
+
+let map_pin () =
+  let module M = Recoverable.Rmap in
+  let handle, init, reattach, reclaim =
+    rooted
+      ~size:(M.region_size ~buckets:4 ~nprocs:1)
+      ~create:(fun sys base ->
+        M.create (R.System.pmem sys) ~heap:(R.System.heap sys) ~base
+          ~buckets:4 ~nprocs:1)
+      ~attach:(fun sys base ->
+        M.attach (R.System.pmem sys) ~heap:(R.System.heap sys) ~base
+          ~buckets:4 ~nprocs:1)
+      ~roots:M.live_nodes
+  in
+  {
+    register =
+      (fun registry ->
+        Recoverable.Map_op.register_put registry ~id:48 ~attempt_id:49 handle;
+        Recoverable.Map_op.register_remove registry ~id:50 ~attempt_id:51
+          handle;
+        Recoverable.Map_op.register_find registry ~id:52 handle);
+    init;
+    reattach;
+    reclaim;
+    script =
+      [
+        (48, R.Value.of_int2 1 10);
+        (48, R.Value.of_int2 2 20);
+        (52, R.Value.of_int 1);
+        (50, R.Value.of_int 1);
+        (50, R.Value.of_int 1);
+        (52, R.Value.of_int 1);
+        (48, R.Value.of_int2 1 11);
+        (52, R.Value.of_int 1);
+      ];
+    final =
+      (fun () ->
+        String.concat ";"
+          (List.map
+             (fun (k, v) -> Printf.sprintf "%d=%d" k v)
+             (List.sort compare (M.bindings (handle ())))));
+  }
+
+let tas_pin () =
+  let module T = Recoverable.Rtas in
+  let handle, init, reattach, reclaim =
+    rooted ~size:(T.region_size ~nprocs:1)
+      ~create:(fun sys base ->
+        T.create (R.System.pmem sys) ~base ~nprocs:1 ~variant:Rcas.Correct)
+      ~attach:(fun sys base ->
+        T.attach (R.System.pmem sys) ~base ~nprocs:1 ~variant:Rcas.Correct)
+      ~roots:(fun _ -> [])
+  in
+  {
+    register =
+      (fun registry ->
+        Cas_op.register_tas registry ~id:53 ~attempt_id:54 handle);
+    init;
+    reattach;
+    reclaim;
+    script = [ (53, Bytes.empty); (53, Bytes.empty) ];
+    final =
+      (fun () ->
+        match T.winner (handle ()) with
+        | Some w -> string_of_int w
+        | None -> "-");
+  }
+
+(* Run [make]'s script once per era-1 plan — no crash, then [At_op 1],
+   [At_op 2], ... until a plan no longer fires — and digest the traffic.
+   Returns the number of crash points and the digest. *)
+let traffic_digest make =
+  let log = Buffer.create 65536 in
+  let run_once plan =
+    let p = make () in
+    let pmem = Pmem.create ~size:(1 lsl 20) () in
+    let ctl = Pmem.crash_ctl pmem in
+    let take_reads () =
+      List.iter
+        (fun (first, last) -> Printf.bprintf log "r%d-%d " first last)
+        (List.rev (Crash.take_reads ctl))
+    in
+    Crash.set_scheduler ctl
+      (Some
+         (fun { Crash.kind; first_line; last_line; persists } ->
+           take_reads ();
+           Printf.bprintf log "%c%d-%d%s "
+             (match kind with Crash.Write -> 'w' | Flush -> 'f' | Cas -> 'c')
+             first_line last_line
+             (if persists then "p" else "")));
+    let registry = R.Registry.create () in
+    p.register registry;
+    let report =
+      R.Driver.run_to_completion pmem ~registry ~config:pin_config
+        ~init:p.init ~reattach:p.reattach ~reclaim:p.reclaim
+        ~submit:(fun sys ->
+          List.iter
+            (fun (func_id, args) -> ignore (R.System.submit sys ~func_id ~args))
+            p.script)
+        ~plan:(fun ~era -> if era = 1 then plan else Crash.Never)
+        ~spawn:inline_spawn ()
+    in
+    take_reads ();
+    Crash.set_scheduler ctl None;
+    List.iter (fun (i, a) -> Printf.bprintf log "a%d=%Ld " i a) report.results;
+    Printf.bprintf log "final %s\n" (p.final ());
+    report.R.Driver.crashes
+  in
+  ignore (run_once Crash.Never);
+  let rec sweep n = if run_once (Crash.At_op n) > 0 then sweep (n + 1) else n - 1 in
+  let points = sweep 1 in
+  (points, Digest.to_hex (Digest.string (Buffer.contents log)))
+
+let test_traffic_pinned (make, points, digest) () =
+  let points', digest' = traffic_digest make in
+  Alcotest.(check int) "era-1 persistence points" points points';
+  Alcotest.(check string) "traffic digest" digest digest'
+
 let () =
   Alcotest.run "recoverable"
     [
@@ -471,4 +700,14 @@ let () =
             test_attempt_answer_packing;
           Alcotest.test_case "cas crash-point sweep" `Slow test_cas_crash_sweep;
         ] );
+      ( "device traffic",
+        List.map
+          (fun (name, pin) ->
+            Alcotest.test_case name `Slow (test_traffic_pinned pin))
+          [
+            ("stack push/pop", (stack_pin, 209, "9f17b78fc8ad260eab036ea00956e0f9"));
+            ("queue enqueue/dequeue", (queue_pin, 214, "7b74d07fe28a7df0a393e08ee039dacf"));
+            ("map put/remove/find", (map_pin, 293, "15aeac41417dc6514d7086e7ed02110e"));
+            ("test-and-set", (tas_pin, 76, "4b2bd673f1fe0093e18f50fa196154dc"));
+          ] );
     ]
