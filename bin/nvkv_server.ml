@@ -61,8 +61,9 @@ let deq_attempt_id = 28
 let deq_id = 29
 
 (* Wire answers are OCaml ints, so every legitimate dispatch answer lies in
-   [-2^62, 2^62) (Codec reserves Int64.min_int for Error); min_int + 1 is
-   therefore free to mean "stale request id refused". *)
+   [-2^62, 2^62) (Value.answer_of_int_option spends Int64.min_int on
+   None); min_int + 1 is therefore free to mean "stale request id
+   refused". *)
 let stale_answer = Int64.add Int64.min_int 1L
 
 (* Directory block: one heap allocation the user root points at, naming the

@@ -147,30 +147,15 @@ let register_swap registry ~id ~fetch_attempt_id handle =
   Registry.register registry ~id ~name:"rcas.swap" ~body ~recover
 
 let register_tas registry ~id ~attempt_id get_tas =
-  let attempt_body ctx args =
-    let seq = Value.to_int args in
+  let tas f ctx args =
     Value.answer_of_bool
-      (Rtas.test_and_set_with_seq (get_tas ()) ~pid:(pid_of ctx) ~seq)
+      (f (get_tas ()) ~pid:(pid_of ctx) ~seq:(Value.to_int args))
   in
-  let attempt_recover ctx args =
-    let seq = Value.to_int args in
-    Registry.Complete
-      (Value.answer_of_bool
-         (Rtas.recover_with_seq (get_tas ()) ~pid:(pid_of ctx) ~seq))
-  in
-  Registry.register registry ~id:attempt_id ~name:"rtas.attempt"
-    ~body:attempt_body ~recover:attempt_recover;
-  let body ctx _args =
-    let seq = Rtas.bump (get_tas ()) ~pid:(pid_of ctx) in
-    Exec.call ctx ~func_id:attempt_id ~args:(Value.of_int seq)
-  in
-  let recover ctx args =
-    Registry.Complete
-      (match Exec.last_answer ctx with
-      | Some answer -> answer
-      | None -> body ctx args)
-  in
-  Registry.register registry ~id ~name:"rtas.test_and_set" ~body ~recover
+  Nested.register registry ~id ~attempt_id ~name:"rtas.test_and_set"
+    ~scope:(fun ctx _ ->
+      Value.of_int (Rtas.bump (get_tas ()) ~pid:(pid_of ctx)))
+    ~attempt:(tas Rtas.test_and_set_with_seq)
+    ~recover:(tas Rtas.recover_with_seq)
 
 let register_write registry ~id ~attempt_id handle =
   let body ctx args =

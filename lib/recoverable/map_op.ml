@@ -1,76 +1,40 @@
 module Exec = Runtime.Exec
 module Registry = Runtime.Registry
 module Value = Runtime.Value
-module Codec = Runtime.Codec
 
 type handle = unit -> Rmap.t
 
-let answer_witness = Codec.answer_result ~ok:Codec.answer_int
-
-let encode_opt = function
-  | Some v -> Codec.to_answer answer_witness (Ok v)
-  | None -> Codec.to_answer answer_witness (Error ())
-
-let find_answer raw =
-  match Codec.of_answer answer_witness raw with
-  | Ok v -> Some v
-  | Error () -> None
+let find_answer = Value.int_option_of_answer
 
 let register_put registry ~id ~attempt_id handle =
-  let attempt_body _ctx args =
-    Rmap.link (handle ()) ~node:(Value.to_offset args);
-    0L
-  in
-  let attempt_recover _ctx args =
-    Rmap.link_recover (handle ()) ~node:(Value.to_offset args);
-    Registry.Complete 0L
-  in
-  Registry.register registry ~id:attempt_id ~name:"rmap.put_attempt"
-    ~body:attempt_body ~recover:attempt_recover;
-  let body ctx args =
-    let key, value = Value.to_int2 args in
-    let node = Rmap.alloc_node (handle ()) ~key ~value in
-    Exec.call ctx ~func_id:attempt_id ~args:(Value.of_offset node)
-  in
-  let recover ctx args =
-    Registry.Complete
-      (match Exec.last_answer ctx with
-      | Some answer -> answer
-      | None -> body ctx args)
-  in
-  Registry.register registry ~id ~name:"rmap.put" ~body ~recover
+  Nested.register registry ~id ~attempt_id ~name:"rmap.put"
+    ~scope:(fun ctx args ->
+      let key, value = Value.to_int2 args in
+      Value.of_offset
+        (Chain.alloc_node
+           (Rmap.chain (handle ()))
+           ~heap:ctx.Exec.heap [ key; value ]))
+    ~attempt:(fun _ args ->
+      Rmap.link (handle ()) ~node:(Value.to_offset args);
+      0L)
+    ~recover:(fun _ args ->
+      Rmap.link_recover (handle ()) ~node:(Value.to_offset args);
+      0L)
 
 let register_remove registry ~id ~attempt_id handle =
-  let pid_of ctx = ctx.Exec.worker_id in
-  let attempt_body ctx args =
+  let remove claim ctx args =
     let key, seq = Value.to_int2 args in
-    Value.answer_of_bool
-      (Rmap.claim_newest (handle ()) ~pid:(pid_of ctx) ~seq ~key)
+    Value.answer_of_bool (claim (handle ()) ~pid:ctx.Exec.worker_id ~seq ~key)
   in
-  let attempt_recover ctx args =
-    let key, seq = Value.to_int2 args in
-    Registry.Complete
-      (Value.answer_of_bool
-         (Rmap.claim_recover (handle ()) ~pid:(pid_of ctx) ~seq ~key))
-  in
-  Registry.register registry ~id:attempt_id ~name:"rmap.remove_attempt"
-    ~body:attempt_body ~recover:attempt_recover;
-  let body ctx args =
-    let key = Value.to_int args in
-    let seq = Rmap.bump (handle ()) ~pid:(pid_of ctx) in
-    Exec.call ctx ~func_id:attempt_id ~args:(Value.of_int2 key seq)
-  in
-  let recover ctx args =
-    Registry.Complete
-      (match Exec.last_answer ctx with
-      | Some answer -> answer
-      | None -> body ctx args)
-  in
-  Registry.register registry ~id ~name:"rmap.remove" ~body ~recover
+  Nested.register registry ~id ~attempt_id ~name:"rmap.remove"
+    ~scope:(fun ctx args ->
+      let seq = Chain.bump (Rmap.chain (handle ())) ~pid:ctx.Exec.worker_id in
+      Value.of_int2 (Value.to_int args) seq)
+    ~attempt:(remove Rmap.claim_newest) ~recover:(remove Rmap.claim_recover)
 
 let register_find registry ~id handle =
   let body _ctx args =
-    encode_opt (Rmap.find (handle ()) ~key:(Value.to_int args))
+    Value.answer_of_int_option (Rmap.find (handle ()) ~key:(Value.to_int args))
   in
   Registry.register registry ~id ~name:"rmap.find" ~body
     ~recover:(Registry.completing body)

@@ -1,71 +1,31 @@
 module Exec = Runtime.Exec
-module Registry = Runtime.Registry
 module Value = Runtime.Value
-module Codec = Runtime.Codec
 
 type handle = unit -> Rqueue.t
 
-let answer_witness = Codec.answer_result ~ok:Codec.answer_int
-
-let encode_opt = function
-  | Some v -> Codec.to_answer answer_witness (Ok v)
-  | None -> Codec.to_answer answer_witness (Error ())
-
-let dequeue_answer raw =
-  match Codec.of_answer answer_witness raw with
-  | Ok v -> Some v
-  | Error () -> None
+let dequeue_answer = Value.int_option_of_answer
 
 let register_enqueue registry ~id ~attempt_id handle =
-  let attempt_body ctx args =
-    ignore ctx;
-    Rqueue.link (handle ()) ~node:(Value.to_offset args);
-    0L
-  in
-  let attempt_recover ctx args =
-    ignore ctx;
-    Rqueue.link_recover (handle ()) ~node:(Value.to_offset args);
-    Registry.Complete 0L
-  in
-  Registry.register registry ~id:attempt_id ~name:"rqueue.enqueue_attempt"
-    ~body:attempt_body ~recover:attempt_recover;
-  let body ctx args =
-    let value = Value.to_int args in
-    let node = Rqueue.alloc_node (handle ()) value in
-    Exec.call ctx ~func_id:attempt_id ~args:(Value.of_offset node)
-  in
-  let recover ctx args =
-    Registry.Complete
-      (match Exec.last_answer ctx with
-      | Some answer -> answer
-      | None ->
-          (* the attempt never became part of the stack: any allocated node
-             is unreachable (reclaimed by the heap sweep); enqueue afresh *)
-          body ctx args)
-  in
-  Registry.register registry ~id ~name:"rqueue.enqueue" ~body ~recover
+  Nested.register registry ~id ~attempt_id ~name:"rqueue.enqueue"
+    ~scope:(fun ctx args ->
+      Value.of_offset
+        (Chain.alloc_node
+           (Rqueue.chain (handle ()))
+           ~heap:ctx.Exec.heap [ Value.to_int args ]))
+    ~attempt:(fun _ args ->
+      Rqueue.link (handle ()) ~node:(Value.to_offset args);
+      0L)
+    ~recover:(fun _ args ->
+      Rqueue.link_recover (handle ()) ~node:(Value.to_offset args);
+      0L)
 
 let register_dequeue registry ~id ~attempt_id handle =
-  let pid_of ctx = ctx.Exec.worker_id in
-  let attempt_body ctx args =
-    let seq = Value.to_int args in
-    encode_opt (Rqueue.take (handle ()) ~pid:(pid_of ctx) ~seq)
+  let dequeue take ctx args =
+    Value.answer_of_int_option
+      (take (handle ()) ~pid:ctx.Exec.worker_id ~seq:(Value.to_int args))
   in
-  let attempt_recover ctx args =
-    let seq = Value.to_int args in
-    Registry.Complete
-      (encode_opt (Rqueue.take_recover (handle ()) ~pid:(pid_of ctx) ~seq))
-  in
-  Registry.register registry ~id:attempt_id ~name:"rqueue.dequeue_attempt"
-    ~body:attempt_body ~recover:attempt_recover;
-  let body ctx _args =
-    let seq = Rqueue.bump (handle ()) ~pid:(pid_of ctx) in
-    Exec.call ctx ~func_id:attempt_id ~args:(Value.of_int seq)
-  in
-  let recover ctx args =
-    Registry.Complete
-      (match Exec.last_answer ctx with
-      | Some answer -> answer
-      | None -> body ctx args)
-  in
-  Registry.register registry ~id ~name:"rqueue.dequeue" ~body ~recover
+  Nested.register registry ~id ~attempt_id ~name:"rqueue.dequeue"
+    ~scope:(fun ctx _ ->
+      Value.of_int
+        (Chain.bump (Rqueue.chain (handle ())) ~pid:ctx.Exec.worker_id))
+    ~attempt:(dequeue Rqueue.take) ~recover:(dequeue Rqueue.take_recover)

@@ -6,35 +6,16 @@ module Heap = Nvheap.Heap
    base+0 .. 8*buckets           bucket head pointers (0 = empty)
    align 64: + 64*p              per-process remove sequence counters
 
-   Node payload (32 bytes from the heap):
-   +0 key   +8 value   +16 next   +24 claimer token (0 = live)
+   Nodes are two-word chain nodes ({!Chain}): +0 key  +8 value  +16 next
+   +24 claimer.  The newest version of a key sits closest to its bucket's
+   head; the key's state is the state of its newest version node. *)
 
-   The newest version of a key sits closest to its bucket's head; the
-   key's state is the state of its newest version node. *)
-
-type t = {
-  pmem : Pmem.t;
-  heap : Heap.t;
-  base : Offset.t;
-  buckets : int;
-  nprocs : int;
-}
+type t = { chain : Chain.t; heap : Heap.t; base : Offset.t; buckets : int }
 
 let align n a = (n + a - 1) / a * a
-
 let seq_area ~buckets = align (8 * buckets) 64
-
 let region_size ~buckets ~nprocs = seq_area ~buckets + (64 * nprocs)
-
 let bucket_off t b = Offset.add t.base (8 * b)
-let seq_off t p = Offset.add t.base (seq_area ~buckets:t.buckets + (64 * p))
-
-let node_size = 32
-let key_of node = node
-let value_of node = Offset.add node 8
-let next_of node = Offset.add node 16
-let claimer_of node = Offset.add node 24
-
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let hash t key =
@@ -42,172 +23,102 @@ let hash t key =
   let h = key * 0x2545F4914F6CDD1D in
   (h lsr 17) land (t.buckets - 1)
 
-let make pmem ~heap ~base ~buckets ~nprocs =
+let key_of t node = Chain.word t.chain node 0
+let value_of t node = Chain.word t.chain node 1
+let bucket_of_key t key = bucket_off t (hash t key)
+let bucket_of_node t node = bucket_of_key t (key_of t node)
+
+let attach pmem ~heap ~base ~buckets ~nprocs =
   if not (is_power_of_two buckets) then
     invalid_arg "Rmap: bucket count must be a power of two";
   if nprocs < 1 then invalid_arg "Rmap: nprocs must be positive";
-  { pmem; heap; base; buckets; nprocs }
+  {
+    chain =
+      Chain.make ~name:"Rmap" pmem
+        ~seq_base:(Offset.add base (seq_area ~buckets))
+        ~nprocs ~payload:2;
+    heap;
+    base;
+    buckets;
+  }
 
 let create pmem ~heap ~base ~buckets ~nprocs =
-  let t = make pmem ~heap ~base ~buckets ~nprocs in
+  let t = attach pmem ~heap ~base ~buckets ~nprocs in
   for b = 0 to buckets - 1 do
     Pmem.write_int pmem (bucket_off t b) 0
   done;
   Pmem.flush pmem ~off:t.base ~len:(8 * buckets);
-  for p = 0 to nprocs - 1 do
-    Pmem.write_int pmem (seq_off t p) 0;
-    Pmem.flush pmem ~off:(seq_off t p) ~len:8
-  done;
+  Chain.init_seqs t.chain;
   t
 
-let attach = make
+let chain t = t.chain
 
-let check_pid t pid =
-  if pid < 0 || pid >= t.nprocs then
-    invalid_arg (Printf.sprintf "Rmap: pid %d out of 0..%d" pid (t.nprocs - 1))
-
-let bump t ~pid =
-  check_pid t pid;
-  let seq = Pmem.read_int t.pmem (seq_off t pid) + 1 in
-  Pmem.write_int t.pmem (seq_off t pid) seq;
-  Pmem.flush t.pmem ~off:(seq_off t pid) ~len:8;
-  seq
-
-let token ~pid ~seq =
-  Int64.logor (Int64.shift_left (Int64.of_int (pid + 1)) 32) (Int64.of_int seq)
-
-let alloc_node t ~key ~value =
-  if value = min_int then invalid_arg "Rmap: min_int is reserved";
-  let node = Heap.alloc t.heap node_size in
-  Pmem.write_int t.pmem (key_of node) key;
-  Pmem.write_int t.pmem (value_of node) value;
-  Pmem.write_int t.pmem (next_of node) 0;
-  Pmem.write_int64 t.pmem (claimer_of node) 0L;
-  Pmem.flush t.pmem ~off:node ~len:node_size;
-  node
-
-(* Link a fresh node at its bucket's head.  The node's [next] is written
-   and flushed before the head CAS, so the chain is never torn; the CAS is
-   the linearization point. *)
+(* Link a fresh node at its bucket's head; the head CAS is the
+   linearization point. *)
 let rec link t ~node =
-  let key = Pmem.read_int t.pmem (key_of node) in
-  let bucket = bucket_off t (hash t key) in
-  let head = Pmem.read_int t.pmem bucket in
-  Pmem.write_int t.pmem (next_of node) head;
-  Pmem.flush t.pmem ~off:(next_of node) ~len:8;
-  if
-    Pmem.cas_int64 t.pmem bucket ~expected:(Int64.of_int head)
-      ~desired:(Int64.of_int (Offset.to_int node))
-  then Pmem.flush t.pmem ~off:bucket ~len:8
-  else link t ~node
-
-let fold_bucket t b f acc =
-  let rec go node acc =
-    if node = 0 then acc
-    else begin
-      let off = Offset.of_int node in
-      let acc = f acc off in
-      go (Pmem.read_int t.pmem (next_of off)) acc
-    end
-  in
-  go (Pmem.read_int t.pmem (bucket_off t b)) acc
+  if not (Chain.try_push t.chain ~cell:(bucket_of_node t node) ~node) then
+    link t ~node
 
 let is_linked t ~node =
-  let key = Pmem.read_int t.pmem (key_of node) in
-  fold_bucket t (hash t key)
-    (fun found off -> found || Offset.equal off node)
-    false
+  Chain.is_linked t.chain ~entry:(bucket_of_node t node) ~node
 
-let link_recover t ~node = if not (is_linked t ~node) then link t ~node
+let link_recover t ~node =
+  Chain.link_recover t.chain ~entry:(bucket_of_node t node) ~node (fun () ->
+      link t ~node)
 
 (* The newest version node of [key], if any. *)
 let newest t ~key =
-  let rec go node =
-    if node = 0 then None
-    else begin
-      let off = Offset.of_int node in
-      if Pmem.read_int t.pmem (key_of off) = key then Some off
-      else go (Pmem.read_int t.pmem (next_of off))
-    end
-  in
-  go (Pmem.read_int t.pmem (bucket_off t (hash t key)))
+  Chain.find t.chain ~entry:(bucket_of_key t key) (fun node ->
+      key_of t node = key)
 
 let find t ~key =
   match newest t ~key with
-  | None -> None
-  | Some node ->
-      if Int64.equal (Pmem.read_int64 t.pmem (claimer_of node)) 0L then
-        Some (Pmem.read_int t.pmem (value_of node))
-      else None
+  | Some node when Chain.is_live t.chain node -> Some (value_of t node)
+  | Some _ | None -> None
 
 let rec claim_newest t ~pid ~seq ~key =
-  check_pid t pid;
+  Chain.check_pid t.chain pid;
   match newest t ~key with
   | None -> false
   | Some node ->
-      if not (Int64.equal (Pmem.read_int64 t.pmem (claimer_of node)) 0L) then
+      if not (Chain.is_live t.chain node) then
         false (* the newest version is claimed: the key is absent *)
-      else if
-        Pmem.cas_int64 t.pmem (claimer_of node) ~expected:0L
-          ~desired:(token ~pid ~seq)
-      then begin
-        Pmem.flush t.pmem ~off:(claimer_of node) ~len:8;
-        true
-      end
+      else if Chain.claim t.chain node ~pid ~seq then true
       else
         (* lost the race; a newer version may also have been linked since
            the walk — start over *)
         claim_newest t ~pid ~seq ~key
 
 let claim_recover t ~pid ~seq ~key =
-  check_pid t pid;
-  let tok = token ~pid ~seq in
-  let bucket = hash t key in
-  let claimed_by_me =
-    fold_bucket t bucket
-      (fun found off ->
-        found || Int64.equal (Pmem.read_int64 t.pmem (claimer_of off)) tok)
-      false
-  in
-  if claimed_by_me then true else claim_newest t ~pid ~seq ~key
+  Chain.claim_recover t.chain ~entry:(bucket_of_key t key) ~pid ~seq
+    (fun _ -> true)
+    (fun () -> claim_newest t ~pid ~seq ~key)
 
 let put t ~key ~value =
-  let node = alloc_node t ~key ~value in
-  link t ~node
+  link t ~node:(Chain.alloc_node t.chain ~heap:t.heap [ key; value ])
 
 let remove t ~pid ~key =
-  let seq = bump t ~pid in
+  let seq = Chain.bump t.chain ~pid in
   claim_newest t ~pid ~seq ~key
 
+let entries t = List.init t.buckets (bucket_off t)
+
 let bindings t =
-  let rec collect b acc =
-    if b >= t.buckets then acc
-    else begin
+  List.fold_left
+    (fun acc entry ->
       (* the first node seen per key decides its state *)
       let seen = Hashtbl.create 8 in
-      let acc =
-        fold_bucket t b
-          (fun acc off ->
-            let key = Pmem.read_int t.pmem (key_of off) in
-            if Hashtbl.mem seen key then acc
-            else begin
-              Hashtbl.add seen key ();
-              if Int64.equal (Pmem.read_int64 t.pmem (claimer_of off)) 0L then
-                (key, Pmem.read_int t.pmem (value_of off)) :: acc
-              else acc
-            end)
-          acc
-      in
-      collect (b + 1) acc
-    end
-  in
-  collect 0 []
+      Chain.fold t.chain ~entry
+        (fun acc node ->
+          let key = key_of t node in
+          if Hashtbl.mem seen key then acc
+          else begin
+            Hashtbl.add seen key ();
+            if Chain.is_live t.chain node then (key, value_of t node) :: acc
+            else acc
+          end)
+        acc)
+    [] (entries t)
 
 let cardinal t = List.length (bindings t)
-
-let live_nodes t =
-  let rec collect b acc =
-    if b >= t.buckets then acc
-    else collect (b + 1) (fold_bucket t b (fun acc off -> off :: acc) acc)
-  in
-  collect 0 []
+let live_nodes t = Chain.live_nodes t.chain (entries t)

@@ -21,8 +21,7 @@
     as in the published persistent structures); {!live_nodes} reports the
     chains as GC roots.
 
-    Keys and values are OCaml [int]s (values ≠ [min_int]); layer
-    {!Runtime.Codec} on top for richer types. *)
+    Keys and values are OCaml [int]s. *)
 
 type t
 
@@ -53,14 +52,15 @@ val remove : t -> pid:int -> key:int -> bool
 
 val find : t -> key:int -> int option
 
-(** {1 Recoverable protocol pieces} *)
+(** {1 Recoverable protocol pieces}
 
-val alloc_node : t -> key:int -> value:int -> Nvram.Offset.t
+    Nodes are allocated with [Chain.alloc_node (chain t) ~heap [ key; value ]]
+    and remove attempts are numbered with [Chain.bump (chain t)]. *)
+
+val chain : t -> Chain.t
 val link : t -> node:Nvram.Offset.t -> unit
 val is_linked : t -> node:Nvram.Offset.t -> bool
 val link_recover : t -> node:Nvram.Offset.t -> unit
-
-val bump : t -> pid:int -> int
 
 val claim_newest : t -> pid:int -> seq:int -> key:int -> bool
 (** The remove attempt tagged [seq]. *)

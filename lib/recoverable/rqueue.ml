@@ -9,28 +9,18 @@ module Heap = Nvheap.Heap
             evidence walks start here and are immune to head advances
    base+64 + 64*p   per-process dequeue sequence counter
 
-   Node payload (32 bytes from the heap):
-   +0  value
-   +8  next (0 = none)
-   +16 claimer token (0 = unconsumed); the first node is pre-claimed
-       (a dummy in Michael-Scott style) *)
+   Nodes are one-word chain nodes ({!Chain}): +0 value  +8 next
+   +16 claimer.  The first node is pre-claimed (a dummy in Michael-Scott
+   style). *)
 
-type t = { pmem : Pmem.t; heap : Heap.t; base : Offset.t; nprocs : int }
+type t = { chain : Chain.t; pmem : Pmem.t; heap : Heap.t; base : Offset.t }
 
 let head_off t = t.base
 let tail_off t = Offset.add t.base 8
 let first_off t = Offset.add t.base 16
-let seq_off t p = Offset.add t.base (64 + (64 * p))
 let region_size ~nprocs = 64 + (64 * nprocs)
 
-let node_size = 32
-let value_of node = node
-let next_of node = Offset.add node 8
-let claimer_of node = Offset.add node 16
-
 let dummy_claim = 1L
-
-let token ~pid ~seq = Int64.logor (Int64.shift_left (Int64.of_int (pid + 1)) 32) (Int64.of_int seq)
 
 let read_ptr t off = Pmem.read_int t.pmem off
 
@@ -38,62 +28,43 @@ let write_ptr t off v =
   Pmem.write_int t.pmem off v;
   Pmem.flush t.pmem ~off ~len:8
 
-let cas_ptr t off ~expected ~desired =
-  let ok =
-    Pmem.cas_int64 t.pmem off ~expected:(Int64.of_int expected)
-      ~desired:(Int64.of_int desired)
-  in
-  if ok then Pmem.flush t.pmem ~off ~len:8;
-  ok
-
-let alloc_node t value =
-  if value = min_int then invalid_arg "Rqueue: min_int is reserved";
-  let node = Heap.alloc t.heap node_size in
-  Pmem.write_int t.pmem (value_of node) value;
-  Pmem.write_int t.pmem (next_of node) 0;
-  Pmem.write_int64 t.pmem (claimer_of node) 0L;
-  Pmem.flush t.pmem ~off:node ~len:24;
-  node
+let attach pmem ~heap ~base ~nprocs =
+  {
+    chain =
+      Chain.make ~name:"Rqueue" pmem ~seq_base:(Offset.add base 64) ~nprocs
+        ~payload:1;
+    pmem;
+    heap;
+    base;
+  }
 
 let create pmem ~heap ~base ~nprocs =
-  let t = { pmem; heap; base; nprocs } in
-  let dummy = alloc_node t 0 in
-  Pmem.write_int64 pmem (claimer_of dummy) dummy_claim;
-  Pmem.flush pmem ~off:(claimer_of dummy) ~len:8;
+  let t = attach pmem ~heap ~base ~nprocs in
+  let dummy = Chain.alloc_node t.chain ~heap [ 0 ] in
+  let claimer = Chain.claimer_cell t.chain dummy in
+  Pmem.write_int64 pmem claimer dummy_claim;
+  Pmem.flush pmem ~off:claimer ~len:8;
   write_ptr t (head_off t) (Offset.to_int dummy);
   write_ptr t (tail_off t) (Offset.to_int dummy);
   write_ptr t (first_off t) (Offset.to_int dummy);
-  for p = 0 to nprocs - 1 do
-    Pmem.write_int pmem (seq_off t p) 0;
-    Pmem.flush pmem ~off:(seq_off t p) ~len:8
-  done;
+  Chain.init_seqs t.chain;
   t
 
-let attach pmem ~heap ~base ~nprocs = { pmem; heap; base; nprocs }
-
-let check_pid t pid =
-  if pid < 0 || pid >= t.nprocs then
-    invalid_arg (Printf.sprintf "Rqueue: pid %d out of 0..%d" pid (t.nprocs - 1))
-
-let bump t ~pid =
-  check_pid t pid;
-  let seq = Pmem.read_int t.pmem (seq_off t pid) + 1 in
-  Pmem.write_int t.pmem (seq_off t pid) seq;
-  Pmem.flush t.pmem ~off:(seq_off t pid) ~len:8;
-  seq
+let chain t = t.chain
+let next_of t node = Chain.next_cell t.chain (Offset.of_int node)
 
 (* Advance a lagging pointer cell from [seen] to [node]; failures mean
    someone else helped already. *)
-let advance t cell ~seen ~node = ignore (cas_ptr t cell ~expected:seen ~desired:node)
+let advance t cell ~seen ~node =
+  ignore (Chain.cas_ptr t.chain cell ~expected:seen ~desired:node)
 
 let rec link t ~node =
   let tail = read_ptr t (tail_off t) in
-  let next = read_ptr t (next_of (Offset.of_int tail)) in
+  let next = read_ptr t (next_of t tail) in
   if next = 0 then begin
     if
-      cas_ptr t
-        (next_of (Offset.of_int tail))
-        ~expected:0 ~desired:(Offset.to_int node)
+      Chain.cas_ptr t.chain (next_of t tail) ~expected:0
+        ~desired:(Offset.to_int node)
     then
       (* linked — the linearization point; persisting the link happened in
          [cas_ptr].  Help the tail along. *)
@@ -106,38 +77,22 @@ let rec link t ~node =
     link t ~node
   end
 
-let fold_chain t f acc =
-  let rec go node acc =
-    if node = 0 then acc
-    else begin
-      let off = Offset.of_int node in
-      let acc = f acc off in
-      go (read_ptr t (next_of off)) acc
-    end
-  in
-  go (read_ptr t (first_off t)) acc
+let is_linked t ~node = Chain.is_linked t.chain ~entry:(first_off t) ~node
 
-let is_linked t ~node =
-  fold_chain t (fun found off -> found || Offset.equal off node) false
-
-let link_recover t ~node = if not (is_linked t ~node) then link t ~node
-
-let claim t node tok =
-  let ok = Pmem.cas_int64 t.pmem (claimer_of node) ~expected:0L ~desired:tok in
-  if ok then Pmem.flush t.pmem ~off:(claimer_of node) ~len:8;
-  ok
+let link_recover t ~node =
+  Chain.link_recover t.chain ~entry:(first_off t) ~node (fun () -> link t ~node)
 
 let rec take t ~pid ~seq =
-  check_pid t pid;
+  Chain.check_pid t.chain pid;
   let head = read_ptr t (head_off t) in
-  let next = read_ptr t (next_of (Offset.of_int head)) in
+  let next = read_ptr t (next_of t head) in
   if next = 0 then None
   else begin
     let node = Offset.of_int next in
-    if claim t node (token ~pid ~seq) then begin
+    if Chain.claim t.chain node ~pid ~seq then begin
       (* claimed — the linearization point; move the head hint past it *)
       advance t (head_off t) ~seen:head ~node:next;
-      Some (Pmem.read_int t.pmem (value_of node))
+      Some (Chain.word t.chain node 0)
     end
     else begin
       (* someone else consumed it; help the head along and retry *)
@@ -146,40 +101,18 @@ let rec take t ~pid ~seq =
     end
   end
 
-let find_claim t tok =
-  fold_chain t
-    (fun found off ->
-      match found with
-      | Some _ -> found
-      | None ->
-          if Int64.equal (Pmem.read_int64 t.pmem (claimer_of off)) tok then
-            Some (Pmem.read_int t.pmem (value_of off))
-          else None)
-    None
-
 let take_recover t ~pid ~seq =
-  check_pid t pid;
-  match find_claim t (token ~pid ~seq) with
-  | Some value -> Some value
-  | None -> take t ~pid ~seq
+  Chain.claim_recover t.chain ~entry:(first_off t) ~pid ~seq
+    (fun node -> Some (Chain.word t.chain node 0))
+    (fun () -> take t ~pid ~seq)
 
 let enqueue t value =
-  let node = alloc_node t value in
-  link t ~node
+  link t ~node:(Chain.alloc_node t.chain ~heap:t.heap [ value ])
 
 let dequeue t ~pid =
-  let seq = bump t ~pid in
+  let seq = Chain.bump t.chain ~pid in
   take t ~pid ~seq
 
-let to_list t =
-  List.rev
-    (fold_chain t
-       (fun acc off ->
-         if Int64.equal (Pmem.read_int64 t.pmem (claimer_of off)) 0L then
-           Pmem.read_int t.pmem (value_of off) :: acc
-         else acc)
-       [])
-
+let to_list t = Chain.to_list t.chain ~entry:(first_off t)
 let length t = List.length (to_list t)
-
-let live_nodes t = List.rev (fold_chain t (fun acc off -> off :: acc) [])
+let live_nodes t = Chain.live_nodes t.chain [ first_off t ]

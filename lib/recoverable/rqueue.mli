@@ -25,9 +25,7 @@
     like the published persistent queues, this reference implementation
     leaves memory reclamation to an external mechanism — the chain is
     reported via {!live_nodes} so a system recovery's root-based sweep
-    keeps it alive.  Chain walks during recovery are O(total operations).
-
-    Values must fit the OCaml [int] range excluding [min_int]. *)
+    keeps it alive.  Chain walks during recovery are O(total operations). *)
 
 type t
 
@@ -47,10 +45,11 @@ val dequeue : t -> pid:int -> int option
 (** {1 Recoverable protocol pieces}
 
     Used by {!Queue_op} to bind the queue to the persistent-stack runtime;
-    exposed for building custom bindings. *)
+    exposed for building custom bindings.  Nodes are allocated with
+    [Chain.alloc_node (chain t) ~heap [ value ]] and dequeue attempts are
+    numbered with [Chain.bump (chain t)]. *)
 
-val alloc_node : t -> int -> Nvram.Offset.t
-(** Allocate and persist an unlinked node carrying the given value. *)
+val chain : t -> Chain.t
 
 val link : t -> node:Nvram.Offset.t -> unit
 (** The enqueue attempt: link the node at the tail (lock-free loop). *)
@@ -60,9 +59,6 @@ val is_linked : t -> node:Nvram.Offset.t -> bool
 
 val link_recover : t -> node:Nvram.Offset.t -> unit
 (** Complete an interrupted {!link}: no-op if the node is already linked. *)
-
-val bump : t -> pid:int -> int
-(** Fresh persistent sequence number for a dequeue attempt. *)
 
 val take : t -> pid:int -> seq:int -> int option
 (** The dequeue attempt tagged [seq]: claim the first unconsumed node, or

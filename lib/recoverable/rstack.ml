@@ -6,143 +6,62 @@ module Heap = Nvheap.Heap
    base+0           top pointer (0 = empty chain)
    base+64 + 64*p   per-process pop sequence counters
 
-   Node payload (32 bytes): +0 value  +8 next  +16 claimer (0 = live).
-   Unlike the queue there is no dummy node: the chain simply starts at the
-   newest node, and consumed nodes remain chained below. *)
+   Nodes are one-word chain nodes ({!Chain}): +0 value  +8 next
+   +16 claimer.  Unlike the queue there is no dummy node: the chain simply
+   starts at the newest node, and consumed nodes remain chained below. *)
 
-type t = { pmem : Pmem.t; heap : Heap.t; base : Offset.t; nprocs : int }
+type t = { chain : Chain.t; heap : Heap.t; top : Offset.t }
 
-let top_off t = t.base
-let seq_off t p = Offset.add t.base (64 + (64 * p))
 let region_size ~nprocs = 64 + (64 * nprocs)
 
-let node_size = 32
-let value_of node = node
-let next_of node = Offset.add node 8
-let claimer_of node = Offset.add node 16
-
-let token ~pid ~seq =
-  Int64.logor (Int64.shift_left (Int64.of_int (pid + 1)) 32) (Int64.of_int seq)
+let attach pmem ~heap ~base ~nprocs =
+  {
+    chain =
+      Chain.make ~name:"Rstack" pmem ~seq_base:(Offset.add base 64) ~nprocs
+        ~payload:1;
+    heap;
+    top = base;
+  }
 
 let create pmem ~heap ~base ~nprocs =
-  let t = { pmem; heap; base; nprocs } in
-  Pmem.write_int pmem (top_off t) 0;
-  Pmem.flush pmem ~off:(top_off t) ~len:8;
-  for p = 0 to nprocs - 1 do
-    Pmem.write_int pmem (seq_off t p) 0;
-    Pmem.flush pmem ~off:(seq_off t p) ~len:8
-  done;
+  let t = attach pmem ~heap ~base ~nprocs in
+  Pmem.write_int pmem t.top 0;
+  Pmem.flush pmem ~off:t.top ~len:8;
+  Chain.init_seqs t.chain;
   t
 
-let attach pmem ~heap ~base ~nprocs = { pmem; heap; base; nprocs }
+let chain t = t.chain
 
-let check_pid t pid =
-  if pid < 0 || pid >= t.nprocs then
-    invalid_arg (Printf.sprintf "Rstack: pid %d out of 0..%d" pid (t.nprocs - 1))
-
-let bump t ~pid =
-  check_pid t pid;
-  let seq = Pmem.read_int t.pmem (seq_off t pid) + 1 in
-  Pmem.write_int t.pmem (seq_off t pid) seq;
-  Pmem.flush t.pmem ~off:(seq_off t pid) ~len:8;
-  seq
-
-let alloc_node t value =
-  if value = min_int then invalid_arg "Rstack: min_int is reserved";
-  let node = Heap.alloc t.heap node_size in
-  Pmem.write_int t.pmem (value_of node) value;
-  Pmem.write_int t.pmem (next_of node) 0;
-  Pmem.write_int64 t.pmem (claimer_of node) 0L;
-  Pmem.flush t.pmem ~off:node ~len:24;
-  node
-
-(* Push the node onto the top pointer; the node's [next] is persisted
-   before the CAS so the chain is never torn. *)
 let rec link t ~node =
-  let top = Pmem.read_int t.pmem (top_off t) in
-  Pmem.write_int t.pmem (next_of node) top;
-  Pmem.flush t.pmem ~off:(next_of node) ~len:8;
-  if
-    Pmem.cas_int64 t.pmem (top_off t) ~expected:(Int64.of_int top)
-      ~desired:(Int64.of_int (Offset.to_int node))
-  then Pmem.flush t.pmem ~off:(top_off t) ~len:8
-  else link t ~node
+  if not (Chain.try_push t.chain ~cell:t.top ~node) then link t ~node
 
-let fold_chain t f acc =
-  let rec go node acc =
-    if node = 0 then acc
-    else begin
-      let off = Offset.of_int node in
-      let acc = f acc off in
-      go (Pmem.read_int t.pmem (next_of off)) acc
-    end
-  in
-  go (Pmem.read_int t.pmem (top_off t)) acc
+let is_linked t ~node = Chain.is_linked t.chain ~entry:t.top ~node
 
-let is_linked t ~node =
-  fold_chain t (fun found off -> found || Offset.equal off node) false
+let link_recover t ~node =
+  Chain.link_recover t.chain ~entry:t.top ~node (fun () -> link t ~node)
 
-let link_recover t ~node = if not (is_linked t ~node) then link t ~node
-
-(* The top-most live node, walked from the top pointer. *)
-let newest_live t =
-  let rec go node =
-    if node = 0 then None
-    else begin
-      let off = Offset.of_int node in
-      if Int64.equal (Pmem.read_int64 t.pmem (claimer_of off)) 0L then Some off
-      else go (Pmem.read_int t.pmem (next_of off))
-    end
-  in
-  go (Pmem.read_int t.pmem (top_off t))
-
+(* Claim the top-most live node, walked from the top pointer. *)
 let rec take t ~pid ~seq =
-  check_pid t pid;
-  match newest_live t with
+  Chain.check_pid t.chain pid;
+  match Chain.find t.chain ~entry:t.top (Chain.is_live t.chain) with
   | None -> None
   | Some node ->
-      if
-        Pmem.cas_int64 t.pmem (claimer_of node) ~expected:0L
-          ~desired:(token ~pid ~seq)
-      then begin
-        Pmem.flush t.pmem ~off:(claimer_of node) ~len:8;
-        Some (Pmem.read_int t.pmem (value_of node))
-      end
+      if Chain.claim t.chain node ~pid ~seq then
+        Some (Chain.word t.chain node 0)
       else take t ~pid ~seq (* lost the race; re-walk *)
 
 let take_recover t ~pid ~seq =
-  check_pid t pid;
-  let tok = token ~pid ~seq in
-  let claimed =
-    fold_chain t
-      (fun found off ->
-        match found with
-        | Some _ -> found
-        | None ->
-            if Int64.equal (Pmem.read_int64 t.pmem (claimer_of off)) tok then
-              Some (Pmem.read_int t.pmem (value_of off))
-            else None)
-      None
-  in
-  match claimed with Some _ as r -> r | None -> take t ~pid ~seq
+  Chain.claim_recover t.chain ~entry:t.top ~pid ~seq
+    (fun node -> Some (Chain.word t.chain node 0))
+    (fun () -> take t ~pid ~seq)
 
 let push t value =
-  let node = alloc_node t value in
-  link t ~node
+  link t ~node:(Chain.alloc_node t.chain ~heap:t.heap [ value ])
 
 let pop t ~pid =
-  let seq = bump t ~pid in
+  let seq = Chain.bump t.chain ~pid in
   take t ~pid ~seq
 
-let to_list t =
-  List.rev
-    (fold_chain t
-       (fun acc off ->
-         if Int64.equal (Pmem.read_int64 t.pmem (claimer_of off)) 0L then
-           Pmem.read_int t.pmem (value_of off) :: acc
-         else acc)
-       [])
-
+let to_list t = Chain.to_list t.chain ~entry:t.top
 let length t = List.length (to_list t)
-
-let live_nodes t = List.rev (fold_chain t (fun acc off -> off :: acc) [])
+let live_nodes t = Chain.live_nodes t.chain [ t.top ]

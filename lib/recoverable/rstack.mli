@@ -12,8 +12,7 @@
     - pop claims the top-most unconsumed node with a flushed
       (pid, sequence) token; evidence = the token in the chain.
 
-    Consumed nodes stay chained (reported as {!live_nodes} roots);
-    values must avoid [min_int]. *)
+    Consumed nodes stay chained (reported as {!live_nodes} roots). *)
 
 type t
 
@@ -30,13 +29,15 @@ val attach :
 val push : t -> int -> unit
 val pop : t -> pid:int -> int option
 
-(** {1 Recoverable protocol pieces} *)
+(** {1 Recoverable protocol pieces}
 
-val alloc_node : t -> int -> Nvram.Offset.t
+    Nodes are allocated with [Chain.alloc_node (chain t) ~heap [ value ]]
+    and attempts are numbered with [Chain.bump (chain t)]. *)
+
+val chain : t -> Chain.t
 val link : t -> node:Nvram.Offset.t -> unit
 val is_linked : t -> node:Nvram.Offset.t -> bool
 val link_recover : t -> node:Nvram.Offset.t -> unit
-val bump : t -> pid:int -> int
 val take : t -> pid:int -> seq:int -> int option
 val take_recover : t -> pid:int -> seq:int -> int option
 

@@ -1,71 +1,31 @@
 module Exec = Runtime.Exec
-module Registry = Runtime.Registry
 module Value = Runtime.Value
-module Codec = Runtime.Codec
 
 type handle = unit -> Rstack.t
 
-let answer_witness = Codec.answer_result ~ok:Codec.answer_int
-
-let encode_opt = function
-  | Some v -> Codec.to_answer answer_witness (Ok v)
-  | None -> Codec.to_answer answer_witness (Error ())
-
-let pop_answer raw =
-  match Codec.of_answer answer_witness raw with
-  | Ok v -> Some v
-  | Error () -> None
+let pop_answer = Value.int_option_of_answer
 
 let register_push registry ~id ~attempt_id handle =
-  let attempt_body ctx args =
-    ignore ctx;
-    Rstack.link (handle ()) ~node:(Value.to_offset args);
-    0L
-  in
-  let attempt_recover ctx args =
-    ignore ctx;
-    Rstack.link_recover (handle ()) ~node:(Value.to_offset args);
-    Registry.Complete 0L
-  in
-  Registry.register registry ~id:attempt_id ~name:"rstack.push_attempt"
-    ~body:attempt_body ~recover:attempt_recover;
-  let body ctx args =
-    let value = Value.to_int args in
-    let node = Rstack.alloc_node (handle ()) value in
-    Exec.call ctx ~func_id:attempt_id ~args:(Value.of_offset node)
-  in
-  let recover ctx args =
-    Registry.Complete
-      (match Exec.last_answer ctx with
-      | Some answer -> answer
-      | None ->
-          (* the attempt never became part of the stack: any allocated node
-             is unreachable (reclaimed by the heap sweep); push afresh *)
-          body ctx args)
-  in
-  Registry.register registry ~id ~name:"rstack.push" ~body ~recover
+  Nested.register registry ~id ~attempt_id ~name:"rstack.push"
+    ~scope:(fun ctx args ->
+      Value.of_offset
+        (Chain.alloc_node
+           (Rstack.chain (handle ()))
+           ~heap:ctx.Exec.heap [ Value.to_int args ]))
+    ~attempt:(fun _ args ->
+      Rstack.link (handle ()) ~node:(Value.to_offset args);
+      0L)
+    ~recover:(fun _ args ->
+      Rstack.link_recover (handle ()) ~node:(Value.to_offset args);
+      0L)
 
 let register_pop registry ~id ~attempt_id handle =
-  let pid_of ctx = ctx.Exec.worker_id in
-  let attempt_body ctx args =
-    let seq = Value.to_int args in
-    encode_opt (Rstack.take (handle ()) ~pid:(pid_of ctx) ~seq)
+  let pop take ctx args =
+    Value.answer_of_int_option
+      (take (handle ()) ~pid:ctx.Exec.worker_id ~seq:(Value.to_int args))
   in
-  let attempt_recover ctx args =
-    let seq = Value.to_int args in
-    Registry.Complete
-      (encode_opt (Rstack.take_recover (handle ()) ~pid:(pid_of ctx) ~seq))
-  in
-  Registry.register registry ~id:attempt_id ~name:"rstack.pop_attempt"
-    ~body:attempt_body ~recover:attempt_recover;
-  let body ctx _args =
-    let seq = Rstack.bump (handle ()) ~pid:(pid_of ctx) in
-    Exec.call ctx ~func_id:attempt_id ~args:(Value.of_int seq)
-  in
-  let recover ctx args =
-    Registry.Complete
-      (match Exec.last_answer ctx with
-      | Some answer -> answer
-      | None -> body ctx args)
-  in
-  Registry.register registry ~id ~name:"rstack.pop" ~body ~recover
+  Nested.register registry ~id ~attempt_id ~name:"rstack.pop"
+    ~scope:(fun ctx _ ->
+      Value.of_int
+        (Chain.bump (Rstack.chain (handle ())) ~pid:ctx.Exec.worker_id))
+    ~attempt:(pop Rstack.take) ~recover:(pop Rstack.take_recover)

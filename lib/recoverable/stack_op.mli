@@ -1,8 +1,8 @@
 (** Runtime bindings for the recoverable LIFO stack object: push and pop as
-    nesting-safe recoverable functions, following the same two-level
-    pattern as {!Queue_op} — the outer function persists the recovery scope
-    (the node offset for push, the sequence number for pop) into the nested
-    attempt's frame arguments before the attempt can take effect. *)
+    nesting-safe recoverable functions registered through {!Nested} — the
+    outer function persists the recovery scope (the node offset for push,
+    the sequence number for pop) into the nested attempt's frame arguments
+    before the attempt can take effect. *)
 
 type handle = unit -> Rstack.t
 
@@ -12,10 +12,11 @@ val register_push :
   attempt_id:int ->
   handle ->
   unit
-(** Argument: the value to push; answer [0].  A crash between the node
-    allocation and the attempt leaks the node (reclaimed by the heap's
-    root-based sweep); a crash inside the attempt is resolved by the
-    is-linked evidence. *)
+(** Argument: the value to push; answer [0].  The node is allocated from
+    the calling worker's heap arena.  A crash between the node allocation
+    and the attempt leaks the node (reclaimed by the heap's root-based
+    sweep); a crash inside the attempt is resolved by the is-linked
+    evidence. *)
 
 val register_pop :
   Runtime.Exec.t Runtime.Registry.t ->
@@ -23,7 +24,7 @@ val register_pop :
   attempt_id:int ->
   handle ->
   unit
-(** No arguments; the answer encodes [Some value] / [None (empty)] via
-    [Codec.answer_result].  Decode with {!pop_answer}. *)
+(** No arguments; the answer encodes [Some value] / [None (empty)] with
+    [Value.answer_of_int_option].  Decode with {!pop_answer}. *)
 
 val pop_answer : int64 -> int option

@@ -49,3 +49,10 @@ let answer_of_int = Int64.of_int
 let int_of_answer = Int64.to_int
 let answer_of_offset off = Int64.of_int (Nvram.Offset.to_int off)
 let offset_of_answer v = Nvram.Offset.of_int (Int64.to_int v)
+
+let answer_of_int_option = function
+  | Some v -> Int64.of_int v
+  | None -> Int64.min_int
+
+let int_option_of_answer v =
+  if Int64.equal v Int64.min_int then None else Some (Int64.to_int v)

@@ -195,6 +195,19 @@ let test_user_check_runs_at_terminal_states () =
         stats.Explore.executions
   | _ -> Alcotest.fail "expected the user assertion to stop the search"
 
+(* The chain structures with two cooperative workers: both fibers share one
+   domain, so a node allocated through a heap handle routed by domain
+   would have both contend for one arena lock, and a fiber suspended at a
+   store inside the allocator would still hold it when the other one
+   allocates.  The op binders allocate from the worker's own arena. *)
+let test_chain_structures_two_workers () =
+  List.iter
+    (fun kind ->
+      let rng = Random.State.make [| 1 |] in
+      let workload = Workload.generate kind ~rng ~n_ops:4 ~workers:2 in
+      ignore (certified_exn (Workload.kind_to_string kind) (explore workload)))
+    [ Workload.Rstack; Workload.Rqueue; Workload.Rmap ]
+
 (* Eager/coalesced equivalence: the two-phase check must certify the
    correct counter on a cached device (the one workload where coalescing
    actually defers write-backs), and it must demonstrably FIRE when the
@@ -394,6 +407,8 @@ let () =
             test_reproducer_round_trips_and_replays;
           Alcotest.test_case "user check at terminal states" `Quick
             test_user_check_runs_at_terminal_states;
+          Alcotest.test_case "chain structures certified with 2 workers"
+            `Quick test_chain_structures_two_workers;
         ] );
       ( "props",
         [

@@ -323,9 +323,18 @@ let stack_crash_test =
 
 type q_op = Enq of int | Deq
 
-let q_op_gen =
+(* Stored values: small ones, plus both ends of the [int] range. *)
+let value_gen =
   QCheck2.Gen.(
-    frequency [ (3, map (fun v -> Enq (v land 0xFFFF)) nat); (2, pure Deq) ])
+    frequency
+      [
+        (8, map (fun v -> v land 0xFFFF) nat);
+        (1, pure min_int);
+        (1, pure max_int);
+      ])
+
+let q_op_gen =
+  QCheck2.Gen.(frequency [ (3, map (fun v -> Enq v) value_gen); (2, pure Deq) ])
 
 let queue_model_property ops =
   let pmem = Pmem.create ~auto_flush:true ~size:(1 lsl 20) () in
@@ -356,7 +365,7 @@ let m_op_gen =
     let key = map (fun k -> k land 15) nat in
     frequency
       [
-        (3, map2 (fun k v -> MPut (k, v land 0xFFFF)) key nat);
+        (3, map2 (fun k v -> MPut (k, v)) key value_gen);
         (2, map (fun k -> MRemove k) key);
         (2, map (fun k -> MFind k) key);
       ])
@@ -390,6 +399,19 @@ let map_model_test =
 
 (* ------------------------------------------------------------------ *)
 (* Codec roundtrips                                                    *)
+
+let value_option_answer_roundtrip =
+  QCheck2.Test.make ~count:300 ~name:"value: option answers roundtrip"
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, pure None);
+          (1, pure (Some min_int));
+          (1, pure (Some max_int));
+          (5, map Option.some int);
+        ])
+    (fun v ->
+      Runtime.Value.(int_option_of_answer (answer_of_int_option v)) = v)
 
 let value_ints_roundtrip =
   QCheck2.Test.make ~count:300 ~name:"value: ints roundtrip"
@@ -452,6 +474,12 @@ let () =
             sequential_always_serializable;
           ] );
       ( "codecs",
-        to_alcotest [ value_ints_roundtrip; frame_roundtrip; rcas_pack_roundtrip ]
+        to_alcotest
+          [
+            value_ints_roundtrip;
+            value_option_answer_roundtrip;
+            frame_roundtrip;
+            rcas_pack_roundtrip;
+          ]
       );
     ]

@@ -7,6 +7,7 @@ module Crash = Nvram.Crash
 module Heap = Nvheap.Heap
 module R = Runtime
 module Rqueue = Recoverable.Rqueue
+module Chain = Recoverable.Chain
 module Queue_op = Recoverable.Queue_op
 module Bregister = Recoverable.Bregister
 
@@ -47,8 +48,8 @@ let test_survives_reattach () =
   Alcotest.(check (option int)) "continues" (Some 20) (Rqueue.dequeue q' ~pid:1)
 
 let test_link_evidence () =
-  let _, _, q = fresh_queue () in
-  let node = Rqueue.alloc_node q 7 in
+  let _, heap, q = fresh_queue () in
+  let node = Chain.alloc_node (Rqueue.chain q) ~heap [ 7 ] in
   Alcotest.(check bool) "not linked before" false (Rqueue.is_linked q ~node);
   Rqueue.link q ~node;
   Alcotest.(check bool) "linked after" true (Rqueue.is_linked q ~node);
@@ -56,14 +57,14 @@ let test_link_evidence () =
   Rqueue.link_recover q ~node;
   Alcotest.(check (list int)) "no duplicate" [ 7 ] (Rqueue.to_list q);
   (* recovery of an interrupted link completes it *)
-  let node2 = Rqueue.alloc_node q 8 in
+  let node2 = Chain.alloc_node (Rqueue.chain q) ~heap [ 8 ] in
   Rqueue.link_recover q ~node:node2;
   Alcotest.(check (list int)) "completed" [ 7; 8 ] (Rqueue.to_list q)
 
 let test_take_evidence () =
   let _, _, q = fresh_queue () in
   List.iter (Rqueue.enqueue q) [ 5; 6 ];
-  let seq = Rqueue.bump q ~pid:0 in
+  let seq = Chain.bump (Rqueue.chain q) ~pid:0 in
   Alcotest.(check (option int)) "take" (Some 5) (Rqueue.take q ~pid:0 ~seq);
   (* re-running the recovery returns the same claim, not a new node *)
   Alcotest.(check (option int)) "recover finds claim" (Some 5)
@@ -72,7 +73,7 @@ let test_take_evidence () =
     (Rqueue.take_recover q ~pid:0 ~seq);
   Alcotest.(check (list int)) "6 still queued" [ 6 ] (Rqueue.to_list q);
   (* an attempt that never ran re-executes *)
-  let seq2 = Rqueue.bump q ~pid:0 in
+  let seq2 = Chain.bump (Rqueue.chain q) ~pid:0 in
   Alcotest.(check (option int)) "fresh recover executes" (Some 6)
     (Rqueue.take_recover q ~pid:0 ~seq:seq2)
 
@@ -332,13 +333,13 @@ let test_stack_lifo () =
 
 let test_stack_evidence () =
   let pmem, heap, s = fresh_stack () in
-  let node = Rstack.alloc_node s 9 in
+  let node = Chain.alloc_node (Rstack.chain s) ~heap [ 9 ] in
   Alcotest.(check bool) "not linked" false (Rstack.is_linked s ~node);
   Rstack.link_recover s ~node;
   Alcotest.(check bool) "linked" true (Rstack.is_linked s ~node);
   Rstack.link_recover s ~node;
   Alcotest.(check (list int)) "no duplicate" [ 9 ] (Rstack.to_list s);
-  let seq = Rstack.bump s ~pid:2 in
+  let seq = Chain.bump (Rstack.chain s) ~pid:2 in
   Alcotest.(check (option int)) "take" (Some 9) (Rstack.take s ~pid:2 ~seq);
   Alcotest.(check (option int)) "recover finds claim" (Some 9)
     (Rstack.take_recover s ~pid:2 ~seq);

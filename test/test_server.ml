@@ -181,6 +181,41 @@ let unknown_client_refused () =
             (Client.call c Wire.Ping);
           Client.close c))
 
+(* [min_int] is an ordinary value.  A put and an enqueue of it are stored
+   and read back; the enqueue of it is the last request before a kill -9,
+   and the restart recovers it and reads both back again. *)
+let min_int_values_survive_kill () =
+  with_image (fun ~image ~sock ->
+      let s = ok_server (Harness.start_server ~image ~sock ()) in
+      Fun.protect
+        ~finally:(fun () -> Harness.kill_server s.Harness.pid)
+        (fun () ->
+          let c = Client.connect ~addr:s.Harness.sockaddr ~client:0 in
+          Alcotest.check result_t "put" Wire.Done
+            (Client.call c (Wire.Put (1, min_int)));
+          Alcotest.check result_t "enqueue" Wire.Done
+            (Client.call c (Wire.Enqueue min_int));
+          Alcotest.check result_t "get" (Wire.Value min_int)
+            (Client.call c (Wire.Get 1));
+          Alcotest.check result_t "dequeue" (Wire.Value min_int)
+            (Client.call c Wire.Dequeue);
+          Alcotest.check result_t "enqueue again" Wire.Done
+            (Client.call c (Wire.Enqueue min_int));
+          Client.close c);
+      let s2 = ok_server (Harness.start_server ~image ~sock ()) in
+      Fun.protect
+        ~finally:(fun () -> ignore (Harness.stop_server s2.Harness.pid))
+        (fun () ->
+          let c2 = Client.connect ~addr:s2.Harness.sockaddr ~client:0 in
+          Client.sync_seq c2;
+          Alcotest.check result_t "get after restart" (Wire.Value min_int)
+            (Client.call c2 (Wire.Get 1));
+          Alcotest.check result_t "dequeue after restart" (Wire.Value min_int)
+            (Client.call c2 Wire.Dequeue);
+          Alcotest.check result_t "queue drained" Wire.Nothing
+            (Client.call c2 Wire.Dequeue);
+          Client.close c2))
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let flip_bit path off =
@@ -386,6 +421,8 @@ let () =
           Alcotest.test_case "graceful stop persists" `Slow
             graceful_stop_persists;
           Alcotest.test_case "dedup retry protocol" `Slow dedup_protocol;
+          Alcotest.test_case "min_int values survive kill -9" `Slow
+            min_int_values_survive_kill;
           Alcotest.test_case "unknown client refused" `Slow
             unknown_client_refused;
           Alcotest.test_case "damaged superblock refused" `Slow
