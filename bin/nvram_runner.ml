@@ -164,8 +164,10 @@ let verify_image w =
   end
 
 (* The kill loop.  Spawns [worker] children against the same image and
-   SIGKILLs each at a random moment until one exits cleanly. *)
-let run_parent w ~max_kills ~min_delay ~max_delay =
+   SIGKILLs each at a random moment until one exits cleanly.  A run whose
+   worker completes before [min_kills] kills landed fails: it tested no
+   recovery. *)
+let run_parent ?(min_kills = 0) w ~max_kills ~min_delay ~max_delay =
   let rng = Random.State.make [| w.seed; 0xDEAD |] in
   let spawn () =
     let args =
@@ -210,7 +212,11 @@ let run_parent w ~max_kills ~min_delay ~max_delay =
           end
       | _, Unix.WEXITED 0 ->
           Printf.printf "worker completed after %d kill(s)\n%!" kills;
-          verify_image w
+          if kills < min_kills then begin
+            print_endline "too few kills landed: no recovery was exercised";
+            1
+          end
+          else verify_image w
       | _, Unix.WEXITED code ->
           Printf.printf "worker failed with exit code %d\n%!" code;
           1
@@ -240,14 +246,14 @@ let variant_of_string = function
   | "buggy" -> Rcas.Buggy
   | _ -> failwith "impl must be correct | buggy"
 
-let workload_term =
+let workload_term ?(ops = 48) () =
   let image =
     Arg.(
       value
       & opt string "/tmp/nvram_runner.img"
       & info [ "image" ] ~docv:"PATH" ~doc:"Persistent image file.")
   in
-  let ops = Arg.(value & opt int 48 & info [ "ops" ] ~docv:"N") in
+  let ops = Arg.(value & opt int ops & info [ "ops" ] ~docv:"N") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
   let range = Arg.(value & opt string "narrow" & info [ "range" ] ~docv:"RANGE") in
   let impl = Arg.(value & opt string "correct" & info [ "impl" ] ~docv:"IMPL") in
@@ -273,11 +279,11 @@ let workload_term =
 
 let worker_cmd =
   Cmd.v (Cmd.info "worker" ~doc:"Run one system process against the image.")
-    Term.(const (fun w -> Stdlib.exit (run_worker w)) $ workload_term)
+    Term.(const (fun w -> Stdlib.exit (run_worker w)) $ workload_term ())
 
 let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"Verify a completed image for serializability.")
-    Term.(const (fun w -> Stdlib.exit (verify_image w)) $ workload_term)
+    Term.(const (fun w -> Stdlib.exit (verify_image w)) $ workload_term ())
 
 let parent_cmd =
   let max_kills =
@@ -296,7 +302,7 @@ let parent_cmd =
   Cmd.v
     (Cmd.info "parent"
        ~doc:"Spawn workers against a fresh image, killing them at random.")
-    Term.(const run $ workload_term $ max_kills $ min_delay $ max_delay)
+    Term.(const run $ workload_term () $ max_kills $ min_delay $ max_delay)
 
 let selftest_cmd =
   let run w =
@@ -304,15 +310,19 @@ let selftest_cmd =
     Sys.remove w.image;
     Printf.printf "selftest: image=%s ops=%d workers=%d\n%!" w.image w.ops
       w.workers;
-    let code = run_parent w ~max_kills:20 ~min_delay:0.1 ~max_delay:0.4 in
+    let code =
+      run_parent ~min_kills:1 w ~max_kills:20 ~min_delay:0.1 ~max_delay:0.4
+    in
     (try Sys.remove w.image with Sys_error _ -> ());
     if code = 0 then print_endline "selftest: OK";
     exit code
   in
+  (* 500 ops outlast the first kill delay many times over, so kills land
+     mid-run; the run fails if none did. *)
   Cmd.v
     (Cmd.info "selftest"
        ~doc:"End-to-end kill-based run on a temporary image (experiment E4).")
-    Term.(const run $ workload_term)
+    Term.(const run $ workload_term ~ops:500 ())
 
 let () =
   let doc = "Execute NVRAM CAS workloads with kill-based crash emulation." in

@@ -1,16 +1,24 @@
-type storage =
-  | Memory
-  | File of { fd : Unix.file_descr; sync : bool; persist_delay : float }
+open Bigarray
 
-type t = { data : bytes; storage : storage; io_mu : Mutex.t }
-(* [io_mu] serialises the lseek+write pairs of the file backend: worker
-   domains persist disjoint cache lines in parallel on the striped device,
-   and the shared file descriptor's position is process-global state. *)
+type image = (char, int8_unsigned_elt, c_layout) Array1.t
+
+type t = { data : image; fd : Unix.file_descr option; persist_delay : float }
+(* One storage path for both backends: [data] is an anonymous Bigarray for
+   the memory backend and a shared mapping of the image file for the file
+   backend, so a persist is a run of stores either way.  Worker domains
+   persist disjoint cache lines in parallel; nothing here needs a lock. *)
+
+external image_get64 : image -> int -> int64 = "%caml_bigstring_get64u"
+external image_set64 : image -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let memory ~size =
-  { data = Bytes.make size '\000'; storage = Memory; io_mu = Mutex.create () }
+  let data = Array1.create char c_layout size in
+  Array1.fill data '\000';
+  { data; fd = None; persist_delay = 0. }
 
-let file ?(sync = false) ?(persist_delay = 0.) ~path ~size () =
+let file ?(persist_delay = 0.) ~path ~size () =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let existing = (Unix.fstat fd).Unix.st_size in
   if existing <> 0 && existing <> size then begin
@@ -19,19 +27,14 @@ let file ?(sync = false) ?(persist_delay = 0.) ~path ~size () =
       (Printf.sprintf "Backend.file: %s has size %d, expected %d" path
          existing size)
   end;
-  if existing = 0 then Unix.ftruncate fd size;
-  let data = Bytes.make size '\000' in
-  let rec read_all pos =
-    if pos < size then begin
-      let n = Unix.read fd data pos (size - pos) in
-      if n > 0 then read_all (pos + n)
-    end
-  in
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  read_all 0;
-  { data; storage = File { fd; sync; persist_delay }; io_mu = Mutex.create () }
+  (* A shared mapping grows an empty file to [size] zero bytes. *)
+  match Unix.map_file fd char c_layout true [| size |] with
+  | data -> { data = array1_of_genarray data; fd = Some fd; persist_delay }
+  | exception e ->
+      Unix.close fd;
+      raise e
 
-let size t = Bytes.length t.data
+let size t = Array1.dim t.data
 
 let check_range t off len =
   if off < 0 || len < 0 || off + len > size t then
@@ -39,50 +42,61 @@ let check_range t off len =
       (Printf.sprintf "Backend: range [%d, %d) outside image of size %d" off
          (off + len) (size t))
 
-let read t ~off ~len =
-  check_range t off len;
-  Bytes.sub t.data off len
+let check_bytes name b off len =
+  if off < 0 || off + len > Bytes.length b then
+    invalid_arg (Printf.sprintf "Backend.%s: buffer range out of bounds" name)
+
+(* Both copies split the range at image offsets: single bytes up to the
+   first 8-byte boundary, aligned 8-byte words in ascending order, then a
+   byte tail.  The image starts 8-byte aligned (a page-aligned mapping or
+   a fresh allocation), so [off land 7 = 0] is real alignment and each
+   word store is atomic.  Neither loop allocates. *)
+let head_len off len = min len ((8 - (off land 7)) land 7)
 
 let blit_to t ~off ~dst ~dst_off ~len =
   check_range t off len;
-  Bytes.blit t.data off dst dst_off len
+  check_bytes "blit_to" dst dst_off len;
+  let head = head_len off len in
+  let words = (len - head) lsr 3 in
+  for i = 0 to head - 1 do
+    Bytes.unsafe_set dst (dst_off + i) (Array1.unsafe_get t.data (off + i))
+  done;
+  for w = 0 to words - 1 do
+    let i = head + (w lsl 3) in
+    bytes_set64 dst (dst_off + i) (image_get64 t.data (off + i))
+  done;
+  for i = head + (words lsl 3) to len - 1 do
+    Bytes.unsafe_set dst (dst_off + i) (Array1.unsafe_get t.data (off + i))
+  done
 
-let write_through fd ~sync ~off ~data ~len =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let rec write_all pos =
-    if pos < len then begin
-      let n = Unix.write fd data (off + pos) (len - pos) in
-      write_all (pos + n)
-    end
-  in
-  write_all 0;
-  if sync then Unix.fsync fd
+let read t ~off ~len =
+  check_range t off len;
+  let dst = Bytes.create len in
+  blit_to t ~off ~dst ~dst_off:0 ~len;
+  dst
 
 let persist t ~off ~src ~src_off ~len =
   check_range t off len;
-  Bytes.blit src src_off t.data off len;
-  match t.storage with
-  | Memory -> ()
-  | File { fd; sync; persist_delay } ->
-      (* The latency models per-persist device time, so it is paid outside
-         the descriptor lock: persists of disjoint lines overlap their
-         waits, only the write-through itself is serialised. *)
-      if persist_delay > 0. then Unix.sleepf persist_delay;
-      Mutex.protect t.io_mu (fun () ->
-          write_through fd ~sync ~off ~data:t.data ~len)
+  check_bytes "persist" src src_off len;
+  if t.persist_delay > 0. then Unix.sleepf t.persist_delay;
+  let head = head_len off len in
+  let words = (len - head) lsr 3 in
+  for i = 0 to head - 1 do
+    Array1.unsafe_set t.data (off + i) (Bytes.unsafe_get src (src_off + i))
+  done;
+  for w = 0 to words - 1 do
+    let i = head + (w lsl 3) in
+    image_set64 t.data (off + i) (bytes_get64 src (src_off + i))
+  done;
+  for i = head + (words lsl 3) to len - 1 do
+    Array1.unsafe_set t.data (off + i) (Bytes.unsafe_get src (src_off + i))
+  done
 
 let flip_bit t ~off ~bit =
   check_range t off 1;
   if bit < 0 || bit > 7 then invalid_arg "Backend.flip_bit: bit out of range";
-  let v = Char.code (Bytes.get t.data off) lxor (1 lsl bit) in
-  Bytes.set t.data off (Char.chr v);
-  match t.storage with
-  | Memory -> ()
-  | File { fd; sync; _ } ->
-      Mutex.protect t.io_mu (fun () ->
-          write_through fd ~sync ~off ~data:t.data ~len:1)
+  let v = Char.code (Array1.unsafe_get t.data off) lxor (1 lsl bit) in
+  Array1.unsafe_set t.data off (Char.unsafe_chr v)
 
-let close t =
-  match t.storage with Memory -> () | File { fd; _ } -> Unix.close fd
-
-let is_file t = match t.storage with Memory -> false | File _ -> true
+let close t = Option.iter Unix.close t.fd
+let is_file t = Option.is_some t.fd

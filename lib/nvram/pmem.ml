@@ -84,7 +84,7 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
   in
   if Backend.size backend <> size then
     invalid_arg "Pmem.create: backend size mismatch";
-  let volatile = Bytes.make size '\000' in
+  let volatile = Bytes.create size in
   Backend.blit_to backend ~off:0 ~dst:volatile ~dst_off:0 ~len:size;
   let lines = (size + line_size - 1) / line_size in
   let crash_rng =

@@ -227,7 +227,7 @@ val arm_faults : ?targets:(int * int) array -> t -> Crash.fault_plan -> unit
     - [fplan.bitflip] counts {e restarts}: when the plan fires on the
       [n]-th {!restart}, 1–3 seeded bits flip inside [targets] (an array
       of [(offset, length)] regions; empty or omitted = the whole
-      device) — bit rot at rest, applied write-through to the persistent
+      device) — bit rot at rest, applied straight to the persistent
       image.
 
     @raise Invalid_argument if a target region lies outside the device. *)

@@ -299,6 +299,92 @@ let test_file_backend_size_check () =
            (Printf.sprintf "Backend.file: %s has size 1024, expected 2048" path))
         (fun () -> ignore (Backend.file ~path ~size:2048 ())))
 
+(* Persists and reads split a range into a byte head, 8-byte words and a
+   byte tail; every split of every alignment must copy exactly the range. *)
+let test_backend_copy_splits () =
+  let size = 64 in
+  let b = Backend.memory ~size in
+  let model = Bytes.make size '\000' in
+  let fill = ref 0 in
+  for off = 0 to 15 do
+    for len = 0 to 40 do
+      let src =
+        Bytes.init (len + 3) (fun _ ->
+            incr fill;
+            Char.chr (!fill land 255))
+      in
+      Backend.persist b ~off ~src ~src_off:3 ~len;
+      Bytes.blit src 3 model off len;
+      Alcotest.(check bytes)
+        (Printf.sprintf "image after persist off=%d len=%d" off len)
+        model (Backend.read b ~off:0 ~len:size);
+      Alcotest.(check bytes)
+        (Printf.sprintf "read off=%d len=%d" off len)
+        (Bytes.sub model off len) (Backend.read b ~off ~len)
+    done
+  done
+
+(* A second backend on the same path shares the first one's mapping: a
+   flushed line is in the image at once, an unflushed write is not.  That
+   is what keeps a [kill -9] durable — the page cache holds every persist
+   and nothing else. *)
+let test_file_backend_shared () =
+  with_temp_file (fun path ->
+      let size = 4096 in
+      let backend = Backend.file ~path ~size () in
+      let p = Pmem.create ~backend ~size () in
+      let other = Backend.file ~path ~size () in
+      Pmem.write_int p (off 0) 123;
+      Pmem.flush p ~off:(off 0) ~len:8;
+      Pmem.write_int p (off 64) 456 (* never flushed *);
+      let word off = Bytes.get_int64_le (Backend.read other ~off ~len:8) 0 in
+      Alcotest.(check int64) "flushed line visible" 123L (word 0);
+      Alcotest.(check int64) "unflushed write invisible" 0L (word 64);
+      Backend.close other;
+      Backend.close backend)
+
+let test_file_backend_flip_bit () =
+  with_temp_file (fun path ->
+      let backend = Backend.file ~path ~size:1024 () in
+      Backend.flip_bit backend ~off:100 ~bit:3;
+      Backend.close backend;
+      let backend = Backend.file ~path ~size:1024 () in
+      Alcotest.(check int) "flipped bit in the image" 8
+        (Char.code (Bytes.get (Backend.read backend ~off:100 ~len:1) 0));
+      Backend.close backend)
+
+(* The [syscw] line of /proc/self/io: write system calls this process has
+   made, or [None] where the file cannot be read. *)
+let syscw () =
+  match In_channel.with_open_text "/proc/self/io" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+      String.split_on_char '\n' text
+      |> List.find_map (fun line ->
+             Scanf.sscanf_opt line "syscw: %d" Fun.id)
+
+(* A persist to the file backend is a store into the mapping, not a write
+   system call: 1,000 flushes of distinct lines make no [write] at all. *)
+let test_file_backend_persist_no_syscall () =
+  with_temp_file (fun path ->
+      let n = 1000 in
+      let size = n * 64 in
+      let backend = Backend.file ~path ~size () in
+      let p = Pmem.create ~backend ~size () in
+      match syscw () with
+      | None ->
+          Backend.close backend;
+          Alcotest.skip ()
+      | Some before ->
+          for i = 0 to n - 1 do
+            Pmem.write_int p (off (i * 64)) i;
+            Pmem.flush p ~off:(off (i * 64)) ~len:8
+          done;
+          let after = Option.get (syscw ()) in
+          Backend.close backend;
+          Alcotest.(check int) "write syscalls for 1000 persists" 0
+            (after - before))
+
 (* A crash that fires the armed tear plan mangles exactly the interrupted
    line: a prefix of the in-flight bytes persists, at most 8 following
    bytes are shredded, the rest keep their old durable content — and the
@@ -417,6 +503,12 @@ let () =
           Alcotest.test_case "persistence across reopen" `Quick
             test_file_backend_persistence;
           Alcotest.test_case "size check" `Quick test_file_backend_size_check;
+          Alcotest.test_case "copy splits" `Quick test_backend_copy_splits;
+          Alcotest.test_case "shared mapping" `Quick test_file_backend_shared;
+          Alcotest.test_case "flip_bit reaches the file" `Quick
+            test_file_backend_flip_bit;
+          Alcotest.test_case "persist makes no syscall" `Quick
+            test_file_backend_persist_no_syscall;
         ] );
       ( "media faults",
         [
