@@ -272,8 +272,7 @@ let b8_tests = [ rqueue_test; bregister_test; rmap_test ]
 (* The rows below measure what the striped Pmem lock actually buys: [n]
    worker domains hammer one shared device at disjoint cache-line ranges,
    so with per-line striping they should scale with cores, while the old
-   single-mutex device serialised them.  (Re-run with
-   [Pmem.create ~stripes:1] to reproduce the serialised baseline.) *)
+   single-mutex device serialised them. *)
 
 type scale_row = {
   bench : string;

@@ -60,8 +60,8 @@ let repair =
     value & flag
     & info [ "repair" ]
         ~doc:"With $(b,--scrub): also repair what the recovery paths know \
-              how to repair (rebuild free lists, truncate torn stack \
-              tails), writing the result back to the image.")
+              how to repair (rewrite rotten heap arena headers, \
+              truncate torn stack tails), writing the result back to the image.")
 
 let cmd =
   Cmd.v

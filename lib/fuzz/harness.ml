@@ -660,7 +660,7 @@ let run_once ?spawn ?(device_size = default_device_size)
     }
   in
   (* Every restart re-checks the heap's structural invariants (block
-     tiling, acyclic free lists, free-list containment within each arena)
+     tiling, and a free index naming only blocks the tiling holds free)
      before the workload resumes — a crash schedule that corrupts the
      sharded allocator fails here even if the structure's own answers
      happen to stay consistent. *)

@@ -68,7 +68,7 @@ type outcome = {
           reachable under eager and coalesced flushing. *)
   recovery : Runtime.Recovery_report.t;
       (** Aggregate of every media repair performed across the run's
-          recoveries (truncated stack tails, rebuilt free lists,
+          recoveries (truncated stack tails, rewritten arena headers,
           quarantined arenas); {!Runtime.Recovery_report.empty} when the
           run died before the driver reported. *)
 }

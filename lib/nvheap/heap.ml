@@ -7,7 +7,7 @@ exception Out_of_heap_memory of { requested : int; largest_free : int }
 (* Persistent layout: a superblock fanning out to per-domain arenas.
 
    superblock (at [base], [superblock_size] bytes):
-     +0  magic "NVHEAP03"
+     +0  magic "NVHEAP04"
      +8  total region length (superblock + all arenas)
      +16 arena count
      +24 FNV-64 checksum of the three fields above
@@ -17,37 +17,40 @@ exception Out_of_heap_memory of { requested : int; largest_free : int }
    [base + superblock_size, base + len) exactly):
      +0  arena magic "NVHEAP01"
      +8  arena region length (header + blocks)
-     +16 free-list head (absolute device offset of a block header; 0 = none)
-     +24 FNV-64 checksum of the magic and the length (NOT the head: the
-         head is the commit word of alloc/free and must stay 8-byte
-         atomic; a rotten head is caught structurally by the budgeted
-         free-list walk instead)
+     +16 reserved (unused)
+     +24 FNV-64 checksum of the magic and the length
 
    block (16-byte header + payload):
      +0  size_tag: bits 0..47 hold the whole block size in bytes (multiple
          of 16) with bit 0 set iff the block is allocated; bits 48..62
          hold a 15-bit integrity code of the low half, so a rotted or torn
          tag is detected instead of walking the heap off a cliff
-     +8  next free block (meaningful only while the block is free)
+     +8  reserved (unused)
 
    Blocks tile [abase + header_size, abase + alen) exactly within each
    arena; every mutation preserves the tiling and commits with a single
-   8-byte flush.  Formatting commits with the superblock flush, written
+   8-byte tag flush.  Formatting commits with the superblock flush, written
    after every arena header: a crash mid-format leaves a region that fails
    the magic test rather than a half-split heap.
 
-   Media faults degrade, not crash: a corrupt free-list entry triggers an
-   in-place rebuild of that arena's list from the (checksummed) block
-   tiling; a corrupt block tag makes the tiling itself unwalkable, so the
-   arena is quarantined — allocation routes around it, frees into it are
-   dropped (the block leaks, bounded by the arena size), and aggregate
-   scans skip it. *)
+   The tiling is the allocator's only persistent record.  Which blocks are
+   free is also kept in a volatile per-arena index, built from the tiling
+   ([index_arena]) at format and recovery and lazily for an
+   [open_existing] heap.  The index only ever holds blocks the tiling says
+   are free: [alloc] takes a block out before its commit write and [free]
+   puts one in after its commit flush, so an operation cut short leaks at
+   most one block until the next [recover] and never hands one out twice.
+
+   Media faults degrade, not crash: a corrupt block tag makes the tiling
+   unwalkable, so the arena is quarantined — allocation routes around it,
+   frees into it are dropped (the block leaks, bounded by the arena size),
+   and aggregate scans skip it. *)
 
 let superblock_size = 64
 let header_size = 32
 let block_header_size = 16
 let min_block = 32
-let magic = 0x4E56484541503033L (* "NVHEAP03" *)
+let magic = 0x4E56484541503034L (* "NVHEAP04" *)
 let arena_magic = 0x4E56484541503031L (* "NVHEAP01" *)
 
 (* 15-bit integrity code of a 48-bit tag payload, stored in the tag's high
@@ -79,13 +82,10 @@ let note_quarantined () =
   Obs.Counters.incr Obs.Probe.counters Faults_quarantined
 
 type repair =
-  | Rebuilt_free_list of { arena : int; reason : string }
   | Repaired_arena_header of { arena : int }
   | Quarantined_arena of { arena : int; reason : string }
 
 let pp_repair fmt = function
-  | Rebuilt_free_list { arena; reason } ->
-      Format.fprintf fmt "arena %d: free list rebuilt (%s)" arena reason
   | Repaired_arena_header { arena } ->
       Format.fprintf fmt "arena %d: header rewritten from geometry" arena
   | Quarantined_arena { arena; reason } ->
@@ -95,18 +95,21 @@ type arena = {
   abase : Offset.t;
   alen : int;
   mu : Mutex.t;
-  (* Scratch result slots for the allocator's best-fit scan, guarded by
-     [mu].  Plain [int] fields instead of a returned tuple (and a
-     top-level scan instead of a local closure) keep [alloc] free of
-     minor-heap allocations — minor collections stop the world across
-     all domains. *)
-  mutable best_prev : int;
-  mutable best_block : int;
-  mutable best_size : int;
+  (* Volatile index of the arena's free blocks, guarded by [mu]: entry [k]
+     for [k < nfree] is the block at [free_off.(k)], [free_size.(k)] bytes
+     long.  Unordered (removal swaps the last entry in); plain [int] arrays
+     with amortised growth keep [alloc] and [free] free of minor-heap
+     allocations — minor collections stop the world across all domains. *)
+  mutable free_off : int array;
+  mutable free_size : int array;
+  mutable nfree : int;
+  (* [false] until [index_arena] has run: an [open_existing] heap builds
+     its index on the first allocation, so attaching stays write- and
+     walk-free. *)
+  mutable indexed : bool;
   (* Set (under [mu]) when the arena's block tiling is unwalkable — a tag
-     failed its checksum and the rebuild scan could not get past it.
-     Allocation, free and every aggregate scan route around a quarantined
-     arena. *)
+     failed its checksum.  Allocation, free and every aggregate scan route
+     around a quarantined arena. *)
   mutable quarantined : bool;
 }
 
@@ -142,48 +145,32 @@ let arena_layout ~base ~len ~arenas =
       abase;
       alen;
       mu = Mutex.create ();
-      best_prev = 0;
-      best_block = 0;
-      best_size = 0;
+      free_off = [||];
+      free_size = [||];
+      nfree = 0;
+      indexed = false;
       quarantined = false;
     }
   in
   (stride, Array.init arenas mk)
 
-(* Per-arena field accessors; all offsets handled as plain ints internally. *)
-let head_off a = Offset.add a.abase 16
 let first_block a = Offset.add a.abase header_size
 let arena_end a = Offset.add a.abase a.alen
-
-let read_head t a = Pmem.read_int t.pmem (head_off a)
-
-let write_head t a v =
-  Pmem.write_int t.pmem (head_off a) v;
-  Pmem.flush t.pmem ~off:(head_off a) ~len:8
-
-let size_tag_off block = block
-let next_off block = Offset.add block 8
 let payload_of_block block = Offset.add block block_header_size
 let block_of_payload payload = Offset.add payload (-block_header_size)
 
-let read_size_tag t block = Pmem.read_int t.pmem (size_tag_off block)
+let read_size_tag t block = Pmem.read_int t.pmem block
 
 (* [v] is the 48-bit payload (size | allocated bit); the integrity code is
    stamped here so no caller can write an uncoded tag. *)
 let write_size_tag t block v =
-  Pmem.write_int t.pmem (size_tag_off block) (mk_tag v);
-  Pmem.flush t.pmem ~off:(size_tag_off block) ~len:8
-
-let read_next t block = Pmem.read_int t.pmem (next_off block)
-
-let write_next t block v =
-  Pmem.write_int t.pmem (next_off block) v;
-  Pmem.flush t.pmem ~off:(next_off block) ~len:8
+  Pmem.write_int t.pmem block (mk_tag v);
+  Pmem.flush t.pmem ~off:block ~len:8
 
 let block_size tag = tag land tag_payload_mask land lnot 1
 let is_allocated tag = tag land 1 = 1
 
-let check_block t a block tag =
+let check_block a block tag =
   let size = block_size tag in
   let off = Offset.to_int block in
   if not (tag_ok tag) then begin
@@ -201,8 +188,55 @@ let check_block t a block tag =
     invalid_arg
       (Printf.sprintf "Nvheap.Heap: corrupt block header at %d (size %d)" off
          size)
+  end
+
+(* Index maintenance; caller holds [a.mu] (or is single-threaded). *)
+let index_add a block size =
+  if a.nfree = Array.length a.free_off then begin
+    let grow arr =
+      let bigger = Array.make (max 16 (2 * a.nfree)) 0 in
+      Array.blit arr 0 bigger 0 a.nfree;
+      bigger
+    in
+    a.free_off <- grow a.free_off;
+    a.free_size <- grow a.free_size
   end;
-  ignore t
+  a.free_off.(a.nfree) <- block;
+  a.free_size.(a.nfree) <- size;
+  a.nfree <- a.nfree + 1
+
+let index_remove a k =
+  let last = a.nfree - 1 in
+  a.free_off.(k) <- a.free_off.(last);
+  a.free_size.(k) <- a.free_size.(last);
+  a.nfree <- last
+
+(* Walk one arena's block tiling in address order. *)
+let fold_arena_blocks t a f acc =
+  let stop = Offset.to_int (arena_end a) in
+  let rec go block acc =
+    if Offset.to_int block >= stop then acc
+    else begin
+      let tag = read_size_tag t block in
+      check_block a block tag;
+      let acc =
+        f acc ~block ~size:(block_size tag) ~allocated:(is_allocated tag)
+      in
+      go (Offset.add block (block_size tag)) acc
+    end
+  in
+  go (first_block a) acc
+
+(* Build one arena's free index from its block tiling.  Raises
+   [Invalid_argument] if the tiling is corrupt; callers then quarantine.
+   Caller holds [a.mu] (or is single-threaded). *)
+let index_arena t a =
+  a.nfree <- 0;
+  fold_arena_blocks t a
+    (fun () ~block ~size ~allocated ->
+      if not allocated then index_add a (Offset.to_int block) size)
+    ();
+  a.indexed <- true
 
 let format ?(arenas = 1) pmem ~base ~len =
   if arenas < 1 then invalid_arg "Heap.format: arena count must be >= 1";
@@ -221,21 +255,20 @@ let format ?(arenas = 1) pmem ~base ~len =
   let write_arena_header a =
     Pmem.write_int64 pmem a.abase arena_magic;
     Pmem.write_int pmem (Offset.add a.abase 8) a.alen;
-    Pmem.write_int pmem (head_off a) (Offset.to_int (first_block a));
     Pmem.write_int64 pmem (Offset.add a.abase 24) (arena_crc ~alen:a.alen);
     Pmem.flush pmem ~off:a.abase ~len:header_size
   in
   Array.iter
     (fun a ->
       write_arena_header a;
-      write_size_tag t (first_block a) (a.alen - header_size);
-      write_next t (first_block a) 0)
+      write_size_tag t (first_block a) (a.alen - header_size))
     arena_arr;
   Pmem.write_int64 pmem base magic;
   Pmem.write_int pmem (Offset.add base 8) len;
   Pmem.write_int pmem (Offset.add base 16) arenas;
   Pmem.write_int64 pmem (Offset.add base 24) (superblock_crc ~len ~arenas);
   Pmem.flush pmem ~off:base ~len:superblock_size;
+  Array.iter (index_arena t) arena_arr;
   t
 
 let arena_header_ok pmem a =
@@ -247,12 +280,10 @@ let arena_header_ok pmem a =
           (arena_crc ~alen:a.alen))
 
 (* An arena header is entirely a function of the (checksummed) superblock
-   geometry except for the free-list head, which [recover]'s pass 2 rewrites
-   anyway — so a rotten header is repairable in place, not fatal. *)
+   geometry, so a rotten header is repairable in place, not fatal. *)
 let repair_arena_header pmem a =
   Pmem.write_int64 pmem a.abase arena_magic;
   Pmem.write_int pmem (Offset.add a.abase 8) a.alen;
-  Pmem.write_int pmem (head_off a) 0;
   Pmem.write_int64 pmem (Offset.add a.abase 24) (arena_crc ~alen:a.alen);
   Pmem.flush pmem ~off:a.abase ~len:header_size
 
@@ -294,22 +325,6 @@ let attach_internal ?(repair_headers = false) ?(report = ignore) pmem ~base =
 let attach pmem ~base = attach_internal pmem ~base
 let open_existing pmem ~base = attach pmem ~base
 
-(* Walk one arena's block tiling in address order. *)
-let fold_arena_blocks t a f acc =
-  let stop = Offset.to_int (arena_end a) in
-  let rec go block acc =
-    if Offset.to_int block >= stop then acc
-    else begin
-      let tag = read_size_tag t block in
-      check_block t a block tag;
-      let acc =
-        f acc ~block ~size:(block_size tag) ~allocated:(is_allocated tag)
-      in
-      go (Offset.add block (block_size tag)) acc
-    end
-  in
-  go (first_block a) acc
-
 (* Walk every arena in address order (arena order = address order);
    quarantined arenas are skipped — their tiling cannot be walked. *)
 let fold_blocks t f acc =
@@ -322,7 +337,7 @@ let iter_blocks t f =
     (fun () ~block ~size ~allocated -> f ~off:block ~size ~allocated)
     ()
 
-let rec recover_arena t a =
+let recover_arena t a =
   (* Pass 1: coalesce adjacent non-allocated blocks.  Growing the first
      block's size field is the atomic commit of each merge; the absorbed
      block's header becomes dead data, so a repeated failure re-runs the walk
@@ -331,14 +346,14 @@ let rec recover_arena t a =
   let rec coalesce block =
     if Offset.to_int block < stop then begin
       let tag = read_size_tag t block in
-      check_block t a block tag;
+      check_block a block tag;
       let size = block_size tag in
       if is_allocated tag then coalesce (Offset.add block size)
       else begin
         let next = Offset.add block size in
         if Offset.to_int next < stop then begin
           let next_tag = read_size_tag t next in
-          check_block t a next next_tag;
+          check_block a next next_tag;
           if is_allocated next_tag then coalesce next
           else begin
             write_size_tag t block (size + block_size next_tag);
@@ -349,62 +364,21 @@ let rec recover_arena t a =
     end
   in
   coalesce (first_block a);
-  (* Pass 2: rebuild the free list from scratch (reclaims blocks leaked by a
-     crash between an allocation's commit and the client's own persist). *)
-  relink_free_list t a
-
-(* Rewrite one arena's free list from its block tiling: the list side of the
-   metadata is wholly redundant with the (checksummed) tags, so any free-list
-   corruption — rotten next pointer, cycle, head into an allocated block —
-   is repaired by this scan.  Raises [Invalid_argument] if the tiling itself
-   is corrupt; callers then quarantine.  Caller holds [a.mu] (or is single-
-   threaded recovery). *)
-and relink_free_list t a =
-  let free_blocks =
-    List.rev
-      (fold_arena_blocks t a
-         (fun acc ~block ~size:_ ~allocated ->
-           if allocated then acc else block :: acc)
-         [])
-  in
-  let rec link = function
-    | [] -> ()
-    | [ last ] -> write_next t last 0
-    | b :: (next :: _ as rest) ->
-        write_next t b (Offset.to_int next);
-        link rest
-  in
-  link free_blocks;
-  match free_blocks with
-  | [] -> write_head t a 0
-  | first :: _ -> write_head t a (Offset.to_int first)
+  (* Pass 2: index every free block, including those leaked by a crash
+     between an allocation's commit and the client's own persist. *)
+  index_arena t a
 
 (* Online detect-and-degrade: called when an allocation or free trips over
-   corrupt metadata inside arena [i].  Tries the free-list rebuild; if the
-   tiling walk itself cannot complete, the arena is quarantined.  Returns
-   [true] iff the arena was repaired and the caller may retry once.  Caller
-   holds [a.mu]. *)
-let rebuild_or_quarantine t i a ~reason =
-  match relink_free_list t a with
-  | () ->
-      note_repaired ();
-      if Obs.Config.enabled () then
-        Obs.Trace.record
-          (Obs.Trace.Fault_note
-             {
-               what =
-                 Printf.sprintf "heap: arena %d free list rebuilt (%s)" i
-                   reason;
-             });
-      true
-  | exception Invalid_argument why ->
-      a.quarantined <- true;
-      note_quarantined ();
-      if Obs.Config.enabled () then
-        Obs.Trace.record
-          (Obs.Trace.Fault_note
-             { what = Printf.sprintf "heap: arena %d quarantined (%s)" i why });
-      false
+   a corrupt tag inside arena [i].  There is no second copy of the tiling
+   to rebuild from, so the arena goes out of service.  Caller holds
+   [a.mu]. *)
+let quarantine i a reason =
+  a.quarantined <- true;
+  note_quarantined ();
+  if Obs.Config.enabled () then
+    Obs.Trace.record
+      (Obs.Trace.Fault_note
+         { what = Printf.sprintf "heap: arena %d quarantined (%s)" i reason })
 
 let recover ?(report = ignore) pmem ~base =
   let t = attach_internal ~repair_headers:true ~report pmem ~base in
@@ -439,89 +413,55 @@ let home_arena t =
   if t.preferred >= 0 then t.preferred
   else (Domain.self () :> int) mod Array.length t.arenas
 
-(* Best fit within one arena: the smallest free block of size >= need,
-   remembering its predecessor so we can unlink without a doubly-linked
-   list.  Exact fits are reused whole, which keeps repetitive workloads
-   (e.g. the resizable stack's grow/shrink cycles) at a fragmentation steady
-   state — coalescing only happens offline, at recovery. *)
+(* Best fit over the arena's index: the position of the smallest free block
+   of size >= need, or -1.  The first exact fit ends the scan, which runs
+   newest entry first so a just-freed block is found at once; exact fits
+   are reused whole, which keeps repetitive workloads (e.g. the resizable
+   stack's grow/shrink cycles) at a fragmentation steady state — coalescing
+   only happens offline, at recovery.  A top-level recursion over plain
+   [int]s keeps [alloc] free of minor-heap allocations (see the note in
+   [Nvram.Pmem]). *)
+let rec best_fit a need k best =
+  if k < 0 then best
+  else
+    let size = a.free_size.(k) in
+    if size = need then k
+    else if size > need && (best < 0 || size < a.free_size.(best)) then
+      best_fit a need (k - 1) k
+    else best_fit a need (k - 1) best
+
 (* Returns the payload offset as a plain [int]; [0] means no fit (a real
    payload offset is never 0: block headers start past the superblock and
-   the arena header).  The scan carries its best candidate in plain [int]
-   accumulators and the lock is taken manually rather than through
-   [Mutex.protect]: this path runs once per [alloc], and per-operation
-   allocations feed the minor GC, whose collections stop the world across
-   all domains (see the note in [Nvram.Pmem]). *)
-(* [budget] bounds the walk by the largest free list the arena can hold:
-   a corrupt [next] pointer can close a cycle without tripping any
-   checksum, and an unbounded walk would spin forever.  Exhausting the
-   budget is treated exactly like a checksum failure — the list is
-   rebuilt from the tiling. *)
-let rec find_best t a need budget prev block best_prev best_block best_size =
-  if block = 0 then begin
-    a.best_prev <- best_prev;
-    a.best_block <- best_block;
-    a.best_size <- best_size
-  end
-  else begin
-    if budget <= 0 then begin
-      note_detected ();
-      invalid_arg "Nvheap.Heap: free-list walk exceeded arena capacity (cycle?)"
-    end;
-    let boff = Offset.of_int block in
-    if block < Offset.to_int (first_block a) || block >= Offset.to_int (arena_end a)
-    then begin
-      note_detected ();
-      invalid_arg
-        (Printf.sprintf "Nvheap.Heap: free-list entry %d escapes its arena"
-           block)
-    end;
-    let tag = read_size_tag t boff in
-    check_block t a boff tag;
-    let size = block_size tag in
-    if size = need then begin
-      (* exact fit: stop *)
-      a.best_prev <- prev;
-      a.best_block <- block;
-      a.best_size <- size
-    end
-    else if size > need && (best_block = 0 || size < best_size) then
-      find_best t a need (budget - 1) block (read_next t boff) prev block size
-    else
-      find_best t a need (budget - 1) block (read_next t boff) best_prev
-        best_block best_size
-  end
-
-let walk_budget a = (a.alen / min_block) + 1
-
+   the arena header).  The chosen block leaves the index before the commit
+   write; a split's remainder returns to it only after the commit flush. *)
 let arena_alloc_locked t a need =
-  find_best t a need (walk_budget a) 0 (read_head t a) 0 0 0;
-  let prev = a.best_prev and block = a.best_block and size = a.best_size in
-  if block = 0 then 0
+  if not a.indexed then index_arena t a;
+  let k = best_fit a need (a.nfree - 1) (-1) in
+  if k < 0 then 0
   else begin
-    let block = Offset.of_int block in
+    let block = a.free_off.(k) and size = a.free_size.(k) in
+    index_remove a k;
     if size - need >= min_block then begin
       (* Split: carve the allocation from the tail of [block].  The
          new header is written into what is still free space; the
          atomic commit is shrinking [block]'s size. *)
-      let carved = Offset.add block (size - need) in
-      write_size_tag t carved (need lor 1);
-      write_size_tag t block (size - need);
-      Offset.to_int (payload_of_block carved)
+      let carved = block + size - need in
+      write_size_tag t (Offset.of_int carved) (need lor 1);
+      write_size_tag t (Offset.of_int block) (size - need);
+      index_add a block (size - need);
+      carved + block_header_size
     end
     else begin
-      (* Unlink [block]; the pointer write is the atomic commit. *)
-      let next = read_next t block in
-      if prev = 0 then write_head t a next
-      else write_next t (Offset.of_int prev) next;
-      write_size_tag t block (size lor 1);
-      Offset.to_int (payload_of_block block)
+      (* Exact fit: setting the allocated bit is the commit. *)
+      write_size_tag t (Offset.of_int block) (size lor 1);
+      block + block_header_size
     end
   end
 
-(* Corrupt metadata inside the arena degrades instead of raising: the free
-   list is rebuilt from the tiling and the allocation retried once; an
-   unwalkable tiling quarantines the arena and reports "no fit" so the
-   caller steals from a healthy arena. *)
+(* The lock is taken manually rather than through [Mutex.protect]: this
+   path runs once per [alloc] and must not allocate.  A tiling that fails
+   its checksums while a lazy index is built quarantines the arena and
+   reports "no fit", so the caller steals from a healthy arena. *)
 let arena_alloc t i a need =
   Mutex.lock a.mu;
   match
@@ -529,8 +469,8 @@ let arena_alloc t i a need =
     else
       try arena_alloc_locked t a need
       with Invalid_argument reason ->
-        if rebuild_or_quarantine t i a ~reason then arena_alloc_locked t a need
-        else 0
+        quarantine i a reason;
+        0
   with
   | payload ->
       Mutex.unlock a.mu;
@@ -576,53 +516,54 @@ let alloc t n =
   let need = max min_block (align16 n + block_header_size) in
   alloc_from t n need (home_arena t) (Array.length t.arenas) 0
 
-(* Validates the block under [payload] and returns its whole size (the
-   block offset itself is just [block_of_payload payload]; not returning a
-   pair keeps [free] allocation-free). *)
-let assert_allocated t a payload =
-  let block = block_of_payload payload in
+let check_in_arena a block =
   if
     Offset.to_int block < Offset.to_int (first_block a)
     || Offset.to_int block >= Offset.to_int (arena_end a)
-  then invalid_arg "Heap: offset outside the heap region";
+  then invalid_arg "Heap: offset outside the heap region"
+
+(* Validates the block under [payload] and returns its whole size. *)
+let assert_allocated t a payload =
+  let block = block_of_payload payload in
+  check_in_arena a block;
   let tag = read_size_tag t block in
-  check_block t a block tag;
+  check_block a block tag;
   if not (is_allocated tag) then
     invalid_arg "Heap: block is not allocated (double free?)";
   block_size tag
 
-(* Prepare the node fully, then commit with the head write.  A crash before
-   the commit leaves the block unreachable and untagged, which [recover]
-   reclaims. *)
+(* Clearing the allocated bit is the commit; the block joins the index
+   only after that flush.  A corrupt tag under the payload quarantines the
+   arena and drops the free; a double free raises [Invalid_argument]. *)
 let free_locked t a payload =
-  let size = assert_allocated t a payload in
   let block = block_of_payload payload in
-  write_next t block (read_head t a);
-  write_size_tag t block size;
-  write_head t a (Offset.to_int block);
-  if Obs.Config.enabled () then
-    Obs.Trace.record (Obs.Trace.Heap_free { payload = Offset.to_int payload })
+  check_in_arena a block;
+  let tag = read_size_tag t block in
+  match check_block a block tag with
+  | exception Invalid_argument reason ->
+      quarantine (arena_index_of_block t block) a reason
+  | () ->
+      if not (is_allocated tag) then
+        invalid_arg "Heap: block is not allocated (double free?)";
+      write_size_tag t block (block_size tag);
+      if a.indexed then index_add a (Offset.to_int block) (block_size tag);
+      if Obs.Config.enabled () then
+        Obs.Trace.record
+          (Obs.Trace.Heap_free { payload = Offset.to_int payload })
 
 (* [free] routes by address range, not by the view's binding: a payload
    allocated by worker i and freed by worker j still returns to arena i.
 
    A free into a quarantined arena is dropped: the arena's metadata is not
-   trustworthy enough to link into, so the block leaks (bounded by the
-   arena) instead of corrupting further.  A corrupt header found under the
-   payload itself triggers the rebuild-and-retry; a double free keeps
-   raising [Invalid_argument] (the rebuild does not change an allocated
-   bit, so the retry fails identically). *)
+   trustworthy enough to write into, so the block leaks (bounded by the
+   arena) instead of corrupting further. *)
 let free t payload =
-  let i = arena_index t payload in
-  let a = t.arenas.(i) in
+  let a = t.arenas.(arena_index t payload) in
   Mutex.lock a.mu;
   match
     if a.quarantined then
       note_detected () (* the drop is visible, never silent *)
-    else
-      try free_locked t a payload
-      with Invalid_argument reason ->
-        if rebuild_or_quarantine t i a ~reason then free_locked t a payload
+    else free_locked t a payload
   with
   | () -> Mutex.unlock a.mu
   | exception e ->
@@ -709,53 +650,42 @@ let block_count t ~allocated:want =
               acc))
     0 t.arenas
 
+(* The tiling walk validates every tag; the index must then name only
+   blocks the tiling says are free, each once and at its tiled size. *)
 let check_arena t i a =
   Mutex.protect a.mu (fun () ->
       if a.quarantined then Ok () (* out of service, by design — not an error *)
       else if not (arena_header_ok t.pmem a) then
         Error (Printf.sprintf "arena %d: header checksum mismatch" i)
       else
-      try
-        (* The tiling walk itself validates block headers. *)
-        let blocks =
+        let tiled = Hashtbl.create 16 in
+        match
           fold_arena_blocks t a
-            (fun acc ~block ~size:_ ~allocated ->
-              (Offset.to_int block, allocated) :: acc)
-            []
-        in
-        let free_set =
-          List.filter_map
-            (fun (off, allocated) -> if allocated then None else Some off)
-            blocks
-        in
-        let lo = Offset.to_int (first_block a) in
-        let hi = Offset.to_int (arena_end a) in
-        (* The free list must be acyclic, stay inside this arena, and
-           contain only untagged blocks. *)
-        let seen = Hashtbl.create 16 in
-        let rec follow cursor =
-          if cursor = 0 then Ok ()
-          else if cursor < lo || cursor >= hi then
-            Error
-              (Printf.sprintf
-                 "arena %d: free-list entry %d escapes its owning arena \
-                  [%d, %d)"
-                 i cursor lo hi)
-          else if Hashtbl.mem seen cursor then
-            Error (Printf.sprintf "arena %d: free list has a cycle" i)
-          else if not (List.mem cursor free_set) then
-            Error
-              (Printf.sprintf "arena %d: free list points to non-free block \
-                               at %d"
-                 i cursor)
-          else begin
-            Hashtbl.add seen cursor ();
-            follow (read_next t (Offset.of_int cursor))
-          end
-        in
-        follow (read_head t a)
-      with Invalid_argument msg ->
-        Error (Printf.sprintf "arena %d: %s" i msg))
+            (fun () ~block ~size ~allocated ->
+              if not allocated then
+                Hashtbl.replace tiled (Offset.to_int block) size)
+            ()
+        with
+        | exception Invalid_argument msg ->
+            Error (Printf.sprintf "arena %d: %s" i msg)
+        | () ->
+            let rec go k =
+              if (not a.indexed) || k = a.nfree then Ok ()
+              else
+                let b = a.free_off.(k) and size = a.free_size.(k) in
+                match Hashtbl.find_opt tiled b with
+                | Some s when s = size ->
+                    Hashtbl.remove tiled b;
+                    go (k + 1)
+                | _ ->
+                    Error
+                      (Printf.sprintf
+                         "arena %d: free index names block %d (%d bytes), \
+                          which the tiling does not hold free at that size \
+                          (or names it twice)"
+                         i b size)
+            in
+            go 0)
 
 let quarantined_arenas t =
   let acc = ref [] in

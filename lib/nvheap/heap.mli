@@ -3,8 +3,12 @@
     Section 4.2 of the paper stores big function results in the "NVRAM heap"
     and Section 4.3 initialises "the memory allocator" at system start;
     Appendix A allocates stack blocks from it.  This module is that
-    substrate: a best-fit free-list allocator whose metadata lives in the
-    persistent region and survives crashes.  (Best fit, because free blocks
+    substrate: a best-fit allocator whose only metadata in the persistent
+    region is the tiling of checksummed block tags, which survives crashes.
+    Which blocks are free is also kept in a volatile per-arena index, built
+    from the tiling by {!format} and {!recover}, and for an
+    {!open_existing} heap by its first allocation, as Makalu (ref. [11] of
+    the paper) rebuilds allocator metadata offline.  (Best fit, because free blocks
     coalesce only offline at {!recover}: exact-size reuse keeps repetitive
     workloads at a fragmentation steady state.)
 
@@ -12,15 +16,14 @@
 
     The paper's runtime assumes one worker per core, so the heap is sharded
     to match: a superblock at [base] fans out to N independent {e arena}
-    regions, each with its own free list and its own lock.  A handle bound
+    regions, each with its own free index and its own lock.  A handle bound
     with {!with_arena} allocates from its arena without ever crossing
     another worker's lock; an unbound handle routes by the calling domain.
     When the bound arena is exhausted, allocation steals round-robin from
     the other arenas and raises {!Out_of_heap_memory} only when every arena
     is full.  {!free} routes a payload back to its {e owning} arena by
     address range, whichever worker performs it, so cross-worker frees stay
-    correct.  [arenas = 1] (the default) degenerates to the old
-    single-free-list behaviour.
+    correct.  [arenas = 1] (the default) is a single unsharded heap.
 
     {2 Crash-consistency protocol}
 
@@ -30,28 +33,35 @@
     - {e formatting} writes every arena header first and commits with the
       superblock flush, so a crash mid-split leaves a region that fails the
       magic check rather than a half-formatted heap;
-    - {e allocation without splitting} commits by unlinking the block
-      (one pointer write);
+    - {e allocation without splitting} commits by setting the block's
+      allocated bit (one tag write);
     - {e allocation with splitting} carves the new block from the {e tail}
       of a free block, so the only commit is shrinking the free block's size
       field;
-    - {e free} commits by the head-pointer write of a list push.
+    - {e free} commits by clearing the block's allocated bit.
+
+    The volatile index follows the tiling, never leads it: an allocation
+    takes its block out of the index before the commit write, and a free
+    puts its block in after the commit flush.  An operation cut short by a
+    crash or an individual kill therefore leaks at most one block until the
+    next {!recover}, and never hands a block out twice.
 
     A crash between an allocation's commit and the moment the client
     persists the block offset can leak the block — the same window real
-    persistent allocators close with logging (Makalu, ref. [11] of the
-    paper).  We close it offline: {!recover} walks each arena's block
-    sequence in turn, rebuilds its free list from scratch, reclaims
-    unreachable untagged blocks and coalesces adjacent free blocks.  Every
-    rebuild is idempotent, so repeated failures during recovery are
+    persistent allocators close with logging (Makalu).  We close it
+    offline: {!recover} walks each arena's block sequence in turn,
+    coalesces adjacent free blocks and indexes every block not marked
+    allocated; {!retain} then reclaims allocated blocks no root reaches.
+    Every pass is idempotent, so repeated failures during recovery are
     harmless (Section 4.3).
 
     {2 Domain safety}
 
     Every mutating or scanning entry point serialises on the lock of the
-    single arena it touches (a free-list walk spans many device lines, so
-    the striped device lock alone would not make the walk atomic).  Worker
-    domains bound to distinct arenas proceed in parallel; aggregate scans
+    single arena it touches: the lock guards the arena's volatile index,
+    which the device's striped lock does not cover, and makes a tiling
+    walk, which spans many device lines, atomic.  Worker domains bound to
+    distinct arenas proceed in parallel; aggregate scans
     ({!free_bytes}, {!check}, …) lock one arena at a time.
 
     {2 Media faults}
@@ -59,12 +69,12 @@
     All heap metadata is checksummed ({!Nvram.Integrity}): the superblock
     and each arena header carry an FNV-64 field, and every block size tag
     embeds a 15-bit code in its high bits.  Faults degrade instead of
-    crashing: a corrupt free-list entry (rotten pointer, cycle, checksum
-    mismatch) triggers an in-place rebuild of that arena's free list from
-    the checksummed block tiling; an arena whose tiling is itself
-    unwalkable is {e quarantined} — allocation routes around it, frees
-    into it are dropped (the block leaks, bounded by the arena size), and
-    aggregate scans skip it.  Every detection, repair and quarantine ticks
+    crashing: an arena header failing its checksum is rewritten from the
+    superblock geometry at {!recover}, and an arena whose tiling fails a
+    tag check — there is no second copy to rebuild it from — is
+    {e quarantined}: allocation routes around it, frees into it are dropped
+    (the block leaks, bounded by the arena size), and aggregate scans skip
+    it.  Every detection, repair and quarantine ticks
     the [faults_*] counters in {!Obs.Counters}. *)
 
 type t
@@ -76,21 +86,21 @@ val format : ?arenas:int -> Nvram.Pmem.t -> base:Nvram.Offset.t -> len:int -> t
     [len] bytes of the device starting at [base], erasing whatever was
     there, split into [arenas] independent regions (default [1]).  [len]
     must fit the superblock plus one header and one minimal block per
-    arena.  All headers and initial free lists are flushed before the
+    arena.  All headers and initial block tags are flushed before the
     function returns; the superblock flush is the commit. *)
 
 val open_existing : Nvram.Pmem.t -> base:Nvram.Offset.t -> t
 (** [open_existing pmem ~base] attaches to a heap previously created by
-    {!format}, without modifying it.  The arena split is recomputed from
-    the superblock, so no configuration needs to be remembered.
+    {!format}, without modifying it and without walking the block tiling.
+    The arena split is recomputed from the superblock, so no configuration
+    needs to be remembered.  An arena's free index is built on its first
+    allocation; a tiling that fails its checksums then quarantines the
+    arena.
 
     @raise Invalid_argument if the superblock or an arena header does not
     match. *)
 
 type repair =
-  | Rebuilt_free_list of { arena : int; reason : string }
-      (** the arena's free list was relinked from the block tiling after a
-          corrupt entry was detected *)
   | Repaired_arena_header of { arena : int }
       (** the arena header failed its checksum and was rewritten from the
           superblock geometry (headers are pure functions of it) *)
@@ -102,11 +112,11 @@ val pp_repair : Format.formatter -> repair -> unit
 
 val recover :
   ?report:(repair -> unit) -> Nvram.Pmem.t -> base:Nvram.Offset.t -> t
-(** [recover pmem ~base] attaches to an existing heap and rebuilds every
-    arena's free list in address order: every block not marked allocated
-    becomes free (reclaiming blocks leaked by a crash inside an
-    allocation), and adjacent free blocks are coalesced.  Safe to re-run
-    after repeated failures.
+(** [recover pmem ~base] attaches to an existing heap and walks every
+    arena's tiling in address order: adjacent free blocks are coalesced
+    and every block not marked allocated is indexed as free (reclaiming
+    blocks leaked by a crash inside an allocation).  The coalescing merges
+    are its only device writes.  Safe to re-run after repeated failures.
 
     Media damage is handled per arena: a header failing its checksum is
     rewritten from the superblock geometry, and an arena whose tiling is
@@ -125,16 +135,18 @@ val alloc : t -> int -> Nvram.Offset.t
     @raise Out_of_heap_memory if no free block in any arena fits. *)
 
 val free : t -> Nvram.Offset.t -> unit
-(** [free t payload] returns the block to the free list of its {e owning}
-    arena, found by address range — correct from any worker, not just the
-    allocating one.
+(** [free t payload] returns the block to its {e owning} arena, found by
+    address range — correct from any worker, not just the allocating one.
+    It reads and rewrites the block's tag (one flush), then indexes the
+    block.  A tag failing its checksum quarantines the arena and drops the
+    free.
 
     @raise Invalid_argument if [payload] is not the payload offset of a
-    currently-allocated block. *)
+    currently-allocated block (a double free included). *)
 
 type reclaimed = { blocks : int; bytes : int }
 (** What a {!retain} pass gave back: freed block count, and whole-block
-    bytes (payload + header) returned to the free list. *)
+    bytes (payload + header) returned to the heap. *)
 
 val retain : t -> live:Nvram.Offset.t list -> reclaimed
 (** [retain t ~live] frees every allocated block whose payload offset is not
@@ -142,7 +154,7 @@ val retain : t -> live:Nvram.Offset.t list -> reclaimed
     is the root-based offline reclamation a system recovery runs after
     rebuilding its data structures: any block that a crash window left
     allocated but unreferenced (e.g. an abandoned stack block mid-resize)
-    is returned to its arena's free list.  Liveness membership is a hash
+    is returned to its arena.  Liveness membership is a hash
     set keyed on the payload offset, so the pass costs
     O(blocks + length live) rather than their product. *)
 
@@ -158,7 +170,7 @@ val arena_count : t -> int
 val with_arena : t -> int -> t
 (** [with_arena t i] is a cheap view of the same heap whose allocations are
     served from arena [i mod arena_count t] first.  Views share the
-    underlying arena locks and free lists; any view can free or size any
+    underlying arena locks and free indexes; any view can free or size any
     payload.  The runtime binds worker [i] to arena [i] so worker-local
     allocation never contends. *)
 
@@ -201,8 +213,8 @@ val check : t -> (unit, string) result
 (** [check t] validates the heap invariants: the superblock and arena
     header checksums verify, the arenas tile the region exactly, each
     arena's blocks tile the arena exactly (every tag checksum included),
-    each free list is acyclic, every free-list entry is an untagged block,
-    and every free-list entry lies inside its owning arena.  Quarantined
+    and each arena's volatile free index names only blocks that the tiling
+    holds free, each once and at its tiled size.  Quarantined
     arenas pass vacuously — out of service is a reported state, not an
     invariant violation (consult {!quarantined_count}).  Used by tests
     after simulated crashes and media faults. *)

@@ -63,7 +63,7 @@ type t = {
   yield_state : int Atomic.t;  (* lock-free LCG for scheduling jitter *)
   stripes : Mutex.t array;
       (* Striped device lock: stripe [s] guards every cache line [l] with
-         [l mod Array.length stripes = s] — its bytes in [volatile], its
+         [stripe_of t l = s] — its bytes in [volatile], its
          [dirty] bit and its persistence.  Operations on disjoint lines
          proceed in parallel; an operation touching several lines holds all
          covering stripes for its whole duration (acquired in ascending
@@ -74,11 +74,9 @@ type t = {
 let default_stripes = 256
 
 let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
-    ?(flush_mode = Eager) ?(yield_probability = 0.)
-    ?(stripes = default_stripes) ?backend ~size () =
+    ?(flush_mode = Eager) ?(yield_probability = 0.) ?backend ~size () =
   Layout.check_line_size line_size;
   if size <= 0 then invalid_arg "Pmem.create: size must be positive";
-  if stripes < 1 then invalid_arg "Pmem.create: stripes must be >= 1";
   let backend =
     match backend with Some b -> b | None -> Backend.memory ~size
   in
@@ -101,7 +99,7 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
   in
   (* Power of two, and never more stripes than lines. *)
   let nstripes =
-    let target = max 1 (min stripes lines) in
+    let target = max 1 (min default_stripes lines) in
     let n = ref 1 in
     while !n * 2 <= target do
       n := !n * 2
@@ -148,7 +146,6 @@ let auto_flush t = t.auto_flush
 let flush_mode t = t.flush_mode
 let crash_ctl t = t.crash_ctl
 let backend t = t.backend
-let stripe_count t = Array.length t.stripes
 
 let check_range t off len =
   let off = Offset.to_int off in

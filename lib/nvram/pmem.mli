@@ -73,7 +73,6 @@ val create :
   ?auto_flush:bool ->
   ?flush_mode:flush_mode ->
   ?yield_probability:float ->
-  ?stripes:int ->
   ?backend:Backend.t ->
   size:int ->
   unit ->
@@ -82,12 +81,6 @@ val create :
     defaults to 64 and must be a power of two; [policy] defaults to
     {!Lose_all}; [auto_flush] defaults to [false]; [backend] defaults to an
     in-memory image of [size] bytes.
-
-    [stripes] (default {!default_stripes}) is the number of device-lock
-    stripes; it is clamped to the number of cache lines and rounded down to
-    a power of two.  More stripes mean less contention between worker domains
-    operating on disjoint lines; one stripe restores the old fully
-    serialised device.
 
     [yield_probability] (default 0) makes each device operation deschedule
     the calling OS thread with the given probability, so that concurrent
@@ -107,10 +100,10 @@ val flush_mode : t -> flush_mode
     immediately, so a flush never finds a dirty line to mark). *)
 
 val default_stripes : int
-(** Stripe count used when {!create} is not given [?stripes]. *)
-
-val stripe_count : t -> int
-(** Number of device-lock stripes actually in use (a power of two). *)
+(** Number of device-lock stripes: cache lines hash onto them, so worker
+    domains operating on disjoint lines rarely contend.  A device with
+    fewer lines uses one stripe per line, rounded down to a power of
+    two. *)
 
 val crash_ctl : t -> Crash.t
 (** The device's crash controller.  Every persistence mutator (non-empty

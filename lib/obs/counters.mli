@@ -20,7 +20,12 @@
     - a CAS counts as one read, plus one write (8 payload bytes, one line)
       when it swaps;
     - [lines_flushed] counts every line actually written back: by an eager
-      flush, by a drain, and by an auto-flush write. *)
+      flush, by a drain, and by an auto-flush write;
+    - flush calls per operation are deterministic for a given request
+      mix; [lines_flushed] is not once two or more workers share a line:
+      an eager flush skips a line another worker already persisted, and
+      which worker gets there first varies from run to run.  A budget on
+      lines persisted (or on writes) needs a one-worker run. *)
 
 type t
 
@@ -77,8 +82,8 @@ type totals = {
   faults_detected : int;
       (** checksum/shape mismatches recovery or the scrubber noticed *)
   faults_repaired : int;
-      (** detected faults repaired in place (truncated torn frame, rebuilt
-          free list, re-derived arena header, …) *)
+      (** detected faults repaired in place (truncated torn frame,
+          re-derived arena header, …) *)
   faults_quarantined : int;
       (** detected faults isolated instead of repaired (arena taken out of
           allocation service) *)

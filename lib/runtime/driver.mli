@@ -17,7 +17,7 @@ type report = {
           on success). *)
   recovery : Recovery_report.t;
       (** Every media repair any restart performed — truncated stack
-          tails, rebuilt free lists, rewritten arena headers, quarantined
+          tails, rewritten arena headers, quarantined
           arenas — aggregated across all eras (clean when no faults were
           injected or every era recovered undamaged). *)
 }

@@ -20,10 +20,7 @@ let repaired_count t =
   List.length
     (List.filter
        (function
-         | Stack_repair _
-         | Heap_repair
-             (Nvheap.Heap.Rebuilt_free_list _ | Nvheap.Heap.Repaired_arena_header _)
-           ->
+         | Stack_repair _ | Heap_repair (Nvheap.Heap.Repaired_arena_header _) ->
              true
          | Heap_repair (Nvheap.Heap.Quarantined_arena _) -> false)
        t.items)

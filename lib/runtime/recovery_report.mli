@@ -1,7 +1,7 @@
 (** Structured account of what a recovery had to repair.
 
     Detect-and-degrade recovery ({!Pstack.Bounded.attach} truncating torn
-    tails, {!Nvheap.Heap.recover} rebuilding free lists and quarantining
+    tails, {!Nvheap.Heap.recover} rewriting arena headers and quarantining
     arenas) no longer raises on media damage — this report is where the
     damage surfaces instead, so callers (the driver, the fuzzer's oracle,
     [trace_dump]) can distinguish a clean recovery from a degraded one
@@ -14,7 +14,7 @@ type item =
   | Stack_repair of { worker : int; event : Pstack.Repair.event }
       (** a worker stack's corrupt tail was truncated on attach *)
   | Heap_repair of Nvheap.Heap.repair
-      (** a heap arena was rebuilt, its header rewritten, or quarantined *)
+      (** a heap arena's header was rewritten, or the arena quarantined *)
 
 type t
 

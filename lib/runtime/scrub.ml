@@ -99,8 +99,9 @@ let run ?(repair = false) pmem =
       let fatal = ref false in
       let add f = findings := f :: !findings in
       let heap_base = System.image_heap_base pmem config in
-      (* Heap first: a repair pass rebuilds its free lists before the
-         heap-backed stacks re-attach through it. *)
+      (* Heap first: a repair pass rewrites rotten arena headers and
+         rebuilds the free index before the heap-backed stacks re-attach
+         through it. *)
       let heap =
         if repair then
           match

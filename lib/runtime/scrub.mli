@@ -4,12 +4,12 @@
     while it is still correctable rather than at the next crash.  This
     pass is that, for the simulated device: it walks every checksummed
     structure of a system image — superblock, each worker stack's frames,
-    the heap's superblock, arena headers, block tiling and free lists —
+    the heap's superblock, arena headers and block tiling —
     and reports what fails to verify.
 
     In repair mode it additionally {e fixes} what the recovery paths know
-    how to fix: heap free lists are rebuilt (quarantining unwalkable
-    arenas), and stack attach truncates torn tails.  Damage beyond that
+    how to fix: rotten heap arena headers are rewritten (quarantining
+    unwalkable arenas), and stack attach truncates torn tails.  Damage beyond that
     (rotten superblock, corrupt dummy frame) is reported as fatal.
 
     The pass reads the image through the normal device API; run it on a

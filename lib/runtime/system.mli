@@ -76,9 +76,9 @@ val attach :
   t
 (** [attach pmem ~registry] reopens a system after a restart: reads the
     superblock (verifying its checksum), re-attaches the task table and the
-    stacks, and recovers the heap's free list.  Media damage found on the
-    way — truncated stack tails, rebuilt arena free lists, rewritten arena
-    headers, quarantined arenas — is passed to [?report] in order (default:
+    stacks, and recovers the heap (coalescing, and rebuilding its free
+    index).  Media damage found on the way — truncated stack tails,
+    rewritten arena headers, quarantined arenas — is passed to [?report] in order (default:
     ignored; the [Obs.Counters] fault counters tick either way).
 
     @raise Invalid_argument if the device holds no system superblock or the

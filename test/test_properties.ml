@@ -5,9 +5,9 @@
    - the persistent stacks agree with a simple list model under arbitrary
      push/pop sequences, and reattaching after a clean shutdown preserves
      the frames;
-   - the heap allocator keeps its tiling/free-list invariants under
-     arbitrary alloc/free interleavings and never loses bytes across
-     recovery;
+   - the heap allocator keeps its tiling and free-index invariants after
+     every step of arbitrary alloc/free/recover interleavings, never hands
+     out a live payload twice, and keeps every live block across recovery;
    - the serializability checker agrees with the brute-force reference on
      arbitrary small histories, and every witness it produces replays;
    - permutations of serializable histories remain serializable (operation
@@ -95,7 +95,10 @@ let stack_property kind name =
 (* ------------------------------------------------------------------ *)
 (* Heap invariants                                                     *)
 
-type heap_op = Alloc of int | Free of int  (* Free k = free k-th live block *)
+type heap_op =
+  | Alloc of int
+  | Free of int  (* Free k = free k-th live block *)
+  | Recover  (* re-attach through [Heap.recover]; later ops use that heap *)
 
 let heap_op_gen =
   QCheck2.Gen.(
@@ -103,20 +106,28 @@ let heap_op_gen =
       [
         (3, map (fun n -> Alloc (1 + (n mod 500))) nat);
         (2, map (fun k -> Free k) nat);
+        (1, pure Recover);
       ])
 
 let heap_property ops =
   let pmem = Pmem.create ~size:(1 lsl 18) () in
-  let heap = Heap.format pmem ~base:(off 64) ~len:(1 lsl 16) in
+  let heap = ref (Heap.format pmem ~base:(off 64) ~len:(1 lsl 16)) in
   let live = ref [] in
+  let check_heap () =
+    match Heap.check !heap with
+    | Ok () -> ()
+    | Error msg -> failwith ("invariant: " ^ msg)
+  in
   List.iter
     (fun op ->
-      match op with
+      (match op with
       | Alloc n -> (
-          match Heap.alloc heap n with
+          match Heap.alloc !heap n with
           | payload ->
-              if Heap.payload_size heap payload < n then
+              if Heap.payload_size !heap payload < n then
                 failwith "payload smaller than requested";
+              if List.exists (Offset.equal payload) !live then
+                failwith "payload handed out twice while live";
               live := payload :: !live
           | exception Heap.Out_of_heap_memory _ -> ())
       | Free k -> (
@@ -125,21 +136,26 @@ let heap_property ops =
           | blocks ->
               let idx = k mod List.length blocks in
               let payload = List.nth blocks idx in
-              Heap.free heap payload;
-              live := List.filteri (fun i _ -> i <> idx) blocks))
-    ops;
-  (match Heap.check heap with
-  | Ok () -> ()
-  | Error msg -> failwith ("invariant: " ^ msg));
-  (* recovery keeps all live blocks allocated and reclaims nothing live *)
-  let recovered = Heap.recover pmem ~base:(off 64) in
-  (match Heap.check recovered with
-  | Ok () -> ()
-  | Error msg -> failwith ("post-recovery invariant: " ^ msg));
-  Heap.block_count recovered ~allocated:true = List.length !live
+              Heap.free !heap payload;
+              live := List.filteri (fun i _ -> i <> idx) blocks)
+      | Recover ->
+          (* recovery keeps all live blocks allocated and reclaims nothing
+             live *)
+          heap := Heap.recover pmem ~base:(off 64);
+          if Heap.block_count !heap ~allocated:true <> List.length !live then
+            failwith "recovery changed the allocated set");
+      check_heap ())
+    (ops @ [ Recover ]);
+  true
+
+let pp_heap_op = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Free k -> Printf.sprintf "free %d" k
+  | Recover -> "recover"
 
 let heap_test =
   QCheck2.Test.make ~count:150 ~name:"heap: invariants under alloc/free"
+    ~print:(fun ops -> String.concat ";" (List.map pp_heap_op ops))
     QCheck2.Gen.(list_size (int_bound 60) heap_op_gen)
     heap_property
 

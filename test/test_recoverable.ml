@@ -705,9 +705,9 @@ let () =
           (fun (name, pin) ->
             Alcotest.test_case name `Slow (test_traffic_pinned pin))
           [
-            ("stack push/pop", (stack_pin, 209, "9f17b78fc8ad260eab036ea00956e0f9"));
-            ("queue enqueue/dequeue", (queue_pin, 214, "7b74d07fe28a7df0a393e08ee039dacf"));
-            ("map put/remove/find", (map_pin, 293, "15aeac41417dc6514d7086e7ed02110e"));
-            ("test-and-set", (tas_pin, 76, "4b2bd673f1fe0093e18f50fa196154dc"));
+            ("stack push/pop", (stack_pin, 209, "8e26a6b824072d5ce50ce36a3a7b3114"));
+            ("queue enqueue/dequeue", (queue_pin, 214, "7639d1ccce5dc0d92cbf0116b7fc2b6d"));
+            ("map put/remove/find", (map_pin, 293, "88e376f164f47ea635814b5d586b3601"));
+            ("test-and-set", (tas_pin, 76, "fe35ec7aa7918f7b5f68f112151b0966"));
           ] );
     ]
