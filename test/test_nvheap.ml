@@ -258,6 +258,39 @@ let test_arena_stealing_and_oom () =
   List.iter (Heap.free heap) blocks;
   check_ok heap
 
+(* Recovery rebuilds each arena's volatile free index from that arena's own
+   tiling: a hole left in a full arena goes back to that arena's bound view,
+   and once it is taken the view steals from the other arena instead of
+   finding a block of another arena in its own index. *)
+let test_recovered_index_stays_home () =
+  let pmem, heap = fresh_arena_heap ~arenas:2 ~size:16384 ~len:8192 () in
+  let v0 = Heap.with_arena heap 0 in
+  let rec fill acc =
+    let p = Heap.alloc v0 64 in
+    if Heap.arena_index heap p = 0 then fill (p :: acc)
+    else (
+      Heap.free heap p;
+      acc)
+  in
+  let home = fill [] in
+  (* the middle block sits between two live neighbours, so it stays a hole *)
+  let hole = List.nth home (List.length home / 2) in
+  Heap.free heap hole;
+  Pmem.crash_and_restart pmem;
+  let heap = Heap.recover pmem ~base:(off 64) in
+  check_ok heap;
+  let v0 = Heap.with_arena heap 0 and v1 = Heap.with_arena heap 1 in
+  let p = Heap.alloc v0 64 in
+  Alcotest.(check int) "arena 0's hole served to its view" (Offset.to_int hole)
+    (Offset.to_int p);
+  let q = Heap.alloc v0 64 in
+  Alcotest.(check int) "arena 0 full again: the view steals" 1
+    (Heap.arena_index heap q);
+  let r = Heap.alloc v1 64 in
+  Alcotest.(check int) "arena 1's view stays home" 1 (Heap.arena_index heap r);
+  List.iter (Heap.free heap) [ p; q; r ];
+  check_ok heap
+
 (* Differential check: the same seeded alloc/write/free trace on a 1-arena
    and a 4-arena heap must end, after crash-free shutdown and recovery,
    with identical live payload contents (addresses differ — the split
@@ -612,6 +645,8 @@ let () =
             test_cross_arena_free_routes_home;
           Alcotest.test_case "stealing and OOM" `Quick
             test_arena_stealing_and_oom;
+          Alcotest.test_case "recovered free index stays home" `Quick
+            test_recovered_index_stays_home;
           Alcotest.test_case "differential 1 vs 4 arenas" `Quick
             test_differential_one_vs_many_arenas;
           Alcotest.test_case "arena crash-point sweep" `Slow
