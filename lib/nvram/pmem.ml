@@ -45,11 +45,12 @@ type t = {
   auto_flush : bool;
   flush_mode : flush_mode;
   backend : Backend.t;
-  volatile : bytes;  (* visible content: persistent image + unflushed writes *)
-  dirty : bool array;  (* per cache line *)
-  pending : bool array;
-      (* per cache line, coalesced mode only: flushed but not yet drained.
-         Invariant: pending implies dirty (guarded by the line's stripe). *)
+  volatile : bytes;
+      (* visible content of the present lines: persistent image + unflushed
+         writes.  The bytes of an absent line are meaningless. *)
+  state : bytes;
+      (* one state byte per cache line, see [absent] below; guarded by the
+         line's stripe *)
   logs : pending_log array;  (* indexed by domain id land (log_buckets-1) *)
   mutable drain_breakage : int;
       (* test hook ([unsafe_break_drain]): number of upcoming line drains to
@@ -63,15 +64,26 @@ type t = {
   yield_state : int Atomic.t;  (* lock-free LCG for scheduling jitter *)
   stripes : Mutex.t array;
       (* Striped device lock: stripe [s] guards every cache line [l] with
-         [stripe_of t l = s] — its bytes in [volatile], its
-         [dirty] bit and its persistence.  Operations on disjoint lines
-         proceed in parallel; an operation touching several lines holds all
-         covering stripes for its whole duration (acquired in ascending
-         stripe order, so the locking is deadlock-free), which preserves the
+         [stripe_of t l = s] — its bytes in [volatile], its state byte and
+         its persistence.  Operations on disjoint lines proceed in
+         parallel; an operation touching several lines holds all covering
+         stripes for its whole duration (acquired in ascending stripe
+         order, so the locking is deadlock-free), which preserves the
          linearizability of the old single-mutex device. *)
 }
 
 let default_stripes = 256
+
+(* Cache-line states, ordered so that "pending implies dirty implies
+   present" holds by construction.  An absent line has not been read from
+   the persistent image since the device started or last crashed: the
+   cache is filled on demand, one line at a time, so a start or a crash
+   costs nothing per byte of the device.  Pending (coalesced mode only)
+   means flushed but not yet drained. *)
+let absent = 0
+let clean = 1
+let dirty = 2
+let pending = 3
 
 let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
     ?(flush_mode = Eager) ?(yield_probability = 0.) ?backend ~size () =
@@ -82,8 +94,6 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
   in
   if Backend.size backend <> size then
     invalid_arg "Pmem.create: backend size mismatch";
-  let volatile = Bytes.create size in
-  Backend.blit_to backend ~off:0 ~dst:volatile ~dst_off:0 ~len:size;
   let lines = (size + line_size - 1) / line_size in
   let crash_rng =
     match policy with
@@ -115,9 +125,8 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
     auto_flush;
     flush_mode;
     backend;
-    volatile;
-    dirty = Array.make lines false;
-    pending = Array.make lines false;
+    volatile = Bytes.create size;
+    state = Bytes.make lines (Char.chr absent);
     logs =
       Array.init log_buckets (fun _ ->
           { log_mu = Mutex.create (); log_lines = [||]; log_len = 0 });
@@ -183,6 +192,22 @@ let line_of t off = off lsr t.line_shift
 let stripe_of t line =
   (line * 0x2545F4914F6CDD1D) lsr 40 land (Array.length t.stripes - 1)
 
+(* Line indices come from ranges [check_range] has accepted. *)
+let[@inline] state t index = Char.code (Bytes.unsafe_get t.state index)
+let[@inline] set_state t index s =
+  Bytes.unsafe_set t.state index (Char.unsafe_chr s)
+
+(* Copy line [index] from the persistent image into the cache, leaving it
+   clean.  Caller holds the line's stripe. *)
+let fetch_line t index =
+  let start = index * t.line_size in
+  let len = min t.line_size (t.size - start) in
+  Backend.blit_to t.backend ~off:start ~dst:t.volatile ~dst_off:start ~len;
+  set_state t index clean
+
+let[@inline] ensure_present t index =
+  if state t index = absent then fetch_line t index
+
 (* Every device event is counted in the always-on ledger (counters.mli has
    the accounting rules). *)
 let ledger = Obs.Probe.counters
@@ -225,18 +250,17 @@ let with_lines t ~first ~last f =
   maybe_yield t;
   result
 
-(* Whole-device operations (crash, peeks, dirty-line census) serialise
+(* Whole-device operations (crash, peeks, line-state census) serialise
    against everything by holding every stripe. *)
 let with_all_lines t f = with_lines t ~first:0 ~last:(t.lines - 1) f
 
-(* Persist one cache line: atomic with respect to crashes.  Clears both
-   tags — a persisted line is neither dirty nor pending. *)
+(* Persist one cache line: atomic with respect to crashes.  A persisted
+   line is clean. *)
 let persist_line t index =
   let start = index * t.line_size in
   let len = min t.line_size (t.size - start) in
   Backend.persist t.backend ~off:start ~src:t.volatile ~src_off:start ~len;
-  t.dirty.(index) <- false;
-  t.pending.(index) <- false
+  set_state t index clean
 
 (* Write line [index] back on behalf of a flush, a drain or an auto-flush
    write: the persists [lines_flushed] counts. *)
@@ -277,8 +301,9 @@ let plan_fires ~counter ~rng = function
    bytes are shredded with garbage, and the rest keep their old persisted
    value — the three states a byte of an interrupted write-back can land
    in.  The caller holds the stripe of [index]; the torn image is copied
-   back into the volatile cache and the line marked clean so the crash's
-   lose/survive pass cannot overwrite the tear with intact content. *)
+   back into the volatile cache and the line left clean and present, so
+   the crash's lose/survive pass cannot overwrite the tear with intact
+   content. *)
 let tear_line_locked t ~index ~seg_start ~seg_len ~src ~src_off ~rng =
   let keep = Random.State.int rng (seg_len + 1) in
   if keep > 0 then
@@ -292,12 +317,7 @@ let tear_line_locked t ~index ~seg_start ~seg_len ~src ~src_off ~rng =
   (* Volatile must agree with the torn image: the machine is dead, and the
      reboot path re-reads the backend anyway, but a racing op between the
      tear and [crash t] must not observe pre-tear bytes as clean. *)
-  let line_start = index * t.line_size in
-  let line_len = min t.line_size (t.size - line_start) in
-  Backend.blit_to t.backend ~off:line_start ~dst:t.volatile
-    ~dst_off:line_start ~len:line_len;
-  t.dirty.(index) <- false;
-  t.pending.(index) <- false;
+  fetch_line t index;
   count Faults_injected
 
 (* Crash-scheduler step at a persistence point covering line [index], with
@@ -329,6 +349,15 @@ let step_fault t ~index ~seg_start ~seg_len ~src ~src_off =
         | None -> ());
         raise Crash.Crash_now
   end
+
+(* Flip one persisted bit.  The cached byte flips too when its line is
+   present; an absent line picks the flip up when it is next read.  Caller
+   holds the line's stripe. *)
+let flip_bit_locked t off bit =
+  Backend.flip_bit t.backend ~off ~bit;
+  if state t (line_of t off) <> absent then
+    Bytes.set t.volatile off
+      (Char.chr (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit)))
 
 (* Bit rot between eras: flip seeded persisted bits inside the configured
    target regions.  Runs on [restart], i.e. with the machine quiescent —
@@ -365,10 +394,7 @@ let apply_bitflips t =
     (fun (off, bit) ->
       let index = line_of t off in
       with_lines t ~first:index ~last:index (fun () ->
-          Backend.flip_bit t.backend ~off ~bit;
-          Bytes.set t.volatile off
-            (Char.chr
-               (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit))));
+          flip_bit_locked t off bit);
       count Faults_injected)
     flips
 
@@ -376,10 +402,7 @@ let inject_bitflip t ~off ~bit =
   check_range t off 1;
   let off = Offset.to_int off in
   let index = line_of t off in
-  with_lines t ~first:index ~last:index (fun () ->
-      Backend.flip_bit t.backend ~off ~bit;
-      Bytes.set t.volatile off
-        (Char.chr (Char.code (Bytes.get t.volatile off) lxor (1 lsl bit))));
+  with_lines t ~first:index ~last:index (fun () -> flip_bit_locked t off bit);
   count Faults_injected
 
 (* {2 Coalesced-mode pending logs and drains} *)
@@ -420,14 +443,13 @@ let drain_log t log =
        let mu = t.stripes.(stripe_of t index) in
        Mutex.lock mu;
        (match
-          if t.pending.(index) then begin
+          if state t index = pending then begin
             if t.drain_breakage > 0 then begin
-              (* Broken write-back (test hook): drop the tags without
+              (* Broken write-back (test hook): mark the line clean without
                  persisting.  The runtime now believes the line is
                  persistent while the image still holds the old bytes. *)
               t.drain_breakage <- t.drain_breakage - 1;
-              t.pending.(index) <- false;
-              t.dirty.(index) <- false
+              set_state t index clean
             end
             else flush_line t index;
             incr drained
@@ -468,7 +490,7 @@ let drain_every_log t =
    is top-level, not a local closure over [t] and [last]: a closure would
    allocate on every coalesced read. *)
 let rec any_pending t i last =
-  i <= last && (t.pending.(i) || any_pending t (i + 1) last)
+  i <= last && (state t i = pending || any_pending t (i + 1) last)
 
 let read_drain t ~first ~last =
   if any_pending t first last then begin
@@ -482,7 +504,9 @@ let read_drain t ~first ~last =
    stripes of the lines it covers (ascending), refuse if the system has
    crashed, count the call, run the operation's body, unlock — also when
    the body's crash step raises, since crash signals fire mid-operation by
-   design — and yield.  [span] is that sequence.
+   design — and yield.  [span] is that sequence.  Before the body runs it
+   fetches every covered line still absent from the cache, so bodies only
+   ever see present lines.
 
    A span of one or two lines (every byte, word and CAS access, and
    frame-sized writes and flushes) locks its stripes by hand, and the body
@@ -506,6 +530,9 @@ let span t ~first ~last ~len counter body a b c =
     with_lines t ~first ~last (fun () ->
         Crash.check t.crash_ctl;
         count_call t counter ~first ~last ~len;
+        for index = first to last do
+          ensure_present t index
+        done;
         body t a b c)
   else begin
     let sa = stripe_of t first in
@@ -516,6 +543,8 @@ let span t ~first ~last ~len counter body a b c =
     match
       Crash.check t.crash_ctl;
       count_call t counter ~first ~last ~len;
+      ensure_present t first;
+      if last <> first then ensure_present t last;
       body t a b c
     with
     | result ->
@@ -541,9 +570,10 @@ let get_int t base len () =
 let get_int64 t base _len () = Bytes.get_int64_le t.volatile base
 let get_bytes t base len () = Bytes.sub t.volatile base len
 
-(* A written line is dirty; an auto-flush device writes it back at once. *)
+(* A written line is dirty (a pending one stays pending); an auto-flush
+   device writes it back at once. *)
 let mark_written t index =
-  t.dirty.(index) <- true;
+  if state t index < dirty then set_state t index dirty;
   if t.auto_flush then flush_line t index
 
 (* Write [len] bytes of [src] at [base], line by line, consulting the crash
@@ -612,13 +642,14 @@ let persist_lines t first last () =
           (a clean line has nothing in flight and cannot tear). *)
        let line_start = index * t.line_size in
        let seg_len =
-         if t.dirty.(index) then min t.line_size (t.size - line_start) else 0
+         if state t index >= dirty then min t.line_size (t.size - line_start)
+         else 0
        in
        step_fault t ~index ~seg_start:line_start ~seg_len ~src:t.volatile
          ~src_off:line_start
      end
      else Crash.step t.crash_ctl);
-    if t.dirty.(index) then flush_line t index
+    if state t index >= dirty then flush_line t index
   done
 
 (* Coalesced flush of one line: the same crash step as the eager body — so
@@ -628,8 +659,8 @@ let persist_lines t first last () =
    marked lines once the stripes are released (see [pending_log]). *)
 let mark_line t index =
   Crash.step t.crash_ctl;
-  if t.dirty.(index) && not t.pending.(index) then begin
-    t.pending.(index) <- true;
+  if state t index = dirty then begin
+    set_state t index pending;
     true
   end
   else false
@@ -816,7 +847,7 @@ let drain_all t =
 let crash t =
   (* Reset the pending logs first, without stripes held (lock order: log
      before stripe).  An entry appended by a racing flush after this reset
-     is neutralised below — clearing every pending bit under the stripes
+     is neutralised below — leaving no line pending under the stripes
      makes any late entry stale, and drains skip stale entries. *)
   Array.iter
     (fun log ->
@@ -827,29 +858,24 @@ let crash t =
   with_all_lines t (fun () ->
       count Crashes;
       Crash.trigger t.crash_ctl;
-      Array.iteri
-        (fun index dirty ->
-          if dirty then begin
-            let survives =
-              match t.policy with
-              | Lose_all -> false
-              | Lose_none -> true
-              | Lose_random _ -> Random.State.bool t.crash_rng
-            in
-            if survives then begin
-              persist_line t index;
-              count Lines_survived
-            end
-            else begin
-              t.dirty.(index) <- false;
-              t.pending.(index) <- false;
-              count Lines_lost
-            end
-          end)
-        t.dirty;
+      for index = 0 to t.lines - 1 do
+        if state t index >= dirty then begin
+          let survives =
+            match t.policy with
+            | Lose_all -> false
+            | Lose_none -> true
+            | Lose_random _ -> Random.State.bool t.crash_rng
+          in
+          if survives then begin
+            persist_line t index;
+            count Lines_survived
+          end
+          else count Lines_lost
+        end
+      done;
       (* Reboot visibility: the cache is empty, the persistent image is all
-         there is. *)
-      Backend.blit_to t.backend ~off:0 ~dst:t.volatile ~dst_off:0 ~len:t.size)
+         there is; lines are read back from it as they are touched. *)
+      Bytes.fill t.state 0 t.lines (Char.chr absent))
 
 let restart t =
   Crash.reset t.crash_ctl;
@@ -863,7 +889,12 @@ let peek_volatile t ~off ~len =
   check_range t off len;
   if len = 0 then Bytes.empty
   else
-    with_all_lines t (fun () -> Bytes.sub t.volatile (Offset.to_int off) len)
+    let base = Offset.to_int off in
+    with_all_lines t (fun () ->
+        for index = line_of t base to line_of t (base + len - 1) do
+          ensure_present t index
+        done;
+        Bytes.sub t.volatile base len)
 
 let peek_persistent t ~off ~len =
   check_range t off len;
@@ -872,22 +903,22 @@ let peek_persistent t ~off ~len =
     with_all_lines t (fun () ->
         Backend.read t.backend ~off:(Offset.to_int off) ~len)
 
-let dirty_line_count t =
+let count_lines t pred =
   with_all_lines t (fun () ->
-      Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 t.dirty)
+      let n = ref 0 in
+      for index = 0 to t.lines - 1 do
+        if pred (state t index) then incr n
+      done;
+      !n)
 
-let is_dirty t off =
+let line_state t off =
   check_range t off 1;
   let index = Layout.line_index ~line_size:t.line_size off in
-  with_lines t ~first:index ~last:index (fun () -> t.dirty.(index))
+  with_lines t ~first:index ~last:index (fun () -> state t index)
 
-let pending_line_count t =
-  with_all_lines t (fun () ->
-      Array.fold_left (fun acc p -> if p then acc + 1 else acc) 0 t.pending)
-
-let is_pending t off =
-  check_range t off 1;
-  let index = Layout.line_index ~line_size:t.line_size off in
-  with_lines t ~first:index ~last:index (fun () -> t.pending.(index))
+let dirty_line_count t = count_lines t (fun s -> s >= dirty)
+let is_dirty t off = line_state t off >= dirty
+let pending_line_count t = count_lines t (fun s -> s = pending)
+let is_pending t off = line_state t off = pending
 
 let unsafe_break_drain ?(skip = 1) t = t.drain_breakage <- skip

@@ -17,6 +17,15 @@
     scheduler is consulted once per touched line, so a crash can tear a
     multi-line write between lines (Fig. 5 of the paper).
 
+    The volatile cache starts empty and is filled on demand: the first
+    operation to touch a line since {!create} or the last {!crash} copies
+    that one line from the persistent image.  Starting a device, or
+    crashing one, therefore costs nothing per byte of its size — recovery
+    pays only for the lines it reads, as in the paper's model where a
+    crash empties the cache.  Each line has one state: absent (not yet
+    read), clean, dirty, or pending (flushed in {!Coalesced} mode and not
+    yet drained), so pending implies dirty implies present.
+
     With [auto_flush = true] the device persists every write immediately,
     emulating an NVRAM without a volatile cache — the model assumed by the
     CAS algorithm of Section 5.
@@ -231,15 +240,19 @@ val fault_plan : t -> Crash.fault_plan
 val inject_bitflip : t -> off:Offset.t -> bit:int -> unit
 (** [inject_bitflip t ~off ~bit] deterministically flips one persisted bit
     right now, bypassing the plans — the byte-surgery hook corruption
-    tests and the scrubber's fixtures are built on. *)
+    tests and the scrubber's fixtures are built on.  The visible byte
+    flips too: a cached line's copy is flipped with the image, and a line
+    not yet cached reads the flipped image when first touched. *)
 
 (** {1 Crash simulation} *)
 
 val crash : t -> unit
 (** [crash t] applies the crash: each dirty line is persisted or discarded
-    according to the device policy, then the volatile cache is emptied so
-    that the visible content equals the persistent image.  Idempotent.  Does
-    not clear the crashed flag: use {!restart}. *)
+    according to the device policy, then every line is marked absent — the
+    volatile cache is emptied, and the visible content equals the
+    persistent image, read back line by line as it is touched.  The cost
+    is one pass over the line states, never a copy of the image.
+    Idempotent.  Does not clear the crashed flag: use {!restart}. *)
 
 val restart : t -> unit
 (** [restart t] models the machine rebooting: clears the crashed flag and
@@ -258,7 +271,9 @@ val peek_persistent : t -> off:Offset.t -> len:int -> bytes
 val peek_volatile : t -> off:Offset.t -> len:int -> bytes
 (** [peek_volatile t ~off ~len] reads the currently visible content without
     consulting the crash scheduler or the statistics — for debugging tools
-    that must not perturb a crash schedule. *)
+    that must not perturb a crash schedule.  Covered lines not yet in the
+    cache are read from the persistent image (and cached), as by any
+    read. *)
 
 val dirty_line_count : t -> int
 val is_dirty : t -> Offset.t -> bool

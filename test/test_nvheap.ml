@@ -71,20 +71,24 @@ let test_out_of_memory () =
         (largest_free < 1_000_000)
 
 let test_exhaustion_and_refill () =
-  let _, heap = fresh_heap ~size:8192 ~len:2048 () in
-  let rec grab acc =
+  let pmem, heap = fresh_heap ~size:8192 ~len:2048 () in
+  let rec grab heap acc =
     match Heap.alloc heap 64 with
-    | payload -> grab (payload :: acc)
+    | payload -> grab heap (payload :: acc)
     | exception Heap.Out_of_heap_memory _ -> acc
   in
-  let blocks = grab [] in
+  let blocks = grab heap [] in
   Alcotest.(check bool) "several blocks" true (List.length blocks > 5);
   List.iter (Heap.free heap) blocks;
   check_ok heap;
-  (* After freeing everything, recovery coalesces back to one block. *)
-  let pmem = Pmem.create ~size:1 () in
-  ignore pmem;
-  ()
+  (* After freeing everything, recovery coalesces back to one block, and
+     that block refills to the same count. *)
+  let heap = Heap.recover pmem ~base:(off 64) in
+  check_ok heap;
+  Alcotest.(check int) "coalesced to one free block" 1
+    (Heap.block_count heap ~allocated:false);
+  Alcotest.(check int) "refills" (List.length blocks)
+    (List.length (grab heap []))
 
 let test_recover_coalesces () =
   let pmem, heap = fresh_heap () in

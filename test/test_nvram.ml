@@ -385,6 +385,40 @@ let test_file_backend_persist_no_syscall () =
           Alcotest.(check int) "write syscalls for 1000 persists" 0
             (after - before))
 
+(* Minor page faults this process has taken (field 10 of /proc/self/stat),
+   or [None] where the file cannot be read. *)
+let minor_faults () =
+  match In_channel.with_open_text "/proc/self/stat" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+      (* Fields 3 onwards follow the parenthesised command name, so field
+         10 is the eighth after it. *)
+      let rest = String.rindex text ')' + 2 in
+      let tail = String.sub text rest (String.length text - rest) in
+      let fields = String.split_on_char ' ' tail in
+      Option.bind (List.nth_opt fields 7) int_of_string_opt
+
+(* A start costs what it touches, not the size of the device: opening a
+   64 MiB image and reading one word faults in a few hundred pages (mostly
+   the one-byte-per-line state map), not the 16 384 pages of the image
+   that copying it into the cache would touch. *)
+let test_file_backend_demand_load () =
+  with_temp_file (fun path ->
+      let size = 64 lsl 20 in
+      match minor_faults () with
+      | None -> Alcotest.skip ()
+      | Some before ->
+          let backend = Backend.file ~path ~size () in
+          let p = Pmem.create ~backend ~size () in
+          Alcotest.(check int) "an all-zero image reads 0" 0
+            (Pmem.read_int p (off (size / 2)));
+          let faults = Option.get (minor_faults ()) - before in
+          Backend.close backend;
+          let bound = size / 4096 / 16 in
+          if faults > bound then
+            Alcotest.failf "create + one read took %d minor faults (bound %d)"
+              faults bound)
+
 (* A crash that fires the armed tear plan mangles exactly the interrupted
    line: a prefix of the in-flight bytes persists, at most 8 following
    bytes are shredded, the rest keep their old durable content — and the
@@ -509,6 +543,8 @@ let () =
             test_file_backend_flip_bit;
           Alcotest.test_case "persist makes no syscall" `Quick
             test_file_backend_persist_no_syscall;
+          Alcotest.test_case "start loads lines on demand" `Quick
+            test_file_backend_demand_load;
         ] );
       ( "media faults",
         [

@@ -221,12 +221,18 @@ let sequential_always_serializable =
 (* Device vs model                                                     *)
 
 (* Reference model of the device: a persistent byte array, a volatile byte
-   array and a dirty-line set.  Random operation sequences with interleaved
-   crashes must leave the real device and the model in identical states. *)
+   array and dirty and pending line sets.  Random operation sequences with
+   interleaved reads, barriers, bit flips and crashes, in either flush
+   mode, must leave the real device and the model in identical states.
+   The image starts from seeded non-zero bytes, so a line the cache has not
+   yet read from the image cannot pass for one it has. *)
 
 type dev_op =
   | Write of int * int  (* offset seed, length seed *)
   | Flush of int * int
+  | Read of int * int
+  | Barrier
+  | Bitflip of int * int  (* offset seed, bit seed *)
   | DevCrash
 
 let dev_op_gen =
@@ -235,27 +241,55 @@ let dev_op_gen =
       [
         (5, map2 (fun a b -> Write (a, b)) nat nat);
         (3, map2 (fun a b -> Flush (a, b)) nat nat);
+        (3, map2 (fun a b -> Read (a, b)) nat nat);
+        (1, pure Barrier);
+        (1, map2 (fun a b -> Bitflip (a, b)) nat nat);
         (1, pure DevCrash);
       ])
 
 let pp_dev_op = function
   | Write (a, b) -> Printf.sprintf "Write(%d,%d)" a b
   | Flush (a, b) -> Printf.sprintf "Flush(%d,%d)" a b
+  | Read (a, b) -> Printf.sprintf "Read(%d,%d)" a b
+  | Barrier -> "Barrier"
+  | Bitflip (a, b) -> Printf.sprintf "Bitflip(%d,%d)" a b
   | DevCrash -> "Crash"
 
-let device_matches_model ops =
+let device_matches_model (seed, coalesced, ops) =
   let size = 512 and line = 64 in
-  let pmem = Pmem.create ~line_size:line ~policy:Pmem.Lose_all ~size () in
-  let m_persist = Bytes.make size '\000' in
-  let m_volatile = Bytes.make size '\000' in
+  let image =
+    let rng = Random.State.make [| seed |] in
+    Bytes.init size (fun _ -> Char.chr (1 + Random.State.int rng 255))
+  in
+  let backend = Nvram.Backend.memory ~size in
+  Nvram.Backend.persist backend ~off:0 ~src:image ~src_off:0 ~len:size;
+  let flush_mode = if coalesced then Pmem.Coalesced else Pmem.Eager in
+  let pmem =
+    Pmem.create ~line_size:line ~policy:Pmem.Lose_all ~flush_mode ~backend
+      ~size ()
+  in
+  let m_persist = Bytes.copy image in
+  let m_volatile = Bytes.copy image in
   let m_dirty = Array.make (size / line) false in
+  let m_pending = Array.make (size / line) false in
+  let persist_line l =
+    Bytes.blit m_volatile (l * line) m_persist (l * line) line;
+    m_dirty.(l) <- false;
+    m_pending.(l) <- false
+  in
+  (* One domain, so a barrier drains every pending line. *)
+  let drain () = Array.iteri (fun l p -> if p then persist_line l) m_pending in
+  let range a b =
+    let len = 1 + (b mod 100) in
+    (a mod (size - len), len)
+  in
   let fill = ref 0 in
+  let ok = ref true in
   List.iter
     (fun op ->
       match op with
       | Write (a, b) ->
-          let len = 1 + (b mod 100) in
-          let o = a mod (size - len) in
+          let o, len = range a b in
           incr fill;
           let byte = Char.chr (!fill land 0xFF) in
           let data = Bytes.make len byte in
@@ -265,27 +299,54 @@ let device_matches_model ops =
             m_dirty.(l) <- true
           done
       | Flush (a, b) ->
-          let len = 1 + (b mod 100) in
-          let o = a mod (size - len) in
+          let o, len = range a b in
           Pmem.flush pmem ~off:(off o) ~len;
           for l = o / line to (o + len - 1) / line do
-            if m_dirty.(l) then begin
-              Bytes.blit m_volatile (l * line) m_persist (l * line) line;
-              m_dirty.(l) <- false
-            end
+            if m_dirty.(l) then
+              if coalesced then m_pending.(l) <- true else persist_line l
           done
+      | Read (a, b) ->
+          let o, len = range a b in
+          (* A dependent read of a pending line is a persist barrier. *)
+          let covers_pending = ref false in
+          for l = o / line to (o + len - 1) / line do
+            if m_pending.(l) then covers_pending := true
+          done;
+          if !covers_pending then drain ();
+          let got = Pmem.read_bytes pmem ~off:(off o) ~len in
+          if got <> Bytes.sub m_volatile o len then ok := false
+      | Barrier ->
+          Pmem.persist_barrier pmem;
+          drain ()
+      | Bitflip (a, b) ->
+          let o = a mod size and bit = b mod 8 in
+          Pmem.inject_bitflip pmem ~off:(off o) ~bit;
+          let flip m =
+            Bytes.set m o
+              (Char.chr (Char.code (Bytes.get m o) lxor (1 lsl bit)))
+          in
+          flip m_persist;
+          flip m_volatile
       | DevCrash ->
           Pmem.crash_and_restart pmem;
           Bytes.blit m_persist 0 m_volatile 0 size;
-          Array.fill m_dirty 0 (Array.length m_dirty) false)
+          Array.fill m_dirty 0 (Array.length m_dirty) false;
+          Array.fill m_pending 0 (Array.length m_pending) false)
     ops;
-  Pmem.peek_volatile pmem ~off:(off 0) ~len:size = m_volatile
+  let count a = Array.fold_left (fun n x -> if x then n + 1 else n) 0 a in
+  !ok
+  && Pmem.peek_volatile pmem ~off:(off 0) ~len:size = m_volatile
   && Pmem.peek_persistent pmem ~off:(off 0) ~len:size = m_persist
+  && Pmem.dirty_line_count pmem = count m_dirty
+  && Pmem.pending_line_count pmem = count m_pending
 
 let device_model_test =
   QCheck2.Test.make ~count:200 ~name:"pmem: matches reference model"
-    ~print:(fun ops -> String.concat ";" (List.map pp_dev_op ops))
-    QCheck2.Gen.(list_size (int_bound 60) dev_op_gen)
+    ~print:(fun (seed, coalesced, ops) ->
+      Printf.sprintf "seed %d, %s: %s" seed
+        (if coalesced then "coalesced" else "eager")
+        (String.concat ";" (List.map pp_dev_op ops)))
+    QCheck2.Gen.(triple nat bool (list_size (int_bound 60) dev_op_gen))
     device_matches_model
 
 (* ------------------------------------------------------------------ *)
