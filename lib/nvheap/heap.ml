@@ -34,12 +34,14 @@ exception Out_of_heap_memory of { requested : int; largest_free : int }
    the magic test rather than a half-split heap.
 
    The tiling is the allocator's only persistent record.  Which blocks are
-   free is also kept in a volatile per-arena index, built from the tiling
-   ([index_arena]) at format and recovery and lazily for an
-   [open_existing] heap.  The index only ever holds blocks the tiling says
-   are free: [alloc] takes a block out before its commit write and [free]
-   puts one in after its commit flush, so an operation cut short leaks at
-   most one block until the next [recover] and never hands one out twice.
+   free is also kept in a volatile per-arena index, built by one pass over
+   the tiling ([sweep_arena]): at format, by the [sweep] or [retain] that
+   ends a system recovery, and lazily on the first allocation from an arena
+   attached but not yet swept.  The index only ever holds blocks the tiling
+   says are free: [alloc] takes a block out before its commit write and
+   [free] puts one in after its commit flush.  An operation cut short
+   marks its arena unindexed, so the next allocation there sweeps again
+   and no block stays out of the index.
 
    Media faults degrade, not crash: a corrupt block tag makes the tiling
    unwalkable, so the arena is quarantined — allocation routes around it,
@@ -103,9 +105,9 @@ type arena = {
   mutable free_off : int array;
   mutable free_size : int array;
   mutable nfree : int;
-  (* [false] until [index_arena] has run: an [open_existing] heap builds
-     its index on the first allocation, so attaching stays write- and
-     walk-free. *)
+  (* [false] until [sweep_arena] has run, and again after an operation on
+     the arena was cut short: the next allocation sweeps first, so
+     attaching stays write- and walk-free. *)
   mutable indexed : bool;
   (* Set (under [mu]) when the arena's block tiling is unwalkable — a tag
      failed its checksum.  Allocation, free and every aggregate scan route
@@ -120,6 +122,9 @@ type t = {
   stride : int; (* distance between consecutive arena starts *)
   arenas : arena array;
   preferred : int; (* >= 0: arena this view binds to; -1: route by domain *)
+  report : repair -> unit;
+      (* where [recover]'s caller hears of an arena quarantined later, by
+         the sweep or a lazy index build *)
 }
 
 let base t = t.base
@@ -156,7 +161,6 @@ let arena_layout ~base ~len ~arenas =
 
 let first_block a = Offset.add a.abase header_size
 let arena_end a = Offset.add a.abase a.alen
-let payload_of_block block = Offset.add block block_header_size
 let block_of_payload payload = Offset.add payload (-block_header_size)
 
 let read_size_tag t block = Pmem.read_int t.pmem block
@@ -227,16 +231,63 @@ let fold_arena_blocks t a f acc =
   in
   go (first_block a) acc
 
-(* Build one arena's free index from its block tiling.  Raises
-   [Invalid_argument] if the tiling is corrupt; callers then quarantine.
-   Caller holds [a.mu] (or is single-threaded). *)
-let index_arena t a =
+type reclaimed = { blocks : int; bytes : int }
+
+let all_live (_ : int) = true
+
+(* The one pass that rebuilds an arena from its tiling, reading each tag
+   once.  A block is reusable when it is free or when [live] rejects it
+   (an allocated block no root reaches).  Every maximal run of reusable
+   blocks becomes one free block: one tag write at the run's head, unless
+   the head already is that free block, commits the whole run, as a
+   coalescing merge always has — the absorbed tags become dead data, and
+   a run cut short by a crash leaves a tiling the next sweep takes up
+   again.  Each run then joins the index.  Returns what was reclaimed from
+   blocks [live] rejected.  Raises [Invalid_argument] if the tiling is
+   corrupt; callers then quarantine.  Caller holds [a.mu] (or is
+   single-threaded). *)
+let sweep_arena t a ~live =
+  a.indexed <- false;
   a.nfree <- 0;
-  fold_arena_blocks t a
-    (fun () ~block ~size ~allocated ->
-      if not allocated then index_add a (Offset.to_int block) size)
-    ();
-  a.indexed <- true
+  let stop = Offset.to_int (arena_end a) in
+  let dead = ref 0 and dead_bytes = ref 0 in
+  let head = ref (-1) and head_tag = ref 0 and run = ref 0 in
+  let close_run () =
+    if !head >= 0 then begin
+      if is_allocated !head_tag || block_size !head_tag <> !run then
+        write_size_tag t (Offset.of_int !head) !run;
+      index_add a !head !run;
+      head := -1
+    end
+  in
+  let block = ref (Offset.to_int (first_block a)) in
+  while !block < stop do
+    let b = !block in
+    let tag = read_size_tag t (Offset.of_int b) in
+    check_block a (Offset.of_int b) tag;
+    let size = block_size tag in
+    let allocated = is_allocated tag in
+    if allocated && live b then close_run ()
+    else begin
+      if allocated then begin
+        incr dead;
+        dead_bytes := !dead_bytes + size;
+        if Obs.Config.enabled () then
+          Obs.Trace.record
+            (Obs.Trace.Heap_free { payload = b + block_header_size })
+      end;
+      if !head < 0 then begin
+        head := b;
+        head_tag := tag;
+        run := size
+      end
+      else run := !run + size
+    end;
+    block := b + size
+  done;
+  close_run ();
+  a.indexed <- true;
+  { blocks = !dead; bytes = !dead_bytes }
 
 let format ?(arenas = 1) pmem ~base ~len =
   if arenas < 1 then invalid_arg "Heap.format: arena count must be >= 1";
@@ -249,7 +300,17 @@ let format ?(arenas = 1) pmem ~base ~len =
   in
   if stride < header_size + min_block then
     invalid_arg "Heap.format: region too small";
-  let t = { pmem; base; len; stride; arenas = arena_arr; preferred = -1 } in
+  let t =
+    {
+      pmem;
+      base;
+      len;
+      stride;
+      arenas = arena_arr;
+      preferred = -1;
+      report = ignore;
+    }
+  in
   (* Arena headers and initial blocks first; the superblock flush is the
      commit of the whole split. *)
   let write_arena_header a =
@@ -268,7 +329,7 @@ let format ?(arenas = 1) pmem ~base ~len =
   Pmem.write_int pmem (Offset.add base 16) arenas;
   Pmem.write_int64 pmem (Offset.add base 24) (superblock_crc ~len ~arenas);
   Pmem.flush pmem ~off:base ~len:superblock_size;
-  Array.iter (index_arena t) arena_arr;
+  Array.iter (fun a -> ignore (sweep_arena t a ~live:all_live)) arena_arr;
   t
 
 let arena_header_ok pmem a =
@@ -320,10 +381,9 @@ let attach_internal ?(repair_headers = false) ?(report = ignore) pmem ~base =
           invalid_arg "Heap.open_existing: bad arena header"
         end)
     arena_arr;
-  { pmem; base; len; stride; arenas = arena_arr; preferred = -1 }
+  { pmem; base; len; stride; arenas = arena_arr; preferred = -1; report }
 
-let attach pmem ~base = attach_internal pmem ~base
-let open_existing pmem ~base = attach pmem ~base
+let open_existing pmem ~base = attach_internal pmem ~base
 
 (* Walk every arena in address order (arena order = address order);
    quarantined arenas are skipped — their tiling cannot be walked. *)
@@ -337,65 +397,24 @@ let iter_blocks t f =
     (fun () ~block ~size ~allocated -> f ~off:block ~size ~allocated)
     ()
 
-let recover_arena t a =
-  (* Pass 1: coalesce adjacent non-allocated blocks.  Growing the first
-     block's size field is the atomic commit of each merge; the absorbed
-     block's header becomes dead data, so a repeated failure re-runs the walk
-     on a consistent tiling. *)
-  let stop = Offset.to_int (arena_end a) in
-  let rec coalesce block =
-    if Offset.to_int block < stop then begin
-      let tag = read_size_tag t block in
-      check_block a block tag;
-      let size = block_size tag in
-      if is_allocated tag then coalesce (Offset.add block size)
-      else begin
-        let next = Offset.add block size in
-        if Offset.to_int next < stop then begin
-          let next_tag = read_size_tag t next in
-          check_block a next next_tag;
-          if is_allocated next_tag then coalesce next
-          else begin
-            write_size_tag t block (size + block_size next_tag);
-            coalesce block
-          end
-        end
-      end
-    end
-  in
-  coalesce (first_block a);
-  (* Pass 2: index every free block, including those leaked by a crash
-     between an allocation's commit and the client's own persist. *)
-  index_arena t a
-
-(* Online detect-and-degrade: called when an allocation or free trips over
-   a corrupt tag inside arena [i].  There is no second copy of the tiling
-   to rebuild from, so the arena goes out of service.  Caller holds
-   [a.mu]. *)
-let quarantine i a reason =
+(* Online detect-and-degrade: called when a sweep, a lazy index build or a
+   free trips over a corrupt tag inside arena [i].  There is no second
+   copy of the tiling to rebuild from, so the arena goes out of service.
+   Caller holds [a.mu] (or is single-threaded). *)
+let quarantine t i a reason =
   a.quarantined <- true;
   note_quarantined ();
+  t.report (Quarantined_arena { arena = i; reason });
   if Obs.Config.enabled () then
     Obs.Trace.record
       (Obs.Trace.Fault_note
          { what = Printf.sprintf "heap: arena %d quarantined (%s)" i reason })
 
+(* Attaching reads the superblock and the arena headers and repairs a
+   rotten header; no arena is walked until the sweep that ends a system
+   recovery, or a replay's first allocation from it. *)
 let recover ?(report = ignore) pmem ~base =
-  let t = attach_internal ~repair_headers:true ~report pmem ~base in
-  (* Arenas are rebuilt one after another from the same crash-consistent
-     block tags; each rebuild is idempotent, so repeated failures during
-     recovery simply restart the sequence.  An arena whose tiling fails its
-     checksums is quarantined rather than aborting the whole recovery. *)
-  Array.iteri
-    (fun i a ->
-      match recover_arena t a with
-      | () -> ()
-      | exception Invalid_argument reason ->
-          a.quarantined <- true;
-          note_quarantined ();
-          report (Quarantined_arena { arena = i; reason }))
-    t.arenas;
-  t
+  attach_internal ~repair_headers:true ~report pmem ~base
 
 (* The arena that owns a block offset, by address range.  [stride] divides
    the region uniformly except for the last arena's remainder, which the
@@ -433,9 +452,12 @@ let rec best_fit a need k best =
 (* Returns the payload offset as a plain [int]; [0] means no fit (a real
    payload offset is never 0: block headers start past the superblock and
    the arena header).  The chosen block leaves the index before the commit
-   write; a split's remainder returns to it only after the commit flush. *)
+   write; a split's remainder returns to it only after the commit flush.
+   An unindexed arena is swept first, every allocated block live, so a
+   replay never allocates from a less merged heap than a full sweep
+   leaves. *)
 let arena_alloc_locked t a need =
-  if not a.indexed then index_arena t a;
+  if not a.indexed then ignore (sweep_arena t a ~live:all_live);
   let k = best_fit a need (a.nfree - 1) (-1) in
   if k < 0 then 0
   else begin
@@ -461,7 +483,11 @@ let arena_alloc_locked t a need =
 (* The lock is taken manually rather than through [Mutex.protect]: this
    path runs once per [alloc] and must not allocate.  A tiling that fails
    its checksums while a lazy index is built quarantines the arena and
-   reports "no fit", so the caller steals from a healthy arena. *)
+   reports "no fit", so the caller steals from a healthy arena.  An
+   allocation cut short (a crash or an individual kill at one of its tag
+   writes) may have left its block out of the index on either side of the
+   commit, so the arena is marked unindexed: the next allocation rebuilds
+   the index from the tiling, which is right on both sides. *)
 let arena_alloc t i a need =
   Mutex.lock a.mu;
   match
@@ -469,13 +495,14 @@ let arena_alloc t i a need =
     else
       try arena_alloc_locked t a need
       with Invalid_argument reason ->
-        quarantine i a reason;
+        quarantine t i a reason;
         0
   with
   | payload ->
       Mutex.unlock a.mu;
       payload
   | exception e ->
+      a.indexed <- false;
       Mutex.unlock a.mu;
       raise e
 
@@ -541,7 +568,7 @@ let free_locked t a payload =
   let tag = read_size_tag t block in
   match check_block a block tag with
   | exception Invalid_argument reason ->
-      quarantine (arena_index_of_block t block) a reason
+      quarantine t (arena_index_of_block t block) a reason
   | () ->
       if not (is_allocated tag) then
         invalid_arg "Heap: block is not allocated (double free?)";
@@ -556,7 +583,9 @@ let free_locked t a payload =
 
    A free into a quarantined arena is dropped: the arena's metadata is not
    trustworthy enough to write into, so the block leaks (bounded by the
-   arena) instead of corrupting further. *)
+   arena) instead of corrupting further.  A free cut short between its
+   commit and [index_add] marks the arena unindexed, as [arena_alloc]
+   does. *)
 let free t payload =
   let a = t.arenas.(arena_index t payload) in
   Mutex.lock a.mu;
@@ -567,46 +596,48 @@ let free t payload =
   with
   | () -> Mutex.unlock a.mu
   | exception e ->
+      a.indexed <- false;
       Mutex.unlock a.mu;
       raise e
 
-type reclaimed = { blocks : int; bytes : int }
+(* Sweep every arena in turn, each under its own lock; dead blocks always
+   belong to the arena being swept, so no reclamation crosses a lock.  An
+   arena whose tiling fails its checksums is quarantined and skipped. *)
+let sweep_arenas t ~live =
+  let blocks = ref 0 and bytes = ref 0 in
+  Array.iteri
+    (fun i a ->
+      Mutex.protect a.mu (fun () ->
+          if not a.quarantined then
+            match sweep_arena t a ~live with
+            | r ->
+                blocks := !blocks + r.blocks;
+                bytes := !bytes + r.bytes
+            | exception Invalid_argument reason -> quarantine t i a reason))
+    t.arenas;
+  { blocks = !blocks; bytes = !bytes }
 
+let sweep t = ignore (sweep_arenas t ~live:all_live)
+
+(* Liveness is one bit per 16-byte granule of the region, set at each
+   listed payload's block header.  Every block header sits on a granule,
+   so membership is exact; an offset outside the region or off the granule
+   grid names no block and sets nothing. *)
 let retain t ~live =
-  (* Membership is a hash set keyed on the payload offset, so the liveness
-     scan is O(dead + live) instead of the O(dead × live) a [List.exists]
-     per block would cost — system recoveries pass every stack block and
-     every structure node as a root, so [live] is big exactly when the heap
-     is big. *)
-  let live_set = Hashtbl.create (max 16 (2 * List.length live)) in
+  let base = Offset.to_int t.base in
+  let bits = Bytes.make ((t.len / 16 + 7) / 8) '\000' in
+  let byte g = Char.code (Bytes.get bits (g lsr 3)) in
+  let bit g = 1 lsl (g land 7) in
   List.iter
-    (fun payload -> Hashtbl.replace live_set (Offset.to_int payload) ())
+    (fun payload ->
+      let off = Offset.to_int payload - block_header_size - base in
+      if off >= 0 && off < t.len && off land 15 = 0 then
+        let g = off lsr 4 in
+        Bytes.set bits (g lsr 3) (Char.chr (byte g lor bit g)))
     live;
-  (* Arena by arena, under that arena's lock; dead blocks always belong to
-     the arena being scanned, so no reclamation crosses a lock. *)
-  Array.fold_left
-    (fun acc a ->
-      if a.quarantined then acc
-      else
-        Mutex.protect a.mu (fun () ->
-          let dead, bytes =
-            fold_arena_blocks t a
-              (fun (dead, bytes) ~block ~size ~allocated ->
-                let payload = payload_of_block block in
-                if
-                  allocated
-                  && not (Hashtbl.mem live_set (Offset.to_int payload))
-                then (payload :: dead, bytes + size)
-                else (dead, bytes))
-              ([], 0)
-          in
-          List.iter (free_locked t a) dead;
-          {
-            blocks = acc.blocks + List.length dead;
-            bytes = acc.bytes + bytes;
-          }))
-    { blocks = 0; bytes = 0 }
-    t.arenas
+  sweep_arenas t ~live:(fun block ->
+      let g = (block - base) lsr 4 in
+      byte g land bit g <> 0)
 
 let payload_size t payload =
   let a = t.arenas.(arena_index t payload) in

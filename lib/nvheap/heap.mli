@@ -6,11 +6,12 @@
     substrate: a best-fit allocator whose only metadata in the persistent
     region is the tiling of checksummed block tags, which survives crashes.
     Which blocks are free is also kept in a volatile per-arena index, built
-    from the tiling by {!format} and {!recover}, and for an
-    {!open_existing} heap by its first allocation, as Makalu (ref. [11] of
-    the paper) rebuilds allocator metadata offline.  (Best fit, because free blocks
-    coalesce only offline at {!recover}: exact-size reuse keeps repetitive
-    workloads at a fragmentation steady state.)
+    from the tiling by {!format}, by the {!sweep} or {!retain} that ends a
+    recovery, and for an arena attached but not yet swept by its first
+    allocation, as Makalu (ref. [11] of the paper) rebuilds allocator
+    metadata offline.  (Best fit, because free blocks coalesce only
+    offline, in that sweep: exact-size reuse keeps repetitive workloads at
+    a fragmentation steady state.)
 
     {2 Arenas}
 
@@ -43,17 +44,20 @@
     The volatile index follows the tiling, never leads it: an allocation
     takes its block out of the index before the commit write, and a free
     puts its block in after the commit flush.  An operation cut short by a
-    crash or an individual kill therefore leaks at most one block until the
-    next {!recover}, and never hands a block out twice.
+    crash or an individual kill marks its arena unindexed, so the next
+    allocation there rebuilds the index from the tiling: no block is lost
+    to the index and none is handed out twice.
 
     A crash between an allocation's commit and the moment the client
     persists the block offset can leak the block — the same window real
     persistent allocators close with logging (Makalu).  We close it
-    offline: {!recover} walks each arena's block sequence in turn,
-    coalesces adjacent free blocks and indexes every block not marked
-    allocated; {!retain} then reclaims allocated blocks no root reaches.
-    Every pass is idempotent, so repeated failures during recovery are
-    harmless (Section 4.3).
+    offline.  A recovery attaches with {!recover}, which walks nothing;
+    replays the interrupted operations; and ends with one sweep per arena
+    ({!retain}, or {!sweep} when nothing is reclaimed).  The sweep reads
+    each block tag once, turns every maximal run of free and unreachable
+    blocks into one free block with one tag write at its head, and
+    rebuilds the index.  Every step is idempotent, so repeated failures
+    during recovery are harmless (Section 4.3).
 
     {2 Domain safety}
 
@@ -93,9 +97,9 @@ val open_existing : Nvram.Pmem.t -> base:Nvram.Offset.t -> t
 (** [open_existing pmem ~base] attaches to a heap previously created by
     {!format}, without modifying it and without walking the block tiling.
     The arena split is recomputed from the superblock, so no configuration
-    needs to be remembered.  An arena's free index is built on its first
-    allocation; a tiling that fails its checksums then quarantines the
-    arena.
+    needs to be remembered.  An arena is swept as {!sweep} does on its
+    first allocation, which coalesces and builds its free index; a tiling
+    that fails its checksums then quarantines the arena.
 
     @raise Invalid_argument if the superblock or an arena header does not
     match. *)
@@ -112,19 +116,28 @@ val pp_repair : Format.formatter -> repair -> unit
 
 val recover :
   ?report:(repair -> unit) -> Nvram.Pmem.t -> base:Nvram.Offset.t -> t
-(** [recover pmem ~base] attaches to an existing heap and walks every
-    arena's tiling in address order: adjacent free blocks are coalesced
-    and every block not marked allocated is indexed as free (reclaiming
-    blocks leaked by a crash inside an allocation).  The coalescing merges
-    are its only device writes.  Safe to re-run after repeated failures.
+(** [recover pmem ~base] attaches to an existing heap after a crash.  It
+    reads the superblock and the arena headers and rewrites a header that
+    fails its checksum from the superblock geometry; it walks no arena.
+    Every arena starts unindexed: the {!sweep} or {!retain} that ends the
+    recovery walks it, and so does an earlier allocation from it (a
+    replay's), which coalesces as the sweep does.  Safe to re-run after
+    repeated failures.
 
-    Media damage is handled per arena: a header failing its checksum is
-    rewritten from the superblock geometry, and an arena whose tiling is
-    unwalkable is quarantined; both are passed to [?report] (default:
-    ignored, counters still tick).
+    Repairs go to [?report] (default: ignored, counters still tick): a
+    rewritten header at once, and an arena whose tiling is unwalkable when
+    a later sweep, lazy index build or free quarantines it.
 
     @raise Invalid_argument if the superblock itself fails its magic or
     checksum — the geometry is the one thing that cannot be rebuilt. *)
+
+val sweep : t -> unit
+(** [sweep t] walks every arena's tiling once, in address order, treating
+    every allocated block as live: each maximal run of adjacent free
+    blocks is merged into one (one tag write and flush at the run's head
+    is the commit) and every free block is indexed.  An arena whose tiling
+    fails its checksums is quarantined and reported to the [?report] given
+    to {!recover}.  A second sweep writes nothing. *)
 
 val alloc : t -> int -> Nvram.Offset.t
 (** [alloc t n] allocates at least [n] bytes ([n >= 1]) and returns the
@@ -149,14 +162,17 @@ type reclaimed = { blocks : int; bytes : int }
     bytes (payload + header) returned to the heap. *)
 
 val retain : t -> live:Nvram.Offset.t list -> reclaimed
-(** [retain t ~live] frees every allocated block whose payload offset is not
-    listed in [live] and reports what was reclaimed, arena by arena.  This
-    is the root-based offline reclamation a system recovery runs after
-    rebuilding its data structures: any block that a crash window left
-    allocated but unreferenced (e.g. an abandoned stack block mid-resize)
-    is returned to its arena.  Liveness membership is a hash
-    set keyed on the payload offset, so the pass costs
-    O(blocks + length live) rather than their product. *)
+(** [retain t ~live] is {!sweep} where an allocated block counts as live
+    only if its payload offset is listed in [live]; every other allocated
+    block is freed, and what was freed is reported.  This is the root-based
+    offline reclamation that ends a system recovery, after replay rebuilt
+    the data structures: any block that a crash window left allocated but
+    unreferenced (e.g. an abandoned stack block mid-resize) is returned to
+    its arena.  A dead block merges with its free and dead neighbours in
+    the same run: no root reaches it, so its tag may become dead data like
+    a free block's.  Liveness is a bitmap with one bit per 16-byte granule
+    of the region, so the pass reads each tag once and costs
+    O(blocks + length live). *)
 
 val payload_size : t -> Nvram.Offset.t -> int
 (** [payload_size t payload] is the usable size of an allocated block, which

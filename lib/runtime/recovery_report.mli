@@ -1,14 +1,14 @@
 (** Structured account of what a recovery had to repair.
 
     Detect-and-degrade recovery ({!Pstack.Bounded.attach} truncating torn
-    tails, {!Nvheap.Heap.recover} rewriting arena headers and quarantining
-    arenas) no longer raises on media damage — this report is where the
-    damage surfaces instead, so callers (the driver, the fuzzer's oracle,
-    [trace_dump]) can distinguish a clean recovery from a degraded one
-    without parsing logs.  A damage class that {e cannot} be degraded
-    around (corrupt dummy frame, rotten superblock) still raises
-    ({!Pstack.Repair.Corrupt_stack}, [Invalid_argument]) and is the
-    caller's fatal case. *)
+    tails, {!Nvheap.Heap.recover} rewriting arena headers, the recovery
+    sweep quarantining arenas) no longer raises on media damage — this
+    report is where the damage surfaces instead, so callers (the driver,
+    the fuzzer's oracle, [trace_dump]) can distinguish a clean recovery
+    from a degraded one without parsing logs.  A damage class that
+    {e cannot} be degraded around (corrupt dummy frame, rotten superblock)
+    still raises ({!Pstack.Repair.Corrupt_stack}, [Invalid_argument]) and
+    is the caller's fatal case. *)
 
 type item =
   | Stack_repair of { worker : int; event : Pstack.Repair.event }

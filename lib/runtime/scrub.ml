@@ -100,8 +100,9 @@ let run ?(repair = false) pmem =
       let add f = findings := f :: !findings in
       let heap_base = System.image_heap_base pmem config in
       (* Heap first: a repair pass rewrites rotten arena headers and
-         rebuilds the free index before the heap-backed stacks re-attach
-         through it. *)
+         sweeps (coalescing, rebuilding the free index, quarantining an
+         unwalkable arena) before the heap-backed stacks re-attach through
+         it. *)
       let heap =
         if repair then
           match
@@ -116,7 +117,9 @@ let run ?(repair = false) pmem =
                   })
               pmem ~base:heap_base
           with
-          | heap -> Some heap
+          | heap ->
+              Heap.sweep heap;
+              Some heap
           | exception Invalid_argument reason ->
               note_detected ();
               add { where = "heap"; detail = reason; repaired = false };

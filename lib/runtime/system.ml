@@ -239,6 +239,7 @@ let attach ?(report = fun _ -> ()) pmem ~registry =
   let config = read_superblock pmem in
   let tasks = Task.attach pmem ~base:(task_base config) in
   let base, _len = heap_region pmem config in
+  (* Walk-free: the heap's one sweep runs at the end of [recover]. *)
   let heap =
     Heap.recover ~report:(fun r -> report (Recovery_report.Heap_repair r)) pmem
       ~base
@@ -434,8 +435,11 @@ let recover ?spawn ?reclaim t =
   match parallel_workers ?spawn t recover_one with
   | `Crashed -> `Crashed
   | `Completed ->
+      (* One sweep per arena ends the recovery: the replay above may have
+         freed blocks or dropped the last reference to some, and only now
+         are the roots final. *)
       (match reclaim with
-      | None -> ()
+      | None -> Heap.sweep t.heap
       | Some extra_roots ->
           let live =
             List.concat_map Exec.live_blocks (Array.to_list t.ctxs)

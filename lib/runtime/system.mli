@@ -76,10 +76,12 @@ val attach :
   t
 (** [attach pmem ~registry] reopens a system after a restart: reads the
     superblock (verifying its checksum), re-attaches the task table and the
-    stacks, and recovers the heap (coalescing, and rebuilding its free
-    index).  Media damage found on the way — truncated stack tails,
-    rewritten arena headers, quarantined arenas — is passed to [?report] in order (default:
-    ignored; the [Obs.Counters] fault counters tick either way).
+    stacks, and attaches the heap with {!Nvheap.Heap.recover}, which repairs
+    arena headers but walks no arena: the heap's one sweep runs at the end
+    of {!recover}.  Media damage found on the way — truncated stack tails,
+    rewritten arena headers — is passed to [?report] in order (default:
+    ignored; the [Obs.Counters] fault counters tick either way), and so is
+    an arena quarantined later, when a sweep finds its tiling unwalkable.
 
     @raise Invalid_argument if the device holds no system superblock or the
     superblock checksum does not verify.
@@ -141,10 +143,12 @@ val recover :
     {!run}) and returns [`Completed] when every interrupted
     operation has been completed and popped.
 
-    If [reclaim] is given, a successful recovery then frees every heap
-    block that is referenced neither by a stack nor by the extra roots
-    [reclaim ()] — closing the allocation/resize leak windows
-    (Appendix A; DESIGN.md section 4). *)
+    A successful recovery ends with one sweep of every heap arena, which
+    coalesces free blocks and rebuilds the free index
+    ({!Nvheap.Heap.sweep}).  If [reclaim] is given, the same sweep also
+    frees every heap block that is referenced neither by a stack nor by
+    the extra roots [reclaim ()] ({!Nvheap.Heap.retain}) — closing the
+    allocation/resize leak windows (Appendix A; DESIGN.md section 4). *)
 
 val results : t -> (int * int64 option) list
 (** Answers of all submitted tasks, [None] for tasks not yet completed. *)

@@ -403,6 +403,34 @@ let test_rcas_run_produces_history () =
       Alcotest.(check int) "ops recorded" 8 (List.length h.Verify.History.ops)
   | None -> Alcotest.fail "rcas run returned no history"
 
+(* Individual kills inside the heap: one worker pushes (enqueues) and pops
+   (dequeues) alone on an auto-flush device while a one-shot kill lands at
+   its 104th persistence op, inside an allocation's tag writes.  The worker
+   recovers alone and keeps the same heap handle, so a block the cut-short
+   allocation took out of the arena's free index must come back without a
+   whole-system recovery: with one arena that block is all the free space,
+   and losing it refuses a 32-byte allocation with ~2 MB free. *)
+let kill_in_alloc_reproducer kind ~push ~pop =
+  let op_lines =
+    List.map
+      (function
+        | `Push v -> Printf.sprintf "op %s %d" push v
+        | `Pop -> "op " ^ pop)
+      [
+        `Push 100; `Push 101; `Push 103; `Push 104; `Pop; `Pop; `Push 107;
+        `Pop; `Push 109; `Pop; `Push 111;
+      ]
+  in
+  ([ "kind " ^ kind; "workers 1"; "init 0" ] @ op_lines @ [ "kill at-op 104" ])
+
+let test_kill_in_alloc kind ~push ~pop () =
+  match Reproducer.of_lines (kill_in_alloc_reproducer kind ~push ~pop) with
+  | Error msg -> Alcotest.fail msg
+  | Ok repro -> (
+      match (Reproducer.replay repro).Harness.verdict with
+      | Harness.Pass -> ()
+      | Harness.Fail msg | Harness.Fatal msg -> Alcotest.fail msg)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -451,5 +479,12 @@ let () =
             test_shrink_drops_stale_interleave;
           Alcotest.test_case "reproducer replays" `Quick
             test_reproducer_round_trip_and_replay;
+        ] );
+      ( "individual kills",
+        [
+          Alcotest.test_case "rstack: kill inside alloc" `Quick
+            (test_kill_in_alloc "rstack" ~push:"push" ~pop:"pop");
+          Alcotest.test_case "rqueue: kill inside alloc" `Quick
+            (test_kill_in_alloc "rqueue" ~push:"enq" ~pop:"deq");
         ] );
     ]

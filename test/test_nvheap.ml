@@ -1,6 +1,6 @@
 (* Unit tests for the persistent heap allocator: allocation, splitting,
    freeing, coalescing, crash consistency of every commit protocol, offline
-   recovery and root-based reclamation. *)
+   recovery and root-based reclamation, and individual kills. *)
 
 module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
@@ -18,6 +18,13 @@ let check_ok heap =
   match Heap.check heap with
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("heap invariant broken: " ^ msg)
+
+(* A standalone heap recovery: attach, then the sweep that ends every
+   system recovery. *)
+let recover_swept pmem =
+  let heap = Heap.recover pmem ~base:(off 64) in
+  Heap.sweep heap;
+  heap
 
 let test_format () =
   let _, heap = fresh_heap () in
@@ -83,7 +90,7 @@ let test_exhaustion_and_refill () =
   check_ok heap;
   (* After freeing everything, recovery coalesces back to one block, and
      that block refills to the same count. *)
-  let heap = Heap.recover pmem ~base:(off 64) in
+  let heap = recover_swept pmem in
   check_ok heap;
   Alcotest.(check int) "coalesced to one free block" 1
     (Heap.block_count heap ~allocated:false);
@@ -94,7 +101,7 @@ let test_recover_coalesces () =
   let pmem, heap = fresh_heap () in
   let blocks = List.init 8 (fun _ -> Heap.alloc heap 64) in
   List.iter (Heap.free heap) blocks;
-  let heap = Heap.recover pmem ~base:(off 64) in
+  let heap = recover_swept pmem in
   check_ok heap;
   Alcotest.(check int) "coalesced to one free block" 1
     (Heap.block_count heap ~allocated:false)
@@ -165,23 +172,24 @@ let test_crash_during_recovery () =
   let build () =
     let pmem, heap = fresh_heap () in
     let blocks = List.init 6 (fun _ -> Heap.alloc heap 64) in
-    List.iteri (fun i b -> if i mod 2 = 0 then Heap.free heap b) blocks;
+    (* the last block freed sits next to the big free remainder *)
+    List.iteri (fun i b -> if i mod 2 = 1 then Heap.free heap b) blocks;
     pmem
   in
   let total =
     let pmem = build () in
     Crash.arm (Pmem.crash_ctl pmem) Crash.Never;
     let before = Crash.ops (Pmem.crash_ctl pmem) in
-    ignore (Heap.recover pmem ~base:(off 64));
+    ignore (recover_swept pmem);
     Crash.ops (Pmem.crash_ctl pmem) - before
   in
+  Alcotest.(check bool) "recovery writes" true (total > 0);
   for point = 1 to total do
     let pmem = build () in
     Crash.arm (Pmem.crash_ctl pmem) (Crash.At_op point);
-    (try ignore (Heap.recover pmem ~base:(off 64))
-     with Crash.Crash_now -> ());
+    (try ignore (recover_swept pmem) with Crash.Crash_now -> ());
     Pmem.crash_and_restart pmem;
-    let recovered = Heap.recover pmem ~base:(off 64) in
+    let recovered = recover_swept pmem in
     match Heap.check recovered with
     | Ok () -> ()
     | Error msg ->
@@ -420,16 +428,15 @@ let test_arena_crash_during_recovery () =
     let pmem = build () in
     Crash.arm (Pmem.crash_ctl pmem) Crash.Never;
     let before = Crash.ops (Pmem.crash_ctl pmem) in
-    ignore (Heap.recover pmem ~base:(off 64));
+    ignore (recover_swept pmem);
     Crash.ops (Pmem.crash_ctl pmem) - before
   in
   for point = 1 to total do
     let pmem = build () in
     Crash.arm (Pmem.crash_ctl pmem) (Crash.At_op point);
-    (try ignore (Heap.recover pmem ~base:(off 64))
-     with Crash.Crash_now -> ());
+    (try ignore (recover_swept pmem) with Crash.Crash_now -> ());
     Pmem.crash_and_restart pmem;
-    let recovered = Heap.recover pmem ~base:(off 64) in
+    let recovered = recover_swept pmem in
     match Heap.check recovered with
     | Ok () -> ()
     | Error msg ->
@@ -481,6 +488,7 @@ let recover_with_repairs pmem =
   let heap =
     Heap.recover ~report:(fun r -> repairs := r :: !repairs) pmem ~base:(off 64)
   in
+  Heap.sweep heap;
   (heap, List.rev !repairs)
 
 let test_clean_recover_reports_nothing () =
@@ -578,7 +586,7 @@ let test_alloc_reads_flat_in_holes () =
       let a = Heap.alloc !heap (32 * r) in
       ignore (Heap.alloc !heap ((32 * r) + 16));
       Heap.free !heap a;
-      heap := Heap.recover pmem ~base:(off 64)
+      heap := recover_swept pmem
     done;
     Alcotest.(check int) "one hole per round, plus the big block"
       (rounds + 1)
@@ -607,6 +615,165 @@ let test_open_existing_is_passive () =
   | exception Heap.Out_of_heap_memory _ ->
       Alcotest.(check (list int)) "first allocation quarantines" [ 0 ]
         (Heap.quarantined_arenas reopened)
+
+(* The recovery sweep, crashed at each of its persistence points over a
+   2-arena heap whose free, dead (allocated, no root) and live blocks
+   interleave: runs headed by a free block and runs headed by a dead block,
+   each arena's big free remainder included.  A repeated recovery must
+   leave exactly the live blocks allocated, and a third writes nothing. *)
+let test_sweep_crash_points () =
+  let build () =
+    let pmem = Pmem.create ~size:(64 * 1024) () in
+    let heap = Heap.format ~arenas:2 pmem ~base:(off 64) ~len:(32 * 1024) in
+    let live = ref [] and dead = ref [] in
+    for i = 0 to 29 do
+      let p = Heap.alloc (Heap.with_arena heap (i mod 2)) (16 + (8 * i)) in
+      match i / 2 mod 5 with
+      | 0 | 3 -> Heap.free heap p
+      | 1 | 4 -> dead := p :: !dead
+      | _ -> live := p :: !live
+    done;
+    Pmem.crash_and_restart pmem;
+    (pmem, !live, !dead)
+  in
+  let recover pmem live =
+    let heap = Heap.recover pmem ~base:(off 64) in
+    ignore (Heap.retain heap ~live);
+    heap
+  in
+  let allocated heap =
+    let acc = ref [] in
+    Heap.iter_blocks heap (fun ~off ~size:_ ~allocated ->
+        if allocated then
+          acc := (Offset.to_int off + Heap.block_header_size) :: !acc);
+    List.sort compare !acc
+  in
+  let writes () = (Obs.Counters.totals Obs.Probe.counters).writes in
+  let total =
+    let pmem, live, _ = build () in
+    Crash.arm (Pmem.crash_ctl pmem) Crash.Never;
+    ignore (recover pmem live);
+    Crash.ops (Pmem.crash_ctl pmem)
+  in
+  Alcotest.(check bool) "the sweep writes" true (total > 4);
+  for point = 1 to total do
+    let pmem, live, dead = build () in
+    Crash.arm (Pmem.crash_ctl pmem) (Crash.At_op point);
+    (match recover pmem live with
+    | _ -> Alcotest.failf "the crash at %d/%d missed" point total
+    | exception Crash.Crash_now -> ());
+    Pmem.crash_and_restart pmem;
+    let heap = recover pmem live in
+    (match Heap.check heap with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "crash at %d/%d: %s" point total msg);
+    let now = allocated heap in
+    List.iter
+      (fun p ->
+        if List.mem (Offset.to_int p) now then
+          Alcotest.failf "crash at %d/%d: dead block %d still allocated" point
+            total (Offset.to_int p))
+      dead;
+    Alcotest.(check (list int))
+      (Printf.sprintf "crash at %d/%d: exactly the live blocks allocated" point
+         total)
+      (List.sort compare (List.map Offset.to_int live))
+      now;
+    let before = writes () in
+    ignore (recover pmem live);
+    Alcotest.(check int)
+      (Printf.sprintf "crash at %d/%d: a third recovery writes nothing" point
+         total)
+      before (writes ())
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Individual kills: [Thread_killed] cuts one heap operation short and  *)
+(* the process goes on with the same heap handle, no recovery between.  *)
+
+let allocated_at heap payload =
+  let block = Offset.to_int payload - Heap.block_header_size in
+  let found = ref false in
+  Heap.iter_blocks heap (fun ~off ~size:_ ~allocated ->
+      if allocated && Offset.to_int off = block then found := true);
+  !found
+
+let rec fill view size acc =
+  match Heap.alloc view size with
+  | p -> fill view size (p :: acc)
+  | exception Heap.Out_of_heap_memory _ -> acc
+
+(* Each scenario builds a heap, returns the operation to cut short, and
+   how to finish that operation afterwards as its retrying caller would.
+   The split and the steal carve from an arena's only free block, so a
+   block lost to the index refuses the next allocation. *)
+let kill_scenarios =
+  [
+    ( "exact fit",
+      fun () ->
+        let pmem, heap = fresh_heap ~size:8192 ~len:2048 () in
+        let blocks = fill heap 64 [] in
+        Heap.free heap (List.nth blocks 1);
+        Heap.free heap (List.nth blocks 3);
+        (pmem, heap, heap, (fun () -> ignore (Heap.alloc heap 64)), ignore) );
+    ( "split",
+      fun () ->
+        let pmem, heap = fresh_heap ~size:8192 ~len:2048 () in
+        (pmem, heap, heap, (fun () -> ignore (Heap.alloc heap 64)), ignore) );
+    ( "steal",
+      fun () ->
+        let pmem, heap = fresh_arena_heap ~arenas:2 ~size:8192 ~len:4096 () in
+        let v0 = Heap.with_arena heap 0 in
+        (* fill arena 0 up to its first steal, hand that block back, and
+           sweep arena 1 into one free block again *)
+        let rec fill_home () =
+          let p = Heap.alloc v0 64 in
+          if Heap.arena_index heap p = 0 then fill_home () else Heap.free heap p
+        in
+        fill_home ();
+        Heap.sweep heap;
+        (pmem, heap, v0, (fun () -> ignore (Heap.alloc v0 64)), ignore) );
+    ( "free",
+      fun () ->
+        let pmem, heap = fresh_heap ~size:8192 ~len:2048 () in
+        let p = List.hd (fill heap 64 []) in
+        let finish () = if allocated_at heap p then Heap.free heap p in
+        (pmem, heap, heap, (fun () -> Heap.free heap p), finish) );
+  ]
+(* Cut each scenario's operation short at every persistence point in
+   turn.  Finishing the operation and then allocating the same size must
+   succeed, and the heap invariants must hold, with no recovery between:
+   an individual kill leaves the rest of the process running. *)
+let test_kill_sweep () =
+  List.iter
+    (fun (name, build) ->
+      let total =
+        let pmem, _, _, op, _ = build () in
+        let ctl = Pmem.crash_ctl pmem in
+        Crash.arm ctl Crash.Never;
+        op ();
+        Crash.ops ctl
+      in
+      Alcotest.(check bool) (name ^ ": persists something") true (total > 0);
+      for point = 1 to total do
+        let pmem, heap, view, op, finish = build () in
+        Crash.arm_kill (Pmem.crash_ctl pmem) (Crash.At_op point);
+        (match op () with
+        | () -> Alcotest.failf "%s: the kill at %d/%d missed" name point total
+        | exception Crash.Thread_killed -> ());
+        finish ();
+        (match Heap.alloc view 64 with
+        | _ -> ()
+        | exception Heap.Out_of_heap_memory _ ->
+            Alcotest.failf "%s: after a kill at %d/%d the same alloc fails"
+              name point total);
+        match Heap.check heap with
+        | Ok () -> ()
+        | Error msg ->
+            Alcotest.failf "%s: kill at %d/%d broke the heap: %s" name point
+              total msg
+      done)
+    kill_scenarios
 
 let () =
   Alcotest.run "nvheap"
@@ -638,6 +805,8 @@ let () =
             test_crash_during_recovery;
           Alcotest.test_case "alloc reads flat in recovered holes" `Quick
             test_alloc_reads_flat_in_holes;
+          Alcotest.test_case "crash at every point of the sweep" `Quick
+            test_sweep_crash_points;
         ] );
       ( "arenas",
         [
@@ -665,6 +834,8 @@ let () =
           Alcotest.test_case "parallel arena-bound alloc/free" `Quick
             test_concurrent_arena_bound;
         ] );
+      ( "individual kills",
+        [ Alcotest.test_case "kill at every point" `Quick test_kill_sweep ] );
       ( "media corruption",
         [
           Alcotest.test_case "clean recover reports nothing" `Quick

@@ -705,9 +705,9 @@ let () =
           (fun (name, pin) ->
             Alcotest.test_case name `Slow (test_traffic_pinned pin))
           [
-            ("stack push/pop", (stack_pin, 209, "8e26a6b824072d5ce50ce36a3a7b3114"));
-            ("queue enqueue/dequeue", (queue_pin, 214, "7639d1ccce5dc0d92cbf0116b7fc2b6d"));
-            ("map put/remove/find", (map_pin, 293, "88e376f164f47ea635814b5d586b3601"));
-            ("test-and-set", (tas_pin, 76, "fe35ec7aa7918f7b5f68f112151b0966"));
+            ("stack push/pop", (stack_pin, 209, "598d3a506966f214e33e0ad671e1e4d3"));
+            ("queue enqueue/dequeue", (queue_pin, 214, "a398cfaff12797b4eb23da322b60be5d"));
+            ("map put/remove/find", (map_pin, 293, "50e356d34e02c89a069daab4e8ce0293"));
+            ("test-and-set", (tas_pin, 76, "749b1184c5ce2a5f36a8515489985ad8"));
           ] );
     ]

@@ -403,6 +403,64 @@ let test_parallel_workers_complete_tasks () =
   in
   Alcotest.(check bool) "all tasks done" true all_done
 
+(* A whole-system restart reads the heap's tiling once.  A 2-arena heap
+   holds [n] blocks, every fourth free and every fourth dead (allocated, no
+   root); attach, replay and the reclaiming sweep together read each block
+   tag once, plus a constant for the superblocks, the task table and the
+   stacks.  Separate coalescing, indexing and liveness walks read about
+   three times as many.  Exactly the rooted blocks stay allocated. *)
+let test_recovery_reads_each_tag_once () =
+  let module Heap = Nvheap.Heap in
+  let reads () = (Obs.Counters.totals Obs.Probe.counters).reads in
+  let config =
+    {
+      R.System.workers = 2;
+      stack_kind = R.System.Bounded_stack 1024;
+      task_capacity = 4;
+      task_max_args = 16;
+    }
+  in
+  let recovery_reads n =
+    let pmem = Pmem.create ~size:(1 lsl 20) () in
+    let sys = R.System.create pmem ~registry:(R.Registry.create ()) ~config in
+    let heap = R.System.heap sys in
+    let blocks =
+      List.init n (fun i -> Heap.alloc (Heap.with_arena heap (i mod 2)) 32)
+    in
+    let live = ref [] in
+    List.iteri
+      (fun i p ->
+        match i / 2 mod 4 with
+        | 0 -> Heap.free heap p
+        | 1 -> ()
+        | _ -> live := p :: !live)
+      blocks;
+    Pmem.crash_and_restart pmem;
+    let before = reads () in
+    let sys = R.System.attach pmem ~registry:(R.Registry.create ()) in
+    (match R.System.recover ~reclaim:(fun () -> !live) sys with
+    | `Completed -> ()
+    | `Crashed -> Alcotest.fail "no crash is armed");
+    let spent = reads () - before in
+    let allocated = ref [] in
+    Heap.iter_blocks (R.System.heap sys) (fun ~off ~size:_ ~allocated:a ->
+        if a then
+          allocated :=
+            (Offset.to_int off + Heap.block_header_size) :: !allocated);
+    Alcotest.(check (list int))
+      (Printf.sprintf "%d blocks: exactly the rooted blocks survive" n)
+      (List.sort compare (List.map Offset.to_int !live))
+      (List.sort compare !allocated);
+    spent
+  in
+  let small = recovery_reads 400 and large = recovery_reads 2000 in
+  Printf.printf "recovery reads: %d blocks -> %d, %d blocks -> %d\n" 400 small
+    2000 large;
+  Alcotest.(check bool) "at most one read per extra block" true
+    (large - small <= 2000 - 400);
+  Alcotest.(check bool) "at most n reads plus a constant" true
+    (large <= 2000 + 200)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -442,5 +500,7 @@ let () =
         [
           Alcotest.test_case "fib crash-point sweep" `Slow test_fib_crash_sweep;
           Alcotest.test_case "repeated failures" `Quick test_repeated_failures;
+          Alcotest.test_case "restart reads each heap tag once" `Quick
+            test_recovery_reads_each_tag_once;
         ] );
     ]
