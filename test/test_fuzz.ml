@@ -480,7 +480,7 @@ let () =
           Alcotest.test_case "reproducer replays" `Quick
             test_reproducer_round_trip_and_replay;
         ] );
-      ( "individual kills",
+      ( "worker kills",
         [
           Alcotest.test_case "rstack: kill inside alloc" `Quick
             (test_kill_in_alloc "rstack" ~push:"push" ~pop:"pop");
