@@ -14,9 +14,12 @@
      B7 heap/*          allocator throughput
      B8 rqueue/*        recoverable queue ops; buffered register (Section 2.4)
 
-   and one timed case outside bechamel, whose run mutates its input:
+   and two cases outside bechamel, one timed, whose run mutates its input,
+   and one counted:
 
      R1 heap/recover    the heap's share of a restart on a 200k-block heap
+     R2 rmap/find       device reads per lookup at 64 buckets and at the
+                        count a 64 MiB server image gets
 
    Run with: dune exec bench/main.exe *)
 
@@ -629,6 +632,40 @@ let heap_recover () =
     rounds reads writes
 
 (* ------------------------------------------------------------------ *)
+(* R2: device reads per map lookup                                     *)
+
+(* The same 16 384 puts into a map of 64 buckets and into one of the count
+   [nvkv_server] formats a 64 MiB image with, then one [Rmap.find] of
+   every key; the row reports device reads per find from the
+   [Obs.Counters] ledger.  Each read is one bucket head or chain node
+   word, so the counts are deterministic. *)
+let rmap_find_reads () =
+  let keys = 16_384 in
+  let reads_per_find buckets =
+    let pmem = Pmem.create ~auto_flush:true ~size:(4 lsl 20) () in
+    let heap = Heap.format pmem ~base:(off 65536) ~len:((4 lsl 20) - 65536) in
+    let m =
+      Recoverable.Rmap.create pmem ~heap ~base:(off 64) ~buckets ~nprocs:1
+    in
+    for key = 0 to keys - 1 do
+      Recoverable.Rmap.put m ~key ~value:(key * 3)
+    done;
+    let reads () = (Obs.Counters.totals Obs.Probe.counters).Obs.Counters.reads in
+    let before = reads () in
+    for key = 0 to keys - 1 do
+      ignore (Recoverable.Rmap.find m ~key)
+    done;
+    float_of_int (reads () - before) /. float_of_int keys
+  in
+  let sized = Recoverable.Rmap.buckets_for_device (64 lsl 20) in
+  print_endline "";
+  print_endline "=== device reads per map lookup (R2) ===";
+  Printf.printf
+    "rmap/find  %d keys: %d buckets %.1f reads/find, %d buckets %.1f \
+     reads/find\n%!"
+    keys 64 (reads_per_find 64) sized (reads_per_find sized)
+
+(* ------------------------------------------------------------------ *)
 (* E1-E3: the Section 5.2 verdict table                                *)
 
 let experiment_table () =
@@ -736,6 +773,7 @@ let () =
         Test.make_grouped ~name:"B8" b8_tests;
       ];
     heap_recover ();
+    rmap_find_reads ();
     experiment_table ()
   end;
   let rows = scaling_rows ~iters:!iters in

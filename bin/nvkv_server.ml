@@ -24,6 +24,12 @@
    budget on every start, so every restart the tests and the crash fuzzer
    perform runs under it.
 
+   A fresh image sizes the map from the device: Rmap.buckets_for_device
+   gives one bucket per 64 KiB, rounded down to a power of two and never
+   fewer than 64 (64 buckets on a 2 MiB image, 1024 on 64 MiB), so a
+   bigger image holding more keys keeps its chains short.  The directory
+   persists the count and a restart attaches with it.
+
    --kill-at-point K arms a deterministic self-SIGKILL at the Kth
    persistence operation (counted from READY by default), which is how the
    integration tests and the crash fuzzer land kills mid-request at
@@ -270,7 +276,7 @@ let string_of_addr = function
 
 type kill_from = From_ready | From_startup
 
-let run image size sock port workers buckets nclients coalesced kill_at
+let run image size sock port workers nclients coalesced kill_at
     kill_from max_recovery_ms obs =
   if obs then Obs.Config.set_enabled true;
   let t_start = now_ms () in
@@ -315,6 +321,7 @@ let run image size sock port workers buckets nclients coalesced kill_at
       in
       let sys = System.create pmem ~registry ~config in
       let heap = System.heap sys in
+      let buckets = Rmap.buckets_for_device (Pmem.size pmem) in
       let d =
         {
           map_base =
@@ -433,7 +440,6 @@ let main_term =
   let workers =
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N")
   in
-  let buckets = Arg.(value & opt int 64 & info [ "buckets" ] ~docv:"N") in
   let nclients =
     Arg.(
       value & opt int 16
@@ -468,7 +474,7 @@ let main_term =
   in
   let obs = Arg.(value & flag & info [ "obs" ] ~doc:"Enable observability.") in
   Term.(
-    const run $ image $ size $ sock $ port $ workers $ buckets $ nclients
+    const run $ image $ size $ sock $ port $ workers $ nclients
     $ coalesced $ kill_at $ kill_from $ max_recovery_ms $ obs)
 
 let () =

@@ -659,21 +659,22 @@ let run_once ?spawn ?(device_size = default_device_size)
       recovery = !recovery;
     }
   in
-  (* Every restart re-checks the heap's structural invariants (block
-     tiling, and a free index naming only blocks the tiling holds free)
-     before the workload resumes — a crash schedule that corrupts the
-     sharded allocator fails here even if the structure's own answers
-     happen to stay consistent. *)
-  let reattach_checked sys =
-    (match Heap.check (System.heap sys) with
+  (* Every completed recovery re-checks the heap's structural invariants
+     (block tiling, and a free index naming only blocks the tiling holds
+     free) before the workload resumes — a crash schedule that corrupts
+     the sharded allocator fails here even if the structure's own answers
+     happen to stay consistent.  The check runs after the sweep that ends
+     the recovery, so an arena the sweep quarantined passes as reported
+     damage. *)
+  let check_heap sys =
+    match Heap.check (System.heap sys) with
     | Ok () -> ()
-    | Error msg -> failwith ("heap invariant after recovery: " ^ msg));
-    case.reattach sys
+    | Error msg -> failwith ("heap invariant after recovery: " ^ msg)
   in
   let execute () =
     match
       Runtime.Driver.run_to_completion pmem ~registry:case.registry ~config
-        ~submit ~init:case.init ~reattach:reattach_checked
+        ~submit ~init:case.init ~reattach:case.reattach ~recovered:check_heap
         ~reclaim:case.reclaim
         ~plan:(fun ~era -> Schedule.plan_for schedule ~era)
         ~observer ~max_crashes:1000 ?spawn ()

@@ -57,15 +57,14 @@ let ready_field line name =
       else None)
     (String.split_on_char ' ' line)
 
-let start_server ?(size = 1 lsl 21) ?(workers = 1) ?(buckets = 64)
-    ?(nclients = 16) ?(kill_at = 0) ?(kill_from = `Ready) ?(extra_args = [])
-    ~image ~sock () =
+let start_server ?(size = 1 lsl 21) ?(workers = 1) ?(nclients = 16)
+    ?(kill_at = 0) ?(kill_from = `Ready) ?(extra_args = []) ~image ~sock () =
   let exe = server_exe () in
   let argv =
     [
       exe; "--image"; image; "--size"; string_of_int size; "--workers";
-      string_of_int workers; "--buckets"; string_of_int buckets; "--nclients";
-      string_of_int nclients; "--unix"; sock; "--max-recovery-ms";
+      string_of_int workers; "--nclients"; string_of_int nclients; "--unix";
+      sock; "--max-recovery-ms";
       Printf.sprintf "%g" recovery_budget_ms;
     ]
     @ (if kill_at > 0 then

@@ -40,7 +40,6 @@ val parse_addr : string -> Unix.sockaddr
 val start_server :
   ?size:int ->
   ?workers:int ->
-  ?buckets:int ->
   ?nclients:int ->
   ?kill_at:int ->
   ?kill_from:[ `Ready | `Startup ] ->

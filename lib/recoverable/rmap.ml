@@ -18,6 +18,10 @@ let region_size ~buckets ~nprocs = seq_area ~buckets + (64 * nprocs)
 let bucket_off t b = Offset.add t.base (8 * b)
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
+let buckets_for_device size =
+  let rec grow b = if 2 * b * 65536 <= size then grow (2 * b) else b in
+  grow 64
+
 let hash t key =
   (* Fibonacci mixing, masked to the bucket count *)
   let h = key * 0x2545F4914F6CDD1D in

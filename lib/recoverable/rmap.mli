@@ -27,6 +27,14 @@ type t
 
 val region_size : buckets:int -> nprocs:int -> int
 
+val buckets_for_device : int -> int
+(** [buckets_for_device size] is the bucket count a map formatted on a
+    device of [size] bytes gets: one bucket per 64 KiB, rounded down to a
+    power of two, and never fewer than 64.  So a 2 MiB device gets 64 and
+    a 64 MiB device 1024, which keeps a map of one key per 4 KiB of device
+    at 16 keys per chain.  The count is chosen at {!create} only: an
+    {!attach} must pass the count the map was created with. *)
+
 val create :
   Nvram.Pmem.t ->
   heap:Nvheap.Heap.t ->

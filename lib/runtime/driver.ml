@@ -30,11 +30,25 @@ let () =
     | _ -> None)
 
 let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
-    ?(reattach = fun _ -> ()) ?reclaim ?(plan = fun ~era:_ -> Crash.Never)
-    ?(observer = fun _ -> ()) ?(max_crashes = 10_000) ?spawn () =
+    ?(reattach = fun _ -> ()) ?(recovered = fun _ -> ()) ?reclaim
+    ?(plan = fun ~era:_ -> Crash.Never) ?(observer = fun _ -> ())
+    ?(max_crashes = 10_000) ?spawn () =
   let eras = ref 0 in
   let crashes = ref 0 in
   let repairs = ref [] (* reverse-chronological Recovery_report items *) in
+  (* A restart reports repairs twice: at attach (headers, stack tails) and
+     from the heap sweep that ends [System.recover] (quarantined arenas).
+     Each batch is folded in when its step returns. *)
+  let era_items = ref [] in
+  let fold_repairs ~era =
+    if !era_items <> [] then begin
+      let report = Recovery_report.of_items (List.rev !era_items) in
+      Log.info (fun m -> m "%s" (Recovery_report.to_string report));
+      repairs := !era_items @ !repairs;
+      era_items := [];
+      observer (Recovery_repaired { era; report })
+    end
+  in
   let arm () =
     incr eras;
     Log.debug (fun m -> m "era %d armed" !eras);
@@ -56,7 +70,23 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
   (* The main thread's own device operations (task-table scans, the reclaim
      sweep) are also subject to the armed crash plan, so the whole era is
      guarded, not just the worker domains. *)
-  let guarded f = try f () with Crash.Crash_now -> `Crashed in
+  (* A torn task completion is media damage no recovery can degrade
+     around: reported as {!Unrecoverable}, like a corrupt stack base. *)
+  let torn i =
+    raise
+      (Unrecoverable
+         {
+           reason =
+             Printf.sprintf "task %d's completion fails its checksum (torn)" i;
+           eras = !eras;
+           crashes = !crashes;
+         })
+  in
+  let guarded f =
+    try f () with
+    | Crash.Crash_now -> `Crashed
+    | Task.Torn_completion i -> torn i
+  in
   let rec normal_mode sys =
     arm ();
     match guarded (fun () -> System.run ?spawn sys) with
@@ -94,19 +124,14 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
        rotten superblock) becomes a structured {!Unrecoverable} instead of
        an anonymous exception, so campaign oracles can tell "reported
        fatal" from "driver bug". *)
+    let crashed_era = !eras in
     let sys =
-      let era_items = ref [] in
       match
         System.attach ~report:(fun it -> era_items := it :: !era_items) pmem
           ~registry
       with
       | sys ->
-          if !era_items <> [] then begin
-            let report = Recovery_report.of_items (List.rev !era_items) in
-            Log.info (fun m -> m "%s" (Recovery_report.to_string report));
-            repairs := !era_items @ !repairs;
-            observer (Recovery_repaired { era = !eras; report })
-          end;
+          fold_repairs ~era:crashed_era;
           sys
       | exception Pstack.Repair.Corrupt_stack { stack; at; reason } ->
           raise
@@ -124,8 +149,12 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
     reattach sys;
     arm ();
     let reclaim = Option.map (fun f () -> f sys) reclaim in
-    match guarded (fun () -> System.recover ?spawn ?reclaim sys) with
-    | `Completed -> normal_mode sys
+    let outcome = guarded (fun () -> System.recover ?spawn ?reclaim sys) in
+    fold_repairs ~era:crashed_era;
+    match outcome with
+    | `Completed ->
+        recovered sys;
+        normal_mode sys
     | `Crashed -> restart ()
   in
   normal_mode sys

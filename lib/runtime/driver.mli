@@ -18,7 +18,8 @@ type report = {
   recovery : Recovery_report.t;
       (** Every media repair any restart performed — truncated stack
           tails, rewritten arena headers, quarantined
-          arenas — aggregated across all eras (clean when no faults were
+          arenas, whether attach or the heap sweep ending the recovery
+          found them — aggregated across all eras (clean when no faults were
           injected or every era recovered undamaged). *)
 }
 
@@ -32,12 +33,15 @@ type event =
           counter does not survive the restart). *)
   | Recovery_repaired of { era : int; report : Recovery_report.t }
       (** The restart ending era [era] found and degraded around media
-          damage.  Emitted only when the report is non-clean. *)
+          damage.  Emitted after attach and again after the heap sweep
+          that ends the recovery, each time only when that step reported
+          something. *)
 
 exception Unrecoverable of { reason : string; eras : int; crashes : int }
 (** A restart hit damage the recovery paths cannot degrade around — a
-    corrupt dummy frame or anchor ({!Pstack.Repair.Corrupt_stack}) or a
-    superblock failing its checksum.  Structured so campaign oracles can
+    corrupt dummy frame or anchor ({!Pstack.Repair.Corrupt_stack}), a
+    superblock failing its checksum, or a torn task completion
+    ({!Task.Torn_completion}).  Structured so campaign oracles can
     distinguish a {e reported} fatal from an unexpected exception.  A
     printer is registered. *)
 
@@ -48,6 +52,7 @@ val run_to_completion :
   submit:(System.t -> unit) ->
   ?init:(System.t -> unit) ->
   ?reattach:(System.t -> unit) ->
+  ?recovered:(System.t -> unit) ->
   ?reclaim:(System.t -> Nvram.Offset.t list) ->
   ?plan:(era:int -> Nvram.Crash.plan) ->
   ?observer:(event -> unit) ->
@@ -64,7 +69,9 @@ val run_to_completion :
     simulated crash, in order — the snapshot hook used by the crash-schedule
     fuzzer to record where probabilistic plans actually fired.  [reattach]
     runs after each restart, before recovery, so the
-    application can rebind its volatile handles from the persistent root.
+    application can rebind its volatile handles from the persistent root;
+    [recovered] runs after each recovery that completes, heap sweep
+    included, before normal mode resumes.
     [reclaim] provides the application's live heap roots for the leak sweep
     after each successful recovery.  [spawn] substitutes the worker
     execution strategy of every era (normal and recovery) — see

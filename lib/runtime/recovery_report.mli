@@ -22,8 +22,9 @@ val empty : t
 val of_items : item list -> t
 
 val items : t -> item list
-(** Chronological: heap repairs first (the heap recovers before the stacks
-    attach), then stack repairs in worker order. *)
+(** Chronological: heap header repairs first (the heap attaches before
+    the stacks), then stack repairs in worker order, then the arenas the
+    sweep ending the recovery quarantined. *)
 
 val is_clean : t -> bool
 

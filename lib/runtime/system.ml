@@ -256,8 +256,9 @@ let attach_with_report pmem ~registry =
    damage the recovery paths are guaranteed to detect (checksummed
    metadata), repair around (heap headers, stack frames) or report as
    fatal (superblocks).  The task table and the user root are deliberately
-   absent — they carry no checksum, so a flip there could silently change
-   an answer. *)
+   absent — the user root and the task descriptors carry no checksum (only
+   a task's done status checks its answer), so a flip there could silently
+   change an answer. *)
 let metadata_regions t =
   let regions = ref [] in
   let add off len = regions := (off, len) :: !regions in

@@ -1,5 +1,6 @@
 module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
+module Integrity = Nvram.Integrity
 
 let magic = 0x4E565441534B5331L (* "NVTASKS1" *)
 let header_size = 32
@@ -25,6 +26,21 @@ let create pmem ~base ~capacity ~max_args =
   Pmem.write_int pmem (count_off t) 0;
   Pmem.flush pmem ~off:base ~len:header_size;
   t
+
+(* The status word commits a completion: 0 while pending, and once done a
+   checksum of the task's index and answer, never 0.  A crash can tear the
+   line of the status flush so that the new status word survives next to
+   shredded answer bytes (or shred the status word itself); the word then
+   no longer matches the answer beside it. *)
+let done_word i answer =
+  let h =
+    Integrity.fnv64_int64
+      (Integrity.fnv64_int64 Integrity.fnv64_init (Int64.of_int i))
+      answer
+  in
+  if Int64.equal h 0L then 1L else h
+
+exception Torn_completion of int
 
 let attach pmem ~base =
   if not (Int64.equal (Pmem.read_int64 pmem base) magic) then
@@ -72,8 +88,13 @@ let args t i =
 let status t i =
   check_index t i;
   let e = entry_off t i in
-  if Pmem.read_int t.pmem e = 0 then `Pending
-  else `Done (Pmem.read_int64 t.pmem (Offset.add e 16))
+  let word = Pmem.read_int64 t.pmem e in
+  if Int64.equal word 0L then `Pending
+  else
+    let answer = Pmem.read_int64 t.pmem (Offset.add e 16) in
+    if Integrity.enabled () && not (Int64.equal word (done_word i answer))
+    then raise (Torn_completion i)
+    else `Done answer
 
 let mark_done t i answer =
   check_index t i;
@@ -81,7 +102,7 @@ let mark_done t i answer =
   Pmem.write_int64 t.pmem (Offset.add e 16) answer;
   Pmem.flush t.pmem ~off:(Offset.add e 16) ~len:8;
   (* The status flush commits the completion. *)
-  Pmem.write_int t.pmem e 1;
+  Pmem.write_int64 t.pmem e (done_word i answer);
   Pmem.flush t.pmem ~off:e ~len:8
 
 let pending t =

@@ -10,8 +10,10 @@
 
     Adding a task commits with the flush of the table's count field;
     completing one commits with the flush of its status field (the answer
-    is flushed before the status, so a status of "done" always has a valid
-    answer next to it).
+    is flushed before the status).  A done status is a checksum of the
+    task's index and answer, so a crash that tears the status line and
+    shreds the answer beside it is detected by {!status} instead of read
+    as done.
 
     {b Domain safety.}  All table state lives on the device, so the striped
     {!Nvram.Pmem} lock is the only synchronisation.  Worker domains may
@@ -49,7 +51,13 @@ val count : t -> int
 val func_id : t -> int -> int
 val args : t -> int -> bytes
 
+exception Torn_completion of int
+(** The task's done status does not match its answer: a crash tore the
+    completion. *)
+
 val status : t -> int -> [ `Pending | `Done of int64 ]
+(** @raise Torn_completion if the task is done but its status word fails
+    its checksum (only when {!Nvram.Integrity.enabled}). *)
 
 val mark_done : t -> int -> int64 -> unit
 (** Idempotent: a recovery re-marking an already-done task rewrites the

@@ -431,6 +431,25 @@ let test_kill_in_alloc kind ~push ~pop () =
       | Harness.Pass -> ()
       | Harness.Fail msg | Harness.Fatal msg -> Alcotest.fail msg)
 
+(* A tear of the status flush that completes op 1 of a two-op rcounter
+   run: the new status word reaches the image, and the answer bytes next
+   to it in the same line are shredded.  The completion must read as
+   damage (a loud fatal under the armed fault plan), never as op 1 done
+   with a garbage answer. *)
+let torn_completion_reproducer =
+  [
+    "kind rcounter"; "workers 1"; "init 0"; "op bump"; "op bump";
+    "era 1 at-op 47"; "tear random 767686 0.695430"; "fault-seed 813356";
+  ]
+
+let test_torn_completion_is_loud () =
+  match Reproducer.of_lines torn_completion_reproducer with
+  | Error msg -> Alcotest.fail msg
+  | Ok repro -> (
+      match (Reproducer.replay repro).Harness.verdict with
+      | Harness.Pass | Harness.Fatal _ -> ()
+      | Harness.Fail msg -> Alcotest.failf "silent corruption: %s" msg)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -463,6 +482,8 @@ let () =
           Alcotest.test_case "no silent corruption" `Quick
             test_fault_campaign_no_silent_corruption;
           Alcotest.test_case "sabotage caught" `Quick test_sabotage_is_caught;
+          Alcotest.test_case "torn task completion is loud" `Quick
+            test_torn_completion_is_loud;
         ] );
       ( "planted bug",
         [

@@ -239,6 +239,27 @@ let test_map_repeated_crashes () =
         bindings)
     [ 19; 47; 101 ]
 
+(* The bucket count a fresh server map gets: one bucket per 64 KiB of
+   device, rounded down to a power of two, never fewer than 64. *)
+let test_buckets_for_device () =
+  let mib = 1 lsl 20 in
+  let for_size = Rmap.buckets_for_device in
+  Alcotest.(check int) "2 MiB test image" 64 (for_size (2 * mib));
+  Alcotest.(check int) "64 MiB bench image" 1024 (for_size (64 * mib));
+  Alcotest.(check int) "96 MiB rounds down" 1024 (for_size (96 * mib));
+  Alcotest.(check int) "just under 64 MiB rounds down" 512
+    (for_size ((64 * mib) - 1));
+  Alcotest.(check int) "empty device keeps the floor" 64 (for_size 0);
+  List.iter
+    (fun size ->
+      let b = for_size size in
+      let power_of_two = b land (b - 1) = 0 in
+      let fits = b = 64 || b * 65536 <= size in
+      let largest = 2 * b * 65536 > size in
+      if b < 64 || (not power_of_two) || (not fits) || not largest then
+        Alcotest.failf "size %d: %d buckets" size b)
+    (List.init 200 (fun i -> (i * i * 7919) + (i * mib)))
+
 let () =
   Alcotest.run "rmap"
     [
@@ -264,5 +285,10 @@ let () =
           Alcotest.test_case "baseline" `Quick test_map_baseline;
           Alcotest.test_case "crash-point sweep" `Slow test_map_crash_sweep;
           Alcotest.test_case "repeated crashes" `Quick test_map_repeated_crashes;
+        ] );
+      ( "sizing",
+        [
+          Alcotest.test_case "bucket count from the device" `Quick
+            test_buckets_for_device;
         ] );
     ]

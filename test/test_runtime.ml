@@ -93,6 +93,22 @@ let test_task_table () =
     (Invalid_argument "Task.add: 33 argument bytes exceed the limit 32")
     (fun () -> ignore (R.Task.add t' ~func_id:9 ~args:(Bytes.create 33)))
 
+(* A done status is a checksum of its answer: an answer that no longer
+   matches (here one rotten bit; a torn status flush shreds it the same
+   way) raises instead of reading as done. *)
+let test_task_torn_completion_refused () =
+  let pmem = Pmem.create ~size:(1 lsl 16) () in
+  let t = R.Task.create pmem ~base:(off 0) ~capacity:8 ~max_args:32 in
+  ignore (R.Task.add t ~func_id:7 ~args:Bytes.empty);
+  R.Task.mark_done t 0 5L;
+  Pmem.crash_and_restart pmem;
+  let t = R.Task.attach pmem ~base:(off 0) in
+  Alcotest.(check bool) "done" true (R.Task.status t 0 = `Done 5L);
+  (* entry 0 sits after the 32-byte header; its answer is at +16 *)
+  Pmem.inject_bitflip pmem ~off:(off (32 + 16)) ~bit:1;
+  Alcotest.check_raises "torn completion" (R.Task.Torn_completion 0)
+    (fun () -> ignore (R.Task.status t 0))
+
 let test_task_add_commits_on_count () =
   (* A crash before the count flush must make the submission invisible. *)
   let pmem = Pmem.create ~policy:Pmem.Lose_all ~size:(1 lsl 16) () in
@@ -461,6 +477,50 @@ let test_recovery_reads_each_tag_once () =
   Alcotest.(check bool) "at most n reads plus a constant" true
     (large <= 2000 + 200)
 
+(* An arena the sweep ending a recovery quarantines reaches the driver's
+   report, though the sweep runs after attach.  Era 1 crashes; before
+   recovery, arena 1's first block tag rots, so the tiling cannot be
+   walked. *)
+let test_sweep_quarantine_reported () =
+  let module Heap = Nvheap.Heap in
+  let registry = R.Registry.create () in
+  register_fib registry;
+  let pmem = Pmem.create ~size:(1 lsl 20) () in
+  let config =
+    {
+      R.System.workers = 2;
+      stack_kind = R.System.Bounded_stack 8192;
+      task_capacity = 4;
+      task_max_args = 16;
+    }
+  in
+  let rotted = ref false in
+  let report =
+    R.Driver.run_to_completion pmem ~registry ~config
+      ~submit:(fun sys ->
+        List.iter
+          (fun n ->
+            ignore
+              (R.System.submit sys ~func_id:fib_id ~args:(R.Value.of_int n)))
+          [ 7; 8 ])
+      ~reattach:(fun sys ->
+        if not !rotted then begin
+          rotted := true;
+          let heap = R.System.heap sys in
+          Pmem.inject_bitflip pmem
+            ~off:(Offset.add (Heap.arena_base heap 1) Heap.header_size)
+            ~bit:5
+        end)
+      ~plan:(fun ~era -> if era = 1 then Crash.At_op 20 else Crash.Never)
+      ()
+  in
+  Alcotest.(check bool) "the crash fired" true !rotted;
+  Alcotest.(check (list int)) "arena 1 quarantined in the driver's report"
+    [ 1 ]
+    (R.Recovery_report.quarantined_arenas report.R.Driver.recovery);
+  Alcotest.(check (list (pair int int64))) "answers" [ (0, 13L); (1, 21L) ]
+    (List.sort compare report.R.Driver.results)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -471,6 +531,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_task_table;
           Alcotest.test_case "commit on count flush" `Quick
             test_task_add_commits_on_count;
+          Alcotest.test_case "torn completion refused" `Quick
+            test_task_torn_completion_refused;
         ] );
       ( "work queue",
         [
@@ -502,5 +564,7 @@ let () =
           Alcotest.test_case "repeated failures" `Quick test_repeated_failures;
           Alcotest.test_case "restart reads each heap tag once" `Quick
             test_recovery_reads_each_tag_once;
+          Alcotest.test_case "sweep quarantine reported" `Quick
+            test_sweep_quarantine_reported;
         ] );
     ]

@@ -382,6 +382,69 @@ let coalesced_kill_recover () =
           Alcotest.check result_t "queue drained" Wire.Nothing
             (Client.call c Wire.Dequeue)))
 
+(* A 64 MiB image, the size nvbench serves, is formatted with the map
+   sized from the device (1024 buckets; every other test here runs the
+   2 MiB default and 64).  Puts, overwrites and deletes are acked, the
+   server is killed with SIGKILL, and the restart attaches with the
+   persisted count: every acked key reads back. *)
+let large_image_kill_recover () =
+  with_image (fun ~image ~sock ->
+      let size = 64 lsl 20 and keys = 3000 in
+      let model = Hashtbl.create keys in
+      let s = ok_server (Harness.start_server ~size ~image ~sock ()) in
+      Fun.protect
+        ~finally:(fun () -> Harness.kill_server s.Harness.pid)
+        (fun () ->
+          let c = Client.connect ~addr:s.Harness.sockaddr ~client:0 in
+          for k = 0 to keys - 1 do
+            Alcotest.check result_t "put" Wire.Done
+              (Client.call c (Wire.Put (k, k * 7)));
+            Hashtbl.replace model k (k * 7)
+          done;
+          for k = 0 to (keys / 3) - 1 do
+            Alcotest.check result_t "overwrite" Wire.Done
+              (Client.call c (Wire.Put (3 * k, -k)));
+            Hashtbl.replace model (3 * k) (-k);
+            Alcotest.check result_t "delete" Wire.Done
+              (Client.call c (Wire.Del ((3 * k) + 1)));
+            Hashtbl.remove model ((3 * k) + 1)
+          done;
+          Client.close c);
+      (* The directory block the root points at holds the bucket count at
+         +32 (bin/nvkv_server.ml's [write_dir]). *)
+      let buckets =
+        let backend = Nvram.Backend.file ~path:image ~size () in
+        Fun.protect
+          ~finally:(fun () -> Nvram.Backend.close backend)
+          (fun () ->
+            let pmem = Nvram.Pmem.create ~backend ~size () in
+            match Runtime.System.image_root pmem with
+            | Some dir -> Nvram.Pmem.read_int pmem (Nvram.Offset.add dir 32)
+            | None -> Alcotest.fail "the killed image has no root")
+      in
+      Alcotest.(check int) "buckets sized from the device"
+        (Recoverable.Rmap.buckets_for_device size)
+        buckets;
+      let s2 = ok_server (Harness.start_server ~size ~image ~sock ()) in
+      Fun.protect
+        ~finally:(fun () -> ignore (Harness.stop_server s2.Harness.pid))
+        (fun () ->
+          Alcotest.(check bool) "restart attaches" false s2.Harness.fresh;
+          let c = Client.connect ~addr:s2.Harness.sockaddr ~client:0 in
+          Client.sync_seq c;
+          for k = 0 to keys - 1 do
+            let expected =
+              match Hashtbl.find_opt model k with
+              | Some v -> Wire.Value v
+              | None -> Wire.Nothing
+            in
+            Alcotest.check result_t
+              (Printf.sprintf "key %d after kill -9" k)
+              expected
+              (Client.call c (Wire.Get k))
+          done;
+          Client.close c))
+
 let reproducer_text_roundtrips () =
   let spec =
     { Harness.seed = 7; case = 3; kill_at = 17; kill_from = `Startup;
@@ -433,5 +496,7 @@ let () =
             coalesced_kill_recover;
           Alcotest.test_case "reproducer text round-trips" `Quick
             reproducer_text_roundtrips;
+          Alcotest.test_case "64 MiB image survives kill -9" `Slow
+            large_image_kill_recover;
         ] );
     ]
