@@ -540,6 +540,143 @@ let test_dump_views () =
   Alcotest.(check bool) "render non-empty" true
     (String.length (Pstack.Dump.render lines) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Device-traffic pins                                                 *)
+
+(* One fixed script per implementation, run with no crash and then with a
+   crash at every persistence point of its first phase.  The stack is
+   created before the crash plan is armed; phase one pushes and pops
+   frames of mixed argument lengths: they cross the resizable stack's
+   grow and shrink and the linked stack's block boundaries.  Phase two power-cycles, re-attaches,
+   tears the top frame, re-attaches again (a truncation), pushes and pops
+   once more.  Every persistence access the device announces, every read
+   range, every repair and the frames after each attach feed one digest,
+   so the digest pins the device calls of create, push, pop and attach,
+   in order. *)
+
+type traffic =
+  | Traffic : {
+      stack : (module Pstack.Stack_intf.S with type t = 's);
+      create : Pmem.t -> Heap.t -> 's;
+      attach : report:(Pstack.Repair.event -> unit) -> Pmem.t -> Heap.t -> 's;
+    }
+      -> traffic
+
+let heap_base = off 64
+
+let bounded_traffic =
+  let base = off (1 lsl 19 + 1024) in
+  Traffic
+    {
+      stack = (module Pstack.Bounded);
+      create = (fun pmem _ -> Pstack.Bounded.create pmem ~base ~capacity:8192);
+      attach =
+        (fun ~report pmem _ ->
+          Pstack.Bounded.attach ~report pmem ~base ~capacity:8192);
+    }
+
+let resizable_traffic =
+  Traffic
+    {
+      stack = (module Pstack.Resizable);
+      create =
+        (fun pmem heap -> Pstack.Resizable.create pmem ~heap ~anchor:(off 0) ());
+      attach =
+        (fun ~report pmem heap ->
+          Pstack.Resizable.attach ~report pmem ~heap ~anchor:(off 0));
+    }
+
+let linked_traffic =
+  Traffic
+    {
+      stack = (module Pstack.Linked);
+      create =
+        (fun pmem heap ->
+          Pstack.Linked.create pmem ~heap ~anchor:(off 0) ~block_size:128 ());
+      attach =
+        (fun ~report pmem heap ->
+          Pstack.Linked.attach ~report pmem ~heap ~block_size:128
+            ~anchor:(off 0) ());
+    }
+
+let traffic_digest (Traffic t) =
+  let module S = (val t.stack) in
+  let log = Buffer.create 65536 in
+  let lengths = [ 0; 40; 100; 8; 200; 16; 0; 64; 30 ] in
+  let push s i len = S.push s ~func_id:(i + 2) ~args:(Bytes.make len 'q') in
+  let log_frames s =
+    List.iter
+      (fun (o, f) ->
+        Printf.bprintf log "[%d:%d/%d]" (Offset.to_int o) f.Frame.func_id
+          (Bytes.length f.Frame.args))
+      (S.frames s);
+    Buffer.add_char log '\n'
+  in
+  let report = function
+    | Pstack.Repair.Truncated_tail { at; frames_kept; corruption; _ } ->
+        Printf.bprintf log "truncated %d kept %d crc %b " (Offset.to_int at)
+          frames_kept corruption.Frame.crc_mismatch
+  in
+  let run_once plan =
+    let pmem = Pmem.create ~size:(1 lsl 20) () in
+    let heap = Heap.format pmem ~base:heap_base ~len:(1 lsl 19) in
+    let ctl = Pmem.crash_ctl pmem in
+    let take_reads () =
+      List.iter
+        (fun (first, last) -> Printf.bprintf log "r%d-%d " first last)
+        (List.rev (Crash.take_reads ctl))
+    in
+    Crash.set_scheduler ctl
+      (Some
+         (fun { Crash.kind; first_line; last_line; persists } ->
+           take_reads ();
+           Printf.bprintf log "%c%d-%d%s "
+             (match kind with Crash.Write -> 'w' | Flush -> 'f' | Cas -> 'c')
+             first_line last_line
+             (if persists then "p" else "")));
+    let s = t.create pmem heap in
+    Crash.arm ctl plan;
+    let fired =
+      try
+        List.iteri (push s) lengths;
+        for _ = 1 to 6 do
+          S.pop s
+        done;
+        push s 20 120;
+        push s 21 0;
+        false
+      with Crash.Crash_now -> true
+    in
+    Pmem.crash_and_restart pmem;
+    let heap = Heap.recover pmem ~base:heap_base in
+    let s = t.attach ~report pmem heap in
+    log_frames s;
+    if S.depth s > 0 then begin
+      (* tear the top frame: its checksum no longer matches *)
+      let at = Offset.add (S.top_offset s) Frame.func_id_rel in
+      Pmem.write_byte pmem at (Pmem.read_byte pmem at lxor 0x40);
+      Pmem.flush_byte pmem at
+    end;
+    let s = t.attach ~report pmem heap in
+    log_frames s;
+    push s 30 90;
+    push s 31 10;
+    S.pop s;
+    take_reads ();
+    Crash.set_scheduler ctl None;
+    log_frames s;
+    fired
+  in
+  ignore (run_once Crash.Never);
+  let rec sweep n = if run_once (Crash.At_op n) then sweep (n + 1) else n - 1 in
+  let points = sweep 1 in
+  (points, Digest.to_hex (Digest.string (Buffer.contents log)))
+
+let test_traffic_pinned (traffic, points, digest) () =
+  let points', digest' = traffic_digest traffic in
+  Alcotest.(check int) "persistence points" points points';
+  Alcotest.(check string) "traffic digest" digest digest'
+
 let per_impl name f =
   List.map
     (fun (Harness h as harness) ->
@@ -594,4 +731,13 @@ let () =
             test_unsafe_push_violates_invariant_2;
         ] );
       ("dump", [ Alcotest.test_case "views" `Quick test_dump_views ]);
+      ( "device traffic",
+        List.map
+          (fun (name, pin) ->
+            Alcotest.test_case name `Slow (test_traffic_pinned pin))
+          [
+            ("bounded", (bounded_traffic, 86, "0354cc3dade2914f8ef70bc40b242b97"));
+            ("resizable", (resizable_traffic, 142, "36612a1b8368e7aa0d5b79a091d9772c"));
+            ("linked", (linked_traffic, 152, "455f923a90bb0ef2b285e07c7203c7ee"));
+          ] );
     ]
