@@ -1,186 +1,33 @@
-module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
 
-exception Overflow
+exception Overflow = Run.Overflow
 
-(* One in-memory index slot per frame on the device.  Slots are mutable and
-   reused across push/pop cycles: the hot path of a workload that pushes and
-   pops at a steady depth allocates nothing, which matters because
-   per-operation allocations feed the minor GC, whose collections stop the
-   world across all domains. *)
-type entry = {
-  mutable off : Offset.t;
-  mutable size : int;
-  mutable func_id : int;
-  mutable args : bytes;
-}
-
-type t = {
-  pmem : Pmem.t;
-  base : Offset.t;
-  capacity : int;
-  mutable entries : entry array;
-      (* slots [0, depth); slot 0 is the dummy frame, slot [depth-1] the top *)
-  mutable depth : int;
-  mutable scratch : bytes;
-      (* frame staging buffer, reused whenever consecutive pushes encode
-         the same frame size (the common case) *)
-}
-
-let pmem t = t.pmem
-let base t = t.base
-let capacity t = t.capacity
-let top_entry t = t.entries.(t.depth - 1)
-
-let used_bytes t =
-  let e = top_entry t in
-  Offset.diff e.off t.base + e.size
-
-let depth t = t.depth - 1
-
-let fresh_slot base =
-  { off = base; size = 0; func_id = 0; args = Bytes.empty }
+type t = Run.t
 
 let create pmem ~base ~capacity =
-  let image =
-    Frame.encode_ordinary
-      { Frame.func_id = Frame.dummy_func_id; args = Bytes.empty }
-      ~marker:Frame.marker_stack_end
-  in
-  let size = Bytes.length image in
-  if capacity < size then invalid_arg "Bounded.create: capacity too small";
-  Pmem.write_bytes pmem ~off:base image;
-  Pmem.flush pmem ~off:base ~len:size;
-  let entries = Array.init 8 (fun _ -> fresh_slot base) in
-  entries.(0) <-
-    { off = base; size; func_id = Frame.dummy_func_id; args = Bytes.empty };
-  { pmem; base; capacity; entries; depth = 1; scratch = Bytes.empty }
+  Run.create pmem ~name:"bounded" ~block:base ~limit:(Offset.add base capacity)
 
-let attach ?(report = ignore) pmem ~base ~capacity =
-  (* A corrupt tail after at least one good frame is an unfinished push —
-     possibly widened by a torn line or bit rot — and is discarded by
-     re-asserting the stack end on the last good frame.  Corruption at the
-     dummy frame leaves nothing to truncate to: structured fatal. *)
-  let truncate acc (corruption : Frame.corruption) =
-    match acc with
-    | [] ->
-        Repair.corrupt_stack ~stack:"bounded" ~at:corruption.Frame.at
-          corruption.Frame.reason
-    | prev :: _ ->
-        Frame.set_marker pmem ~at:prev.off ~size:prev.size
-          Frame.marker_stack_end;
-        Repair.note_truncation ();
-        report
-          (Repair.Truncated_tail
-             {
-               stack = "bounded";
-               at = corruption.Frame.at;
-               frames_kept = List.length acc;
-               corruption;
-             });
-        acc
-  in
-  let rec scan off acc =
-    if Offset.diff off base + Frame.ordinary_size ~args_len:0 > capacity then
-      truncate acc
-        { Frame.at = off; reason = "frame runs past stack capacity";
-          crc_mismatch = false }
-    else
-      match Frame.read pmem ~at:off with
-      | Error corruption -> truncate acc corruption
-      | Ok (Frame.Pointer _) ->
-          truncate acc
-            { Frame.at = off; reason = "pointer frame in a bounded stack";
-              crc_mismatch = false }
-      | Ok (Frame.Ordinary { frame; size; last }) ->
-          if Offset.diff off base + size > capacity then
-            truncate acc
-              { Frame.at = off; reason = "frame runs past stack capacity";
-                crc_mismatch = false }
-          else
-            let acc =
-              {
-                off;
-                size;
-                func_id = frame.Frame.func_id;
-                args = frame.Frame.args;
-              }
-              :: acc
-            in
-            if last then acc else scan (Offset.add off size) acc
-  in
-  let entries = Array.of_list (List.rev (scan base [])) in
-  {
-    pmem;
-    base;
-    capacity;
-    entries;
-    depth = Array.length entries;
-    scratch = Bytes.empty;
-  }
+let attach ?report pmem ~base ~capacity =
+  Run.attach ?report pmem ~name:"bounded" ~block:base
+    ~limit:(Offset.add base capacity)
 
-let grow t =
-  let n = Array.length t.entries in
-  t.entries <-
-    Array.init (2 * n) (fun i ->
-        if i < n then t.entries.(i) else fresh_slot t.base)
+let base t = (Run.top_slot t).Run.block
 
-let write_frame_image t ~flush ~off ~func_id ~args =
-  let size = Frame.ordinary_size ~args_len:(Bytes.length args) in
-  if Offset.diff off t.base + size > t.capacity then raise Overflow;
-  if Bytes.length t.scratch <> size then t.scratch <- Bytes.create size;
-  Frame.encode_ordinary_into t.scratch ~func_id ~args
-    ~marker:Frame.marker_stack_end;
-  Pmem.write_bytes t.pmem ~off t.scratch;
-  if flush then Pmem.flush t.pmem ~off ~len:size;
-  size
+let capacity t =
+  let s = Run.top_slot t in
+  Offset.diff s.Run.limit s.Run.block
 
-let move_end t ~entry ~marker ~flush =
-  let off = Frame.marker_offset ~at:entry.off ~size:entry.size in
-  Pmem.write_byte t.pmem off marker;
-  if flush then Pmem.flush_byte t.pmem off
+let used_bytes t =
+  let s = Run.top_slot t in
+  Offset.diff s.Run.off s.Run.block + s.Run.size
 
-let unsafe_push ?(flush_frame = true) ?(flush_marker = true) t ~func_id ~args =
-  let prev_top = top_entry t in
-  let off = Offset.add prev_top.off prev_top.size in
-  let size = write_frame_image t ~flush:flush_frame ~off ~func_id ~args in
-  (* Moving the stack end forward: flip the previous top's marker.  The
-     single-byte flush is the linearization point of the invocation. *)
-  move_end t ~entry:prev_top ~marker:Frame.marker_frame_end ~flush:flush_marker;
-  if t.depth = Array.length t.entries then grow t;
-  let e = t.entries.(t.depth) in
-  e.off <- off;
-  e.size <- size;
-  e.func_id <- func_id;
-  e.args <- args;
-  t.depth <- t.depth + 1
-
-let push t ~func_id ~args = unsafe_push t ~func_id ~args
-
-let pop t =
-  if t.depth < 2 then invalid_arg "Bounded.pop: stack is empty";
-  (* Moving the stack end backward: one atomic byte flush; the popped
-     frame's bytes become invalid data. *)
-  move_end t
-    ~entry:t.entries.(t.depth - 2)
-    ~marker:Frame.marker_stack_end ~flush:true;
-  t.depth <- t.depth - 1
-
-let top t =
-  if t.depth < 2 then None
-  else
-    let e = top_entry t in
-    Some (e.off, { Frame.func_id = e.func_id; args = e.args })
-
-let top_offset t = (top_entry t).off
-
-let under_top_offset t =
-  if t.depth < 2 then invalid_arg "Bounded.under_top_offset: stack is empty"
-  else t.entries.(t.depth - 2).off
-
+let pmem = Run.pmem
+let unsafe_push = Run.push
+let push t ~func_id ~args = Run.push t ~func_id ~args
+let pop = Run.pop
+let depth = Run.depth
+let top = Run.top
+let top_offset = Run.top_offset
+let under_top_offset = Run.under_top_offset
+let frames = Run.frames
 let live_blocks _t = []
-
-let frames t =
-  List.init (t.depth - 1) (fun i ->
-      let e = t.entries.(i + 1) in
-      (e.off, { Frame.func_id = e.func_id; args = e.args }))

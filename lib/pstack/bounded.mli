@@ -3,7 +3,11 @@
     The stack occupies a contiguous region of the device.  A dummy frame is
     installed at initialisation and never removed, so the add/remove
     protocols always find a preceding frame whose marker they can move
-    (Section 3.4, "Dummy frame"). *)
+    (Section 3.4, "Dummy frame").
+
+    The stack is one {!Run} confined to [\[base, base+capacity)]: the core
+    does the frame protocol, the attach scan and the index; this module
+    only fixes the region. *)
 
 type t
 

@@ -2,254 +2,101 @@ module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
 module Heap = Nvheap.Heap
 
-exception Overflow
+exception Overflow = Run.Overflow
 
-type blk = { payload : Offset.t; capacity : int }
+type t = { run : Run.t; heap : Heap.t; block_size : int }
 
-type ord = { off : Offset.t; size : int; frame : Frame.t; blk : blk }
-type item = Ord of ord | Ptr of { ptr_off : Offset.t; ptr_blk : blk }
-
-type t = {
-  pmem : Pmem.t;
-  heap : Heap.t;
-  anchor : Offset.t;
-  default_block : int;
-  mutable items : item list;  (* top first; the dummy frame is last *)
-}
-
+let name = "linked"
 let default_block_size = 256
-
-let pmem t = t.pmem
-
-let item_blk = function Ord { blk; _ } -> blk | Ptr { ptr_blk; _ } -> ptr_blk
-
-let item_size = function
-  | Ord { size; _ } -> size
-  | Ptr _ -> Frame.pointer_size
-
-let top_ord t =
-  match t.items with
-  | Ord o :: _ -> o
-  | Ptr _ :: _ -> assert false (* a pointer frame is never the stack top *)
-  | [] -> assert false (* the dummy frame is always present *)
-
-let depth t =
-  List.length (List.filter (function Ord _ -> true | Ptr _ -> false) t.items)
-  - 1
-
-let used_bytes t = List.fold_left (fun acc i -> acc + item_size i) 0 t.items
-
-let blocks t =
-  List.fold_left
-    (fun acc item ->
-      let blk = item_blk item in
-      if List.exists (fun b -> Offset.equal b.payload blk.payload) acc then acc
-      else blk :: acc)
-    [] t.items
-
-let block_count t = List.length (blocks t)
-let live_blocks t = List.map (fun b -> b.payload) (blocks t)
-
-let dummy_frame = { Frame.func_id = Frame.dummy_func_id; args = Bytes.empty }
-
-let write_anchor t payload =
-  Pmem.write_int t.pmem t.anchor (Offset.to_int payload);
-  Pmem.flush t.pmem ~off:t.anchor ~len:8
-
-let alloc_block heap n =
-  match Heap.alloc heap n with
-  | payload -> { payload; capacity = Heap.payload_size heap payload }
-  | exception Heap.Out_of_heap_memory _ -> raise Overflow
+let block_size t = t.block_size
 
 let create pmem ~heap ~anchor ?(block_size = default_block_size) () =
-  let image = Frame.encode_ordinary dummy_frame ~marker:Frame.marker_stack_end in
-  let size = Bytes.length image in
-  let blk = alloc_block heap (max block_size (size + Frame.pointer_size)) in
-  Pmem.write_bytes pmem ~off:blk.payload image;
-  Pmem.flush pmem ~off:blk.payload ~len:size;
-  let t =
-    {
-      pmem;
-      heap;
-      anchor;
-      default_block = block_size;
-      items = [ Ord { off = blk.payload; size; frame = dummy_frame; blk } ];
-    }
+  let dummy = Frame.ordinary_size ~args_len:0 in
+  let block =
+    Run.alloc_block heap (max block_size (dummy + Frame.pointer_size))
   in
-  write_anchor t blk.payload;
-  t
-
-let block_size t = t.default_block
+  let run = Run.create pmem ~name ~block ~limit:(Run.limit_of heap block) in
+  Run.publish pmem ~anchor block;
+  { run; heap; block_size }
 
 (* [block_size] defaults to [default_block_size] only for callers that
    genuinely don't know the original configuration; a recovery path must
    pass the size recorded at creation (e.g. from the system superblock) or
    every post-crash cross-block push silently reverts to 256-byte blocks. *)
-let attach ?(report = ignore) pmem ~heap ?(block_size = default_block_size)
-    ~anchor () =
-  let first = Offset.of_int (Pmem.read_int pmem anchor) in
-  let blk_of payload = { payload; capacity = Heap.payload_size heap payload } in
-  (* Truncate to the last good ordinary frame: any pointer frame above it
-     belongs to the discarded unfinished cross-block push (frame + pointer
-     written, marker flip never committed), so it is dropped too.  The
-     emptied block leaks until root-based heap reclamation collects it. *)
-  let truncate acc (corruption : Frame.corruption) =
-    let rec to_ord = function
-      | Ord _ :: _ as items -> items
-      | Ptr _ :: rest -> to_ord rest
-      | [] ->
-          Repair.corrupt_stack ~stack:"linked" ~at:corruption.Frame.at
-            corruption.Frame.reason
-    in
-    match to_ord acc with
-    | Ord prev :: _ as items ->
-        Frame.set_marker pmem ~at:prev.off ~size:prev.size
-          Frame.marker_stack_end;
-        Repair.note_truncation ();
-        report
-          (Repair.Truncated_tail
-             {
-               stack = "linked";
-               at = corruption.Frame.at;
-               frames_kept =
-                 List.length
-                   (List.filter
-                      (function Ord _ -> true | Ptr _ -> false)
-                      items);
-               corruption;
-             });
-        items
-    | _ -> assert false
-  in
-  let rec scan blk off acc =
-    let block_end = Offset.add blk.payload blk.capacity in
-    if Offset.diff block_end off < Frame.pointer_size then
-      truncate acc
-        { Frame.at = off; reason = "frame runs past block capacity";
-          crc_mismatch = false }
-    else
-      match Frame.read pmem ~at:off with
-      | Error corruption -> truncate acc corruption
-      | Ok (Frame.Ordinary { frame; size; last }) ->
-          if Offset.diff block_end off < size then
-            truncate acc
-              { Frame.at = off; reason = "frame runs past block capacity";
-                crc_mismatch = false }
-          else
-            let acc = Ord { off; size; frame; blk } :: acc in
-            if last then acc else scan blk (Offset.add off size) acc
-      | Ok (Frame.Pointer { next; last; _ }) ->
-          if last then
-            truncate acc
-              { Frame.at = off; reason = "pointer frame marked as stack top";
-                crc_mismatch = false }
-          else begin
-            match blk_of next with
-            | next_blk ->
-                scan next_blk next_blk.payload
-                  (Ptr { ptr_off = off; ptr_blk = blk } :: acc)
-            | exception Invalid_argument reason ->
-                truncate acc
-                  {
-                    Frame.at = off;
-                    reason =
-                      Printf.sprintf
-                        "pointer frame does not reference a heap block (%s)"
-                        reason;
-                    crc_mismatch = false;
-                  }
-          end
-  in
-  let first_blk =
-    match blk_of first with
-    | blk -> blk
+let attach ?report pmem ~heap ?(block_size = default_block_size) ~anchor () =
+  let block, limit = Run.anchored pmem heap ~name ~anchor in
+  (* A truncated tail's emptied block leaks until root-based heap
+     reclamation collects it. *)
+  let follow next =
+    match Run.limit_of heap next with
+    | limit -> Ok limit
     | exception Invalid_argument reason ->
-        Repair.corrupt_stack ~stack:"linked" ~at:anchor
-          (Printf.sprintf "anchor does not reference a heap block (%s)" reason)
+        Error
+          (Printf.sprintf "pointer frame does not reference a heap block (%s)"
+             reason)
   in
   {
-    pmem;
+    run = Run.attach ?report ~follow pmem ~name ~block ~limit;
     heap;
-    anchor;
-    default_block = block_size;
-    items = scan first_blk first_blk.payload [];
+    block_size;
   }
 
 let push t ~func_id ~args =
-  let frame = { Frame.func_id; args } in
-  let image = Frame.encode_ordinary frame ~marker:Frame.marker_stack_end in
-  let size = Bytes.length image in
-  let top = top_ord t in
-  let free_at = Offset.add top.off top.size in
-  let block_end = Offset.add top.blk.payload top.blk.capacity in
+  let size = Frame.ordinary_size ~args_len:(Bytes.length args) in
+  let top = Run.top_slot t.run in
+  let free_at = Offset.add top.Run.off top.Run.size in
   (* Accept a frame in the current block only if a pointer frame would
      still fit after it, so the block can always be chained later. *)
-  if Offset.diff block_end free_at >= size + Frame.pointer_size then begin
-    Pmem.write_bytes t.pmem ~off:free_at image;
-    Pmem.flush t.pmem ~off:free_at ~len:size;
-    Frame.set_marker t.pmem ~at:top.off ~size:top.size Frame.marker_frame_end;
-    t.items <- Ord { off = free_at; size; frame; blk = top.blk } :: t.items
-  end
+  if Offset.diff top.Run.limit free_at >= size + Frame.pointer_size then
+    Run.push t.run ~func_id ~args
   else begin
     (* Cross-block push: new frame and pointer frame are both written and
        flushed while still beyond the stack end; the single marker flip on
        the current top then linearizes the invocation (Appendix A.3). *)
-    let blk = alloc_block t.heap (max t.default_block (size + Frame.pointer_size)) in
-    Pmem.write_bytes t.pmem ~off:blk.payload image;
-    Pmem.flush t.pmem ~off:blk.payload ~len:size;
-    let pointer =
-      Frame.encode_pointer ~next:blk.payload ~marker:Frame.marker_frame_end
+    let pmem = Run.pmem t.run in
+    let block =
+      Run.alloc_block t.heap (max t.block_size (size + Frame.pointer_size))
     in
-    Pmem.write_bytes t.pmem ~off:free_at pointer;
-    Pmem.flush t.pmem ~off:free_at ~len:Frame.pointer_size;
-    Frame.set_marker t.pmem ~at:top.off ~size:top.size Frame.marker_frame_end;
-    t.items <-
-      Ord { off = blk.payload; size; frame; blk }
-      :: Ptr { ptr_off = free_at; ptr_blk = top.blk }
-      :: t.items
+    let limit = Run.limit_of t.heap block in
+    Run.write_frame t.run ~flush:true ~off:block ~func_id ~args;
+    Pmem.write_bytes pmem ~off:free_at
+      (Frame.encode_pointer ~next:block ~marker:Frame.marker_frame_end);
+    Pmem.flush pmem ~off:free_at ~len:Frame.pointer_size;
+    Run.commit t.run ~off:block ~size ~func_id ~args ~block ~limit
   end
 
 let pop t =
-  match t.items with
-  | Ord _ :: Ord under :: _ ->
-      Frame.set_marker t.pmem ~at:under.off ~size:under.size
-        Frame.marker_stack_end;
-      t.items <- List.tl t.items
-  | Ord top :: Ptr _ptr :: Ord prev :: rest ->
-      (* The top frame is the only frame of its block: move the stack end
-         backward onto the frame preceding the pointer frame, then free the
-         emptied block (Fig. 8). *)
-      Frame.set_marker t.pmem ~at:prev.off ~size:prev.size
-        Frame.marker_stack_end;
-      t.items <- Ord prev :: rest;
-      Heap.free t.heap top.blk.payload
-  | Ord _ :: Ptr _ :: (Ptr _ :: _ | []) -> assert false
-  | [ Ord _ ] | [] -> invalid_arg "Linked.pop: stack is empty"
-  | Ptr _ :: _ -> assert false
+  let block = (Run.top_slot t.run).Run.block in
+  Run.pop t.run;
+  (* A top frame alone in its block: the pop moved the stack end onto the
+     frame before the pointer frame, so the emptied block is freed
+     (Fig. 8). *)
+  if not (Offset.equal block (Run.top_slot t.run).Run.block) then
+    Heap.free t.heap block
 
-let top t =
-  match t.items with
-  | Ord { off; frame; _ } :: _ :: _ -> Some (off, frame)
-  | _ -> None
+(* The blocks the slots live in, bottom to top; every block but the first
+   starts after a pointer frame. *)
+let blocks t =
+  let acc = ref [] in
+  Run.iter
+    (fun s ->
+      match !acc with
+      | b :: _ when Offset.equal b s.Run.block -> ()
+      | _ -> acc := s.Run.block :: !acc)
+    t.run;
+  List.rev !acc
 
-let top_offset t = (top_ord t).off
+let block_count t = List.length (blocks t)
+let live_blocks = blocks
 
-let under_top_offset t =
-  match t.items with
-  | _top :: rest ->
-      let rec first_ord = function
-        | Ord { off; _ } :: _ -> off
-        | Ptr _ :: tail -> first_ord tail
-        | [] -> invalid_arg "Linked.under_top_offset: stack is empty"
-      in
-      if rest = [] then invalid_arg "Linked.under_top_offset: stack is empty"
-      else first_ord rest
-  | [] -> assert false
+let used_bytes t =
+  let bytes = ref 0 in
+  Run.iter (fun s -> bytes := !bytes + s.Run.size) t.run;
+  !bytes + (Frame.pointer_size * (block_count t - 1))
 
-let frames t =
-  let rec collect = function
-    | [ Ord _ ] | [] -> []
-    | Ord { off; frame; _ } :: rest -> (off, frame) :: collect rest
-    | Ptr _ :: rest -> collect rest
-  in
-  List.rev (collect t.items)
+let pmem t = Run.pmem t.run
+let depth t = Run.depth t.run
+let top t = Run.top t.run
+let top_offset t = Run.top_offset t.run
+let under_top_offset t = Run.under_top_offset t.run
+let frames t = Run.frames t.run

@@ -19,7 +19,12 @@
     (Fig. 8).
 
     Invariants: a block's first frame is always ordinary; a pointer frame is
-    always the last valid frame of its block and never the stack top. *)
+    always the last valid frame of its block and never the stack top.
+
+    The frames form one {!Run} that continues across blocks: the core does
+    the in-block push, the pop's marker flip, the attach scan (following
+    pointer frames through a callback) and the index; this module keeps
+    the cross-block push and the freeing of an emptied block. *)
 
 type t
 
@@ -54,7 +59,8 @@ val attach :
     A corrupt tail truncates to the last good {e ordinary} frame (any
     pointer frame above it belongs to the discarded unfinished cross-block
     push) and reports via [?report]; the orphaned block leaks until
-    root-based heap reclamation collects it.
+    root-based heap reclamation collects it.  A pointer frame that opens a
+    block breaks the invariants above and is truncated as damage.
 
     @raise Repair.Corrupt_stack if the anchor or the first block's dummy
     frame is corrupt. *)

@@ -2,198 +2,88 @@ module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
 module Heap = Nvheap.Heap
 
-exception Overflow
-
-type entry = { off : Offset.t; size : int; frame : Frame.t }
+exception Overflow = Run.Overflow
 
 type t = {
-  pmem : Pmem.t;
+  run : Run.t;
   heap : Heap.t;
   anchor : Offset.t;
-  mutable block : Offset.t;  (* payload offset of the current block *)
-  mutable capacity : int;
-  mutable entries : entry list;  (* top first; the dummy frame is last *)
   mutable resize_count : int;
 }
 
+let name = "resizable"
 let min_capacity = 64
-
-let pmem t = t.pmem
-let capacity t = t.capacity
-let block t = t.block
 let resize_count t = t.resize_count
-let live_blocks t = [ t.block ]
+let block t = (Run.top_slot t.run).Run.block
 
-let top_entry t =
-  match t.entries with e :: _ -> e | [] -> assert false
+let capacity t =
+  let s = Run.top_slot t.run in
+  Offset.diff s.Run.limit s.Run.block
 
 let used_bytes t =
-  let e = top_entry t in
-  Offset.diff e.off t.block + e.size
-
-let depth t = List.length t.entries - 1
-
-let dummy_frame = { Frame.func_id = Frame.dummy_func_id; args = Bytes.empty }
-
-let write_anchor t payload =
-  Pmem.write_int t.pmem t.anchor (Offset.to_int payload);
-  Pmem.flush t.pmem ~off:t.anchor ~len:8
-
-let alloc_block heap n =
-  match Heap.alloc heap n with
-  | payload -> payload
-  | exception Heap.Out_of_heap_memory _ -> raise Overflow
+  let s = Run.top_slot t.run in
+  Offset.diff s.Run.off s.Run.block + s.Run.size
 
 let create pmem ~heap ~anchor ?(initial_capacity = min_capacity) () =
-  let initial_capacity = max initial_capacity min_capacity in
-  let payload = alloc_block heap initial_capacity in
-  let capacity = Heap.payload_size heap payload in
-  let image = Frame.encode_ordinary dummy_frame ~marker:Frame.marker_stack_end in
-  Pmem.write_bytes pmem ~off:payload image;
-  Pmem.flush pmem ~off:payload ~len:(Bytes.length image);
-  let t =
-    {
-      pmem;
-      heap;
-      anchor;
-      block = payload;
-      capacity;
-      entries =
-        [ { off = payload; size = Bytes.length image; frame = dummy_frame } ];
-      resize_count = 0;
-    }
-  in
-  write_anchor t payload;
-  t
+  let block = Run.alloc_block heap (max initial_capacity min_capacity) in
+  let run = Run.create pmem ~name ~block ~limit:(Run.limit_of heap block) in
+  Run.publish pmem ~anchor block;
+  { run; heap; anchor; resize_count = 0 }
 
-let attach ?(report = ignore) pmem ~heap ~anchor =
-  let payload = Offset.of_int (Pmem.read_int pmem anchor) in
-  let capacity =
-    (* A rotted anchor points at garbage: [payload_size] refuses, and with
-       no block there is no good prefix to truncate to — structured
-       fatal. *)
-    match Heap.payload_size heap payload with
-    | capacity -> capacity
-    | exception Invalid_argument reason ->
-        Repair.corrupt_stack ~stack:"resizable" ~at:anchor
-          (Printf.sprintf "anchor does not reference a heap block (%s)"
-             reason)
-  in
-  let block_end = Offset.add payload capacity in
-  let truncate acc (corruption : Frame.corruption) =
-    match acc with
-    | [] ->
-        Repair.corrupt_stack ~stack:"resizable" ~at:corruption.Frame.at
-          corruption.Frame.reason
-    | prev :: _ ->
-        Frame.set_marker pmem ~at:prev.off ~size:prev.size
-          Frame.marker_stack_end;
-        Repair.note_truncation ();
-        report
-          (Repair.Truncated_tail
-             {
-               stack = "resizable";
-               at = corruption.Frame.at;
-               frames_kept = List.length acc;
-               corruption;
-             });
-        acc
-  in
-  let rec scan off acc =
-    if Offset.diff block_end off < Frame.ordinary_size ~args_len:0 then
-      truncate acc
-        { Frame.at = off; reason = "frame runs past block capacity";
-          crc_mismatch = false }
-    else
-      match Frame.read pmem ~at:off with
-      | Error corruption -> truncate acc corruption
-      | Ok (Frame.Pointer _) ->
-          truncate acc
-            { Frame.at = off; reason = "pointer frame in a resizable stack";
-              crc_mismatch = false }
-      | Ok (Frame.Ordinary { frame; size; last }) ->
-          if Offset.diff block_end off < size then
-            truncate acc
-              { Frame.at = off; reason = "frame runs past block capacity";
-                crc_mismatch = false }
-          else
-            let acc = { off; size; frame } :: acc in
-            if last then acc else scan (Offset.add off size) acc
-  in
+let attach ?report pmem ~heap ~anchor =
+  let block, limit = Run.anchored pmem heap ~name ~anchor in
   {
-    pmem;
+    run = Run.attach ?report pmem ~name ~block ~limit;
     heap;
     anchor;
-    block = payload;
-    capacity;
-    entries = scan payload [];
     resize_count = 0;
   }
 
 (* Copy the live stack bytes into a block of [new_capacity] bytes, flush the
-   copy, then commit by flipping the anchor (atomic 8-byte flush) and free
-   the old block.  A crash before the flip leaves the old block current; a
-   crash after it leaves the new one; the non-current block is reclaimed by
-   root-based heap reclamation at system recovery. *)
+   copy, then commit by flipping the anchor (atomic 8-byte flush), move the
+   index onto the new block and free the old one.  A crash before the flip
+   leaves the old block current; a crash after it leaves the new one; the
+   non-current block is reclaimed by root-based heap reclamation at system
+   recovery. *)
 let resize t new_capacity =
+  let pmem = Run.pmem t.run in
   let used = used_bytes t in
   assert (new_capacity >= used);
-  let new_payload = alloc_block t.heap new_capacity in
-  let data = Pmem.read_bytes t.pmem ~off:t.block ~len:used in
-  Pmem.write_bytes t.pmem ~off:new_payload data;
-  Pmem.flush t.pmem ~off:new_payload ~len:used;
-  write_anchor t new_payload;
-  let old_block = t.block in
-  let delta = Offset.diff new_payload t.block in
-  t.entries <-
-    List.map (fun e -> { e with off = Offset.add e.off delta }) t.entries;
-  t.block <- new_payload;
-  t.capacity <- Heap.payload_size t.heap new_payload;
+  let old_block = block t in
+  let new_block = Run.alloc_block t.heap new_capacity in
+  let data = Pmem.read_bytes pmem ~off:old_block ~len:used in
+  Pmem.write_bytes pmem ~off:new_block data;
+  Pmem.flush pmem ~off:new_block ~len:used;
+  Run.publish pmem ~anchor:t.anchor new_block;
+  let delta = Offset.diff new_block old_block in
+  let limit = Run.limit_of t.heap new_block in
+  Run.iter
+    (fun s ->
+      s.Run.off <- Offset.add s.Run.off delta;
+      s.Run.block <- new_block;
+      s.Run.limit <- limit)
+    t.run;
   t.resize_count <- t.resize_count + 1;
   Heap.free t.heap old_block
 
 let push t ~func_id ~args =
-  let frame = { Frame.func_id; args } in
-  let image = Frame.encode_ordinary frame ~marker:Frame.marker_stack_end in
-  let size = Bytes.length image in
-  if used_bytes t + size > t.capacity then
-    resize t (max (2 * t.capacity) (used_bytes t + size));
-  let prev_top = top_entry t in
-  let off = Offset.add prev_top.off prev_top.size in
-  Pmem.write_bytes t.pmem ~off image;
-  Pmem.flush t.pmem ~off ~len:size;
-  (* Moving the stack end forward linearizes the invocation. *)
-  Frame.set_marker t.pmem ~at:prev_top.off ~size:prev_top.size
-    Frame.marker_frame_end;
-  t.entries <- { off; size; frame } :: t.entries
+  let needed =
+    used_bytes t + Frame.ordinary_size ~args_len:(Bytes.length args)
+  in
+  if needed > capacity t then resize t (max (2 * capacity t) needed);
+  Run.push t.run ~func_id ~args
 
 let pop t =
-  match t.entries with
-  | _top :: (penultimate :: _ as rest) ->
-      Frame.set_marker t.pmem ~at:penultimate.off ~size:penultimate.size
-        Frame.marker_stack_end;
-      t.entries <- rest;
-      (* Shrink when capacity > 4 * size (Appendix A.2). *)
-      let used = used_bytes t in
-      let target = max min_capacity (2 * used) in
-      if t.capacity > 4 * used && target < t.capacity then resize t target
-  | [ _ ] | [] -> invalid_arg "Resizable.pop: stack is empty"
+  Run.pop t.run;
+  (* Shrink when capacity > 4 * size (Appendix A.2). *)
+  let used = used_bytes t in
+  let target = max min_capacity (2 * used) in
+  if capacity t > 4 * used && target < capacity t then resize t target
 
-let top t =
-  match t.entries with
-  | { frame; off; _ } :: _ :: _ -> Some (off, frame)
-  | [ _ ] | [] -> None
-
-let top_offset t = (top_entry t).off
-
-let under_top_offset t =
-  match t.entries with
-  | _top :: under :: _ -> under.off
-  | [ _ ] | [] -> invalid_arg "Resizable.under_top_offset: stack is empty"
-
-let frames t =
-  let rec collect = function
-    | [ _ ] | [] -> []
-    | { off; frame; _ } :: rest -> (off, frame) :: collect rest
-  in
-  List.rev (collect t.entries)
+let pmem t = Run.pmem t.run
+let depth t = Run.depth t.run
+let top t = Run.top t.run
+let top_offset t = Run.top_offset t.run
+let under_top_offset t = Run.under_top_offset t.run
+let frames t = Run.frames t.run
+let live_blocks t = [ block t ]

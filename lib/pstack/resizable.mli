@@ -10,7 +10,11 @@
 
     A crash on either side of the anchor flip leaves exactly one of the two
     blocks referenced; the other is reclaimed by the root-based heap
-    reclamation ([Nvheap.Heap.retain]) during system recovery. *)
+    reclamation ([Nvheap.Heap.retain]) during system recovery.
+
+    The frames form one {!Run} in the current block; this module keeps the
+    anchor word, the copy-and-flip resize and the shift of the index onto
+    the new block. *)
 
 type t
 

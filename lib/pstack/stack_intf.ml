@@ -3,7 +3,8 @@
     linked list of blocks).
 
     The runtime is parametric in this interface, so any implementation can
-    back the call protocol and the recovery traversal. *)
+    back the call protocol and the recovery traversal.  All three are
+    built on one frame-run core, {!Run}, and share its [Overflow]. *)
 
 module type S = sig
   type t

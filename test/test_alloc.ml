@@ -1,13 +1,16 @@
 (* Allocation pins for the hot paths (DESIGN.md section 10): with
-   observability off, every 1-2-line device operation, a bounded-stack
-   push/pop and a heap alloc/free must allocate nothing on the minor heap,
-   in both flush modes.  Minor collections stop every domain in OCaml 5, so
-   one boxed word per device access is enough to bring back the multicore
-   anti-scaling these paths were rewritten to remove. *)
+   observability off, every 1-2-line device operation, a push/pop inside
+   one block of each persistent stack and a heap alloc/free must allocate
+   nothing on the minor heap, in both flush modes.  Minor collections stop
+   every domain in OCaml 5, so one boxed word per device access is enough
+   to bring back the multicore anti-scaling these paths were rewritten to
+   remove. *)
 
 module Pmem = Nvram.Pmem
 module Heap = Nvheap.Heap
 module Bounded = Pstack.Bounded
+module Resizable = Pstack.Resizable
+module Linked = Pstack.Linked
 
 let off = Nvram.Offset.of_int
 let iters = 10_000
@@ -67,6 +70,19 @@ let stack_and_heap flush_mode () =
   let heap = Heap.format ~arenas:1 p ~base:(off 8192) ~len:(1 lsl 19) in
   check "heap alloc/free" (fun () ->
       Heap.free heap (Heap.alloc heap 64);
+      Pmem.persist_barrier p);
+  (* the warm-up push grows the resizable stack's first block once; every
+     later push and pop stays inside it, as they stay inside the linked
+     stack's first block *)
+  let r = Resizable.create p ~heap ~anchor:(off 540_672) () in
+  check "resizable push/pop" (fun () ->
+      Resizable.push r ~func_id:2 ~args;
+      Resizable.pop r;
+      Pmem.persist_barrier p);
+  let l = Linked.create p ~heap ~anchor:(off 540_680) () in
+  check "linked push/pop" (fun () ->
+      Linked.push l ~func_id:2 ~args;
+      Linked.pop l;
       Pmem.persist_barrier p)
 
 let () =
