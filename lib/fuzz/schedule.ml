@@ -89,9 +89,6 @@ let generate ?(faults = false) ~rng ~max_eras () =
   in
   { none with eras; kill; tear; bitflip; fault_seed }
 
-let crashing_eras t =
-  List.length (List.filter (fun p -> p <> Crash.Never) t.eras)
-
 (* Worker ids of an interleave prefix, at most [chunk] per line so long
    systematic traces stay readable; consecutive [interleave] lines
    concatenate on parse. *)

@@ -78,9 +78,6 @@ val generate : ?faults:bool -> rng:Random.State.t -> max_eras:int -> unit -> t
     Deterministic in [rng].  Generated schedules carry no interleaving
     (free-running workers). *)
 
-val crashing_eras : t -> int
-(** Number of listed era plans that are not [Never]. *)
-
 val to_lines : t -> string list
 
 val of_lines : string list -> (t, string) result

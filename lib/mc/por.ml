@@ -12,9 +12,6 @@ let empty = { access = None; reads = [] }
    so the explorer gives it every line — conservative, never unsound. *)
 let universe = [ (0, max_int) ]
 
-let of_point_choice (p : Coop.point) j =
-  { access = List.assoc_opt j p.Coop.pending; reads = [] }
-
 let ranges_overlap (a, b) (c, d) = a <= d && c <= b
 
 let range_hits r ranges = List.exists (ranges_overlap r) ranges

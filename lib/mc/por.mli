@@ -29,11 +29,6 @@ val universe : (int * int) list
     reads of a trace's final transition (no successor point reports
     them). *)
 
-val of_point_choice : Coop.point -> int -> footprint
-(** Footprint known {e at decision time} for choosing worker [j]: its
-    pending access and no reads yet (reads are attributed when the step
-    returns). *)
-
 val ranges_overlap : int * int -> int * int -> bool
 (** Inclusive line ranges share at least one line. *)
 

@@ -99,4 +99,3 @@ let flip_bit t ~off ~bit =
   Array1.unsafe_set t.data off (Char.unsafe_chr v)
 
 let close t = Option.iter Unix.close t.fd
-let is_file t = Option.is_some t.fd

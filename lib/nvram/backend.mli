@@ -70,5 +70,3 @@ val close : t -> unit
 (** [close t] releases the file descriptor of a file backend (no-op for
     memory backends).  The mapping itself is released when [t] is
     collected. *)
-
-val is_file : t -> bool

@@ -919,6 +919,5 @@ let line_state t off =
 let dirty_line_count t = count_lines t (fun s -> s >= dirty)
 let is_dirty t off = line_state t off >= dirty
 let pending_line_count t = count_lines t (fun s -> s = pending)
-let is_pending t off = line_state t off = pending
 
 let unsafe_break_drain ?(skip = 1) t = t.drain_breakage <- skip

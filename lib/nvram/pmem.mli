@@ -283,6 +283,4 @@ val pending_line_count : t -> int
     Always 0 on an eager device; [pending_line_count t <= dirty_line_count
     t] on any device (pending implies dirty). *)
 
-val is_pending : t -> Offset.t -> bool
-
 val backend : t -> Backend.t

@@ -119,5 +119,3 @@ let chrome_json_of_events events =
     events;
   Buffer.add_string buf "]\n";
   Buffer.contents buf
-
-let to_chrome_json () = chrome_json_of_events (events ())

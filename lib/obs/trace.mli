@@ -10,7 +10,7 @@
     and ending, crash eras being armed, crashes firing, recovery passes,
     and heap allocation traffic.
 
-    {!to_chrome_json} renders the buffered events in the Chrome
+    {!chrome_json_of_events} renders events in the Chrome
     [trace_event] JSON array format, loadable in [chrome://tracing] or
     Perfetto: begin/end pairs become duration slices per domain, everything
     else instant events. *)
@@ -49,6 +49,3 @@ val pp_event : Format.formatter -> event -> unit
 
 val chrome_json_of_events : event list -> string
 (** Chrome [trace_event] JSON array for the given events. *)
-
-val to_chrome_json : unit -> string
-(** [chrome_json_of_events (events ())]. *)

@@ -52,10 +52,6 @@ let stack_depth t =
   let (Stack ((module S), s)) = t.stack in
   S.depth s
 
-let stack_frames t =
-  let (Stack ((module S), s)) = t.stack in
-  S.frames s
-
 let live_blocks t =
   let (Stack ((module S), s)) = t.stack in
   S.live_blocks s

@@ -76,7 +76,6 @@ val last_answer : t -> int64 option
 val clear_last_answer : t -> unit
 
 val stack_depth : t -> int
-val stack_frames : t -> (Nvram.Offset.t * Pstack.Frame.t) list
 val live_blocks : t -> Nvram.Offset.t list
 
 val recover : t -> unit

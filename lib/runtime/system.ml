@@ -247,11 +247,6 @@ let attach ?(report = fun _ -> ()) pmem ~registry =
   let stacks = make_stacks ~report ~fresh:false pmem config heap in
   build pmem config registry heap stacks tasks
 
-let attach_with_report pmem ~registry =
-  let items = ref [] in
-  let t = attach ~report:(fun it -> items := it :: !items) pmem ~registry in
-  (t, Recovery_report.of_items (List.rev !items))
-
 (* Bitflip targets for the fault-injecting fuzzer: every region whose
    damage the recovery paths are guaranteed to detect (checksummed
    metadata), repair around (heap headers, stack frames) or report as

@@ -88,10 +88,6 @@ val attach :
     @raise Pstack.Repair.Corrupt_stack if a worker stack is damaged beyond
     tail truncation (corrupt dummy frame or anchor). *)
 
-val attach_with_report :
-  Nvram.Pmem.t -> registry:Exec.t Registry.t -> t * Recovery_report.t
-(** {!attach} collecting the repairs into a {!Recovery_report.t}. *)
-
 val metadata_regions : t -> (int * int) array
 (** [(offset, length)] regions holding checksummed metadata — the system
     superblock's config fields, bounded stack regions, the heap superblock

@@ -47,8 +47,6 @@ let answer_of_bool b = if b then 1L else 0L
 let bool_of_answer v = not (Int64.equal v 0L)
 let answer_of_int = Int64.of_int
 let int_of_answer = Int64.to_int
-let answer_of_offset off = Int64.of_int (Nvram.Offset.to_int off)
-let offset_of_answer v = Nvram.Offset.of_int (Int64.to_int v)
 
 let answer_of_int_option = function
   | Some v -> Int64.of_int v

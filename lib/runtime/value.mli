@@ -40,9 +40,6 @@ val bool_of_answer : int64 -> bool
 val answer_of_int : int -> int64
 val int_of_answer : int64 -> int
 
-val answer_of_offset : Nvram.Offset.t -> int64
-val offset_of_answer : int64 -> Nvram.Offset.t
-
 val answer_of_int_option : int option -> int64
 (** [None] as [Int64.min_int], [Some v] as [Int64.of_int v].  The two
     never meet: every OCaml [int], [min_int] included, lies in
