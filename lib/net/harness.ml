@@ -169,44 +169,46 @@ let is_spec text =
   String.length text >= String.length header
   && String.sub text 0 (String.length header) = header
 
+(* One reproducer line applied to [spec]; requests accumulate newest
+   first.  Every malformed line is an [Error] naming it. *)
+let parse_spec_line spec line =
+  let bad () = Error ("bad reproducer line: " ^ line) in
+  let int v k = match int_of_string_opt v with Some n -> k n | None -> bad () in
+  match String.split_on_char ' ' line with
+  | [ "seed"; v ] -> int v (fun seed -> Ok { spec with seed })
+  | [ "case"; v ] -> int v (fun case -> Ok { spec with case })
+  | [ "kill"; k; from ] -> (
+      match from with
+      | "ready" ->
+          int k (fun kill_at -> Ok { spec with kill_at; kill_from = `Ready })
+      | "startup" ->
+          int k (fun kill_at -> Ok { spec with kill_at; kill_from = `Startup })
+      | _ -> bad ())
+  | "req" :: client :: op_words ->
+      int client (fun client ->
+          match Wire.op_of_string (String.concat " " op_words) with
+          | Some op when client >= 0 ->
+              Ok { spec with reqs = (client, op) :: spec.reqs }
+          | Some _ -> bad ()
+          | None -> Error ("bad op in line: " ^ line))
+  | _ -> bad ()
+
 let spec_of_string text =
   let lines =
     String.split_on_char '\n' text
     |> List.map String.trim
     |> List.filter (fun l -> l <> "")
   in
+  let rec parse spec = function
+    | [] -> Ok { spec with reqs = List.rev spec.reqs }
+    | line :: rest ->
+        Result.bind (parse_spec_line spec line) (fun spec -> parse spec rest)
+  in
   match lines with
   | first :: rest when first = header ->
-      let spec =
-        ref { seed = 0; case = 0; kill_at = 0; kill_from = `Ready; reqs = [] }
-      in
-      let error = ref None in
-      List.iter
-        (fun line ->
-          if !error = None then
-            match String.split_on_char ' ' line with
-            | "seed" :: v :: [] -> spec := { !spec with seed = int_of_string v }
-            | "case" :: v :: [] -> spec := { !spec with case = int_of_string v }
-            | [ "kill"; k; from ] ->
-                let kill_from =
-                  match from with
-                  | "ready" -> `Ready
-                  | "startup" -> `Startup
-                  | _ -> `Ready
-                in
-                spec := { !spec with kill_at = int_of_string k; kill_from }
-            | "req" :: client :: op_words -> (
-                match Wire.op_of_string (String.concat " " op_words) with
-                | Some op ->
-                    spec :=
-                      {
-                        !spec with
-                        reqs = !spec.reqs @ [ (int_of_string client, op) ];
-                      }
-                | None -> error := Some ("bad op in line: " ^ line))
-            | _ -> error := Some ("bad reproducer line: " ^ line))
-        rest;
-      (match !error with Some e -> Error e | None -> Ok !spec)
+      parse
+        { seed = 0; case = 0; kill_at = 0; kill_from = `Ready; reqs = [] }
+        rest
   | _ -> Error "not a server reproducer (missing header)"
 
 (* ------------------------------------------------------------------ *)

@@ -76,6 +76,9 @@ val spec_to_string : spec -> string
 (** The replayable reproducer text, first line [server-repro v1]. *)
 
 val spec_of_string : string -> (spec, string) result
+(** Parses {!spec_to_string}'s text.  [Error] names the first malformed
+    line: a non-numeric seed, case, kill point or request client, a
+    negative client, an unknown kill origin or an unknown op. *)
 
 val is_spec : string -> bool
 (** Whether the text looks like a server reproducer (header sniff). *)

@@ -454,6 +454,38 @@ let reproducer_text_roundtrips () =
   | Ok parsed -> Alcotest.(check bool) "spec round-trips" true (parsed = spec)
   | Error msg -> Alcotest.failf "spec_of_string: %s" msg
 
+(* Each malformed line is refused with an [Error] that names it: no
+   [Failure "int_of_string"] escapes, and an unknown kill origin is not
+   read as [ready]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let reproducer_text_rejects_malformed () =
+  List.iter
+    (fun line ->
+      match Harness.spec_of_string ("server-repro v1\nseed 1\n" ^ line) with
+      | exception e ->
+          Alcotest.failf "%S raised %s" line (Printexc.to_string e)
+      | Ok _ -> Alcotest.failf "%S accepted" line
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S named in %S" line msg)
+            true
+            (contains msg line))
+    [
+      "seed x";
+      "case 3a";
+      "kill five ready";
+      "kill 5 redy";
+      "req c get 1";
+      "req -1 get 1";
+      "req 0 frobnicate 1";
+    ]
+
 let () =
   Alcotest.run "server"
     [
@@ -498,5 +530,7 @@ let () =
             reproducer_text_roundtrips;
           Alcotest.test_case "64 MiB image survives kill -9" `Slow
             large_image_kill_recover;
+          Alcotest.test_case "reproducer text rejects malformed lines" `Quick
+            reproducer_text_rejects_malformed;
         ] );
     ]
