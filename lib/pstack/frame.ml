@@ -149,12 +149,6 @@ let pp_corruption fmt { at; reason; crc_mismatch } =
 
 let marker_offset ~at ~size = Offset.add at (size - 1)
 
-let set_marker pmem ~at ~size m =
-  check_marker m;
-  let off = marker_offset ~at ~size in
-  Pmem.write_byte pmem off m;
-  Pmem.flush_byte pmem off
-
 (* The answer flag byte doubles as a one-byte integrity code of the value:
    0 = no answer, anything else must equal [Integrity.code_of_int64 value]
    (never 0 by construction).  [write_answer]'s flush covers a byte range

@@ -141,11 +141,6 @@ val pp_corruption : Format.formatter -> corruption -> unit
 val marker_offset : at:Nvram.Offset.t -> size:int -> Nvram.Offset.t
 (** Offset of the end-marker byte of a frame of [size] bytes at [at]. *)
 
-val set_marker : Nvram.Pmem.t -> at:Nvram.Offset.t -> size:int -> int -> unit
-(** [set_marker pmem ~at ~size m] writes marker [m] on the frame at [at] and
-    flushes the single byte — the atomic linearization step of stack-end
-    moves (Section 3.4). *)
-
 (** {1 Answer slot} *)
 
 val read_answer : Nvram.Pmem.t -> frame:Nvram.Offset.t -> int64 option
