@@ -173,7 +173,9 @@ let is_spec text =
    first.  Every malformed line is an [Error] naming it. *)
 let parse_spec_line spec line =
   let bad () = Error ("bad reproducer line: " ^ line) in
-  let int v k = match int_of_string_opt v with Some n -> k n | None -> bad () in
+  let int v k =
+    match int_of_string_opt v with Some n -> k n | None -> bad ()
+  in
   match String.split_on_char ' ' line with
   | [ "seed"; v ] -> int v (fun seed -> Ok { spec with seed })
   | [ "case"; v ] -> int v (fun case -> Ok { spec with case })
