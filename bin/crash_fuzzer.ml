@@ -235,15 +235,7 @@ let run_workload_replay path =
       (match repro.Fuzz.Reproducer.expected with
       | Some msg -> Printf.printf "expected failure: %s\n" msg
       | None -> ());
-      (* A reproducer carrying an interleaving prefix came from the
-         systematic model checker: replay it under the cooperative
-         scheduler so the recorded schedule is actually followed. *)
-      let replay repro =
-        if repro.Fuzz.Reproducer.schedule.Fuzz.Schedule.interleave <> [] then
-          Mc.Explore.replay repro
-        else Fuzz.Reproducer.replay repro
-      in
-      match replay repro with
+      match Fuzz.Reproducer.replay repro with
       | { Fuzz.Harness.verdict = Fuzz.Harness.Pass; _ } ->
           print_endline "verdict: pass";
           0

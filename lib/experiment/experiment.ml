@@ -47,6 +47,12 @@ let plan_of spec ~era =
   | Random_ops probability ->
       Crash.Random { seed = (spec.seed * 7919) + era; probability }
 
+(* Cooperative workers under a uniform-random policy seeded from the spec:
+   an experiment is a function of its spec. *)
+let spawn spec pmem =
+  Runtime.Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem)
+    ~decide:(Runtime.Coop.random_decision (Random.State.make [| spec.seed |]))
+
 let run ?(device_size = 1 lsl 22) spec =
   let init_value, pairs =
     Verify.Generator.workload ~seed:spec.seed ~n:spec.n_ops ~range:spec.range
@@ -56,7 +62,7 @@ let run ?(device_size = 1 lsl 22) spec =
   let lines_before =
     (Obs.Counters.totals Obs.Probe.counters).Obs.Counters.lines_flushed
   in
-  let pmem = Pmem.create ~auto_flush:true ~yield_probability:0.3 ~size:device_size () in
+  let pmem = Pmem.create ~auto_flush:true ~size:device_size () in
   let registry = Runtime.Registry.create () in
   let rcas = ref None in
   let handle () =
@@ -105,7 +111,7 @@ let run ?(device_size = 1 lsl 22) spec =
   in
   let report =
     Runtime.Driver.run_to_completion pmem ~registry ~config ~submit ~init
-      ~reattach ~reclaim ~plan:(plan_of spec) ()
+      ~reattach ~reclaim ~plan:(plan_of spec) ~spawn:(spawn spec pmem) ()
   in
   let ops =
     List.map2
@@ -154,9 +160,7 @@ let run_timed ?(device_size = 1 lsl 22) spec =
   let init_value, pairs =
     Verify.Generator.workload ~seed:spec.seed ~n:spec.n_ops ~range:spec.range
   in
-  let pmem =
-    Pmem.create ~auto_flush:true ~yield_probability:0.3 ~size:device_size ()
-  in
+  let pmem = Pmem.create ~auto_flush:true ~size:device_size () in
   let registry = Runtime.Registry.create () in
   let rcas = ref None in
   let handle () = Option.get !rcas in
@@ -167,7 +171,6 @@ let run_timed ?(device_size = 1 lsl 22) spec =
   let clock = Atomic.make 0 in
   let tick () = Atomic.fetch_and_add clock 1 in
   let trace = ref [] in
-  let trace_mu = Mutex.create () in
   let body ctx args =
     let expected, desired = Value.to_int2 args in
     let invoked = tick () in
@@ -178,15 +181,14 @@ let run_timed ?(device_size = 1 lsl 22) spec =
     in
     let result = Recoverable.Cas_op.attempt_succeeded answer in
     let returned = tick () in
-    Mutex.protect trace_mu (fun () ->
-        trace :=
-          {
-            Verify.History.pid = ctx.Runtime.Exec.worker_id;
-            base = { Verify.History.expected; desired; result };
-            invoked;
-            returned;
-          }
-          :: !trace);
+    trace :=
+      {
+        Verify.History.pid = ctx.Runtime.Exec.worker_id;
+        base = { Verify.History.expected; desired; result };
+        invoked;
+        returned;
+      }
+      :: !trace;
     Value.answer_of_bool result
   in
   Runtime.Registry.register registry ~id:cas_func_id ~name:"rcas.cas_timed"
@@ -214,7 +216,7 @@ let run_timed ?(device_size = 1 lsl 22) spec =
         (System.submit sys ~func_id:cas_func_id
            ~args:(Value.of_int2 old_value new_value)))
     pairs;
-  (match System.run sys with
+  (match System.run ~spawn:(spawn spec pmem) sys with
   | `Completed -> ()
   | `Crashed -> invalid_arg "Experiment.run_timed: unexpected crash");
   (List.rev !trace, init_value)

@@ -3,8 +3,8 @@
     + generate a random workload of CAS operations (wide or narrow operand
       range);
     + start the system in normal mode and submit the descriptors;
-    + run 4 (configurable) worker threads executing the CAS operations
-      through the persistent-stack runtime;
+    + run 4 (configurable) workers executing the CAS operations through
+      the persistent-stack runtime;
     + crash the system at scheduled moments;
     + restart in recovery mode, complete the interrupted operations,
       return to normal mode, and repeat until every operation finished;
@@ -13,7 +13,12 @@
 
     With [variant = Correct] every execution must be serializable; with
     [variant = Buggy] (the announcement matrix removed) executions with
-    value collisions are expected to be caught as non-serializable. *)
+    value collisions are expected to be caught as non-serializable.
+
+    The workers run as cooperative fibers ({!Runtime.Coop}) that a
+    uniform-random policy seeded from [spec.seed] interleaves at every
+    persistence operation, so an execution — its interleaving, crash
+    points, history and verdict — is a function of its spec. *)
 
 type crash_mode =
   | No_crashes

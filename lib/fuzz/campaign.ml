@@ -34,7 +34,9 @@ type failure = {
 
 type report = { cases : int; failures : failure list; fatals : int }
 
-let case_inputs config i =
+(* Case [i]'s workload and schedule, and its generator past those draws —
+   the state its scheduling policy starts from. *)
+let draw config i =
   if config.kinds = [] then invalid_arg "Campaign: no workload kinds";
   let rng = Random.State.make [| config.seed; i |] in
   let kind =
@@ -46,6 +48,10 @@ let case_inputs config i =
   let schedule =
     Schedule.generate ~faults:config.faults ~rng ~max_eras:config.max_eras ()
   in
+  (workload, schedule, rng)
+
+let case_inputs config i =
+  let workload, schedule, _ = draw config i in
   (workload, schedule)
 
 (* Re-run the shrunk case once with observability on to harvest the
@@ -82,6 +88,11 @@ let run ?(log = fun _ -> ()) config =
     log
       (Format.asprintf "case %4d: %a | %a | FAIL: %s" i Workload.pp workload
          Schedule.pp schedule msg);
+    (* The policy's choices become the schedule's prefix: from here on the
+       case replays under the default policy, exactly. *)
+    let schedule =
+      { schedule with Schedule.interleave = outcome.Harness.interleave }
+    in
     let shrunk =
       (* A sabotage finding is a property of the two-run comparison, not
          of either run alone — the single-run shrinker cannot validate
@@ -107,15 +118,18 @@ let run ?(log = fun _ -> ()) config =
     | Harness.Fatal msg -> "fatal: " ^ msg
   in
   for i = 0 to config.runs - 1 do
-    let workload, schedule = case_inputs config i in
+    let workload, schedule, rng = draw config i in
+    (* A uniform-random interleaving drawn from the case's own generator,
+       restarted for every run of the case. *)
+    let decide () = Runtime.Coop.random_decision (Random.State.copy rng) in
     if config.sabotage then begin
       (* Self-check mode is differential: run the case with checksum
          verification on, then with it disabled, and flag every case
          whose outcome changes.  Detection power is exactly the set of
          outcomes verification alters — a sabotaged-only oracle would be
          fooled by loud fatals that fire identically in both modes. *)
-      let baseline = Harness.run workload schedule in
-      let sabotaged = Harness.run ~sabotage:true workload schedule in
+      let baseline = Harness.run ~decide workload schedule in
+      let sabotaged = Harness.run ~decide ~sabotage:true workload schedule in
       let same =
         sabotaged.Harness.verdict = baseline.Harness.verdict
         && sabotaged.Harness.fingerprint = baseline.Harness.fingerprint
@@ -134,7 +148,7 @@ let run ?(log = fun _ -> ()) config =
                (verdict_str sabotaged.Harness.verdict))
     end
     else
-      let outcome = Harness.run workload schedule in
+      let outcome = Harness.run ~decide workload schedule in
       match outcome.Harness.verdict with
       | Harness.Pass ->
           log

@@ -4,12 +4,14 @@
     Case [i] of a campaign with seed [s] is generated from
     [Random.State.make [| s; i |]] — cases are independent of each other
     and of [runs], so case 17 of [--seed 42 --runs 50] is byte-identical
-    to case 17 of [--seed 42 --runs 1000].
+    to case 17 of [--seed 42 --runs 1000].  The same generator, past the
+    workload and schedule draws, seeds the case's uniform-random
+    scheduling policy ({!Runtime.Coop.random_decision}), so a case —
+    interleaving included — is a pure function of [(s, i)].
 
     The [log] trace prints one line per case — kind, workers, op count,
-    schedule digest, verdict — and never interleaving-dependent numbers
-    (crash or era counts), so two invocations with the same seed produce
-    the same trace even for multi-worker cases. *)
+    schedule digest, verdict — so two invocations with the same seed
+    produce the same trace. *)
 
 type config = {
   seed : int;
@@ -30,8 +32,10 @@ type config = {
           on, then disabled — and flag each case whose verdict or
           fingerprint changes.  A fault campaign under sabotage must
           produce findings; if it stays green, verification never
-          altered an outcome and the checksums are toothless.  Run with
-          [max_workers = 1]: the comparison needs per-case determinism. *)
+          altered an outcome and the checksums are toothless.  Both runs
+          of a case follow the same seeded interleaving, so they differ
+          only where verification changed something, at any worker
+          count. *)
 }
 
 val default : config
@@ -42,6 +46,8 @@ type failure = {
   case : int;
   workload : Workload.t;  (** As generated, before shrinking. *)
   schedule : Schedule.t;
+      (** As generated, with the choices the policy made as its
+          [interleave]: it replays [outcome] exactly. *)
   outcome : Harness.outcome;
   shrunk : Shrink.result;
   trace : Obs.Trace.event list;

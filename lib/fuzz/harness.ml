@@ -3,6 +3,7 @@ module Crash = Nvram.Crash
 module Offset = Nvram.Offset
 module Heap = Nvheap.Heap
 module System = Runtime.System
+module Coop = Runtime.Coop
 module Value = Runtime.Value
 module Rstack = Recoverable.Rstack
 module Rqueue = Recoverable.Rqueue
@@ -19,7 +20,12 @@ type outcome = {
   history : Verify.History.t option;
   fingerprint : string;
   recovery : Runtime.Recovery_report.t;
+  interleave : int list;
 }
+
+type event =
+  | Driver of Runtime.Driver.event
+  | Decision of Coop.point * Coop.decision
 
 (* Function identifiers of the fuzz workloads (2 is the first free id). *)
 let push_id = 40
@@ -575,9 +581,10 @@ let case_of pmem (workload : Workload.t) =
 
 let default_device_size = 1 lsl 21
 
-let run_once ?spawn ?(device_size = default_device_size)
-    ?(flush_mode = Pmem.Eager) ?(break_drain = false) ?(sabotage = false)
-    ?(observer = fun (_ : Runtime.Driver.event) -> ()) (workload : Workload.t)
+let run_once ?(decide = fun () -> Coop.default_decision)
+    ?(device_size = default_device_size) ?(flush_mode = Pmem.Eager)
+    ?(break_drain = false) ?(sabotage = false)
+    ?(observer = fun (_ : event) -> ()) (workload : Workload.t)
     (schedule : Schedule.t) =
   (* Section 5's cache-less model for the real structures (they are built
      for auto-flush devices in their own test suites); the two counters
@@ -588,15 +595,39 @@ let run_once ?spawn ?(device_size = default_device_size)
     | Workload.Faulty | Workload.Rcounter -> false
     | _ -> true
   in
-  (* A cooperative spawn strategy controls the interleaving itself: the
-     sleep-based yield would only add nondeterministic wall-clock noise. *)
-  let yield_probability =
-    if workload.workers > 1 && Option.is_none spawn then 0.3 else 0.
+  let pmem = Pmem.create ~auto_flush ~flush_mode ~size:device_size () in
+  (* Every era's workers run as cooperative fibers: the schedule's
+     interleave prefix picks the worker at each scheduling point, across
+     eras, and a fresh policy picks past it.  Each [Run] choice is kept;
+     the trailing ones the default policy would make anyway are dropped
+     when the outcome reports them, since replay re-makes them. *)
+  let policy = decide () in
+  let prefix = ref schedule.Schedule.interleave in
+  let taken = ref [] in
+  let decide (p : Coop.point) =
+    let d =
+      match !prefix with
+      | j :: rest ->
+          prefix := rest;
+          (* A prefix naming a finished worker (a hand-edited file?)
+             degrades to the policy rather than wedge the run. *)
+          if List.mem j p.Coop.enabled then Coop.Run j else policy p
+      | [] -> policy p
+    in
+    (match d with
+    | Coop.Run j -> taken := (j, d = Coop.default_decision p) :: !taken
+    | Coop.Crash_here -> ());
+    observer (Decision (p, d));
+    d
   in
-  let pmem =
-    Pmem.create ~auto_flush ~flush_mode ~yield_probability ~size:device_size ()
+  let interleave () =
+    let rec drop_defaults = function
+      | (_, true) :: rest -> drop_defaults rest
+      | choices -> choices
+    in
+    List.rev_map fst (drop_defaults !taken)
   in
-  let spawn = Option.map (fun f -> f pmem) spawn in
+  let spawn = Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem) ~decide in
   let case = case_of pmem workload in
   let config =
     {
@@ -615,7 +646,7 @@ let run_once ?spawn ?(device_size = default_device_size)
     | Runtime.Driver.Crash_fired { era; at_op } ->
         crash_points := (era, at_op) :: !crash_points
     | Runtime.Driver.Recovery_repaired _ -> ());
-    extern_observer ev
+    extern_observer (Driver ev)
   in
   let submit sys =
     (* Sabotage arms here, after persisting every still-pending setup
@@ -657,6 +688,7 @@ let run_once ?spawn ?(device_size = default_device_size)
       history;
       fingerprint;
       recovery = !recovery;
+      interleave = interleave ();
     }
   in
   (* Every completed recovery re-checks the heap's structural invariants
@@ -677,7 +709,7 @@ let run_once ?spawn ?(device_size = default_device_size)
         ~submit ~init:case.init ~reattach:case.reattach ~recovered:check_heap
         ~reclaim:case.reclaim
         ~plan:(fun ~era -> Schedule.plan_for schedule ~era)
-        ~observer ~max_crashes:1000 ?spawn ()
+        ~observer ~max_crashes:1000 ~spawn ()
     with
     | report ->
         recovery := report.Runtime.Driver.recovery;
@@ -718,17 +750,18 @@ let run_once ?spawn ?(device_size = default_device_size)
       execute
   end
 
-let run ?spawn ?device_size ?flush_mode ?break_drain ?sabotage ?observer
+let run ?decide ?device_size ?flush_mode ?break_drain ?sabotage ?observer
     workload schedule =
-  match
-    run_once ?spawn ?device_size ?flush_mode ?break_drain ?sabotage ?observer
-      workload schedule
-  with
+  let run_once =
+    run_once ?decide ?device_size ?flush_mode ?break_drain ?sabotage ?observer
+      workload
+  in
+  match run_once schedule with
   | { verdict = Fail "main-thread kill"; _ } ->
       (* The one-shot kill landed on the orchestrating thread — an artifact
          of the simulation, not a finding.  The case degenerates to the
-         same schedule without the kill plan. *)
-      run_once ?spawn ?device_size ?flush_mode ?break_drain ?sabotage
-        ?observer workload
-        { schedule with Schedule.kill = None }
+         same schedule without the kill plan.  The rerun starts a fresh
+         policy, so it repeats the killed run's choices up to the kill:
+         the rerun's recorded choices replay both runs. *)
+      run_once { schedule with Schedule.kill = None }
   | outcome -> outcome

@@ -27,6 +27,11 @@
       a believed-complete op is observable: this is the workload that gives
       the flush-coalescing equivalence check its teeth.
 
+    Workers run as fibers on {!Runtime.Coop}: at each scheduling point the
+    schedule's [interleave] prefix picks the worker, and past it a
+    decision policy does.  A case is thus a pure function of its workload,
+    schedule and policy.
+
     A kill plan that happens to land on the orchestrating thread instead of
     a worker is an artifact of the simulation, not a structure bug: the
     case is re-run once without the kill plan.
@@ -71,26 +76,40 @@ type outcome = {
           recoveries (truncated stack tails, rewritten arena headers,
           quarantined arenas); {!Runtime.Recovery_report.empty} when the
           run died before the driver reported. *)
+  interleave : int list;
+      (** The worker chosen at each scheduling point, across eras, in
+          order, up to the last choice {!Runtime.Coop.default_decision}
+          would not have made: replaying the schedule with this list as its
+          [interleave] repeats the run exactly.  Empty for a one-worker
+          case. *)
 }
 
+type event =
+  | Driver of Runtime.Driver.event
+      (** [Era_armed], [Crash_fired] or [Recovery_repaired]. *)
+  | Decision of Runtime.Coop.point * Runtime.Coop.decision
+      (** A scheduling decision, prefix included, before the chosen worker
+          runs. *)
+
 val run :
-  ?spawn:(Nvram.Pmem.t -> Runtime.System.spawn) ->
+  ?decide:(unit -> Runtime.Coop.point -> Runtime.Coop.decision) ->
   ?device_size:int ->
   ?flush_mode:Nvram.Pmem.flush_mode ->
   ?break_drain:bool ->
   ?sabotage:bool ->
-  ?observer:(Runtime.Driver.event -> unit) ->
+  ?observer:(event -> unit) ->
   Workload.t ->
   Schedule.t ->
   outcome
-(** [run workload schedule] executes the case.  [spawn], applied to the
-    freshly created device, substitutes the worker execution strategy of
-    every era (see {!Runtime.System.spawn}); when given, the device's
-    probabilistic sleep-yield is disabled, so the interleaving is entirely
-    the strategy's — this is how the systematic model checker (lib/mc)
-    reuses the harness's oracles deterministically.  [device_size]
-    overrides the 2 MiB default (model-checking runs use a small device:
-    thousands of executions, each with a fresh image).
+(** [run workload schedule] executes the case.  [decide ()] makes the
+    policy that picks past the [interleave] prefix (default
+    {!Runtime.Coop.default_decision}: how a reproducer replays).  It is
+    called afresh per execution, so the re-run after an orchestrator kill
+    repeats the killed run's choices.  The campaign passes a seeded
+    {!Runtime.Coop.random_decision}, the model checker its search.
+    [device_size] overrides the 2 MiB default
+    (model-checking runs use a small device: thousands of executions, each
+    with a fresh image).
 
     [flush_mode] (default [Eager]) selects the device's flush behaviour —
     note that every kind except [Faulty] and [Rcounter] runs on an
@@ -103,7 +122,7 @@ val run :
     oracle has teeth: with verification off, an injected-fault campaign
     must start producing findings.
 
-    [observer] is invoked for every driver event ([Era_armed],
-    [Crash_fired], [Recovery_repaired]) after the harness's own
-    bookkeeping — the model checker's trace-property layer uses it to see
-    crashes in event-stream order. *)
+    [observer] sees every driver event, after the harness's own
+    bookkeeping, and every scheduling decision — the model checker's
+    trace-property layer uses it to see accesses and crashes in
+    event-stream order. *)

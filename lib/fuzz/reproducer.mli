@@ -42,4 +42,7 @@ val read : string -> (t, string) result
 (** [read path] parses [path]; [Error] carries a parse or I/O message. *)
 
 val replay : t -> Harness.outcome
-(** Re-run the captured case exactly: [Harness.run t.workload t.schedule]. *)
+(** Re-run the captured case exactly: [Harness.run t.workload t.schedule],
+    which follows the schedule's [interleave] prefix and then the default
+    policy — the same path for a fuzz failure and a model-checker
+    violation. *)

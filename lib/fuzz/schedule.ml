@@ -238,6 +238,9 @@ let pp fmt t =
     | Some plan -> Crash.plan_to_string plan);
   (match t.interleave with
   | [] -> ()
+  | ws when List.length ws > 16 ->
+      (* A fuzz case's recorded choices run to thousands: count them. *)
+      Format.fprintf fmt " interleave=%d choices" (List.length ws)
   | ws ->
       Format.fprintf fmt " interleave=%s"
         (String.concat "," (List.map string_of_int ws)));

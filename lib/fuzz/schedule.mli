@@ -28,11 +28,13 @@ type t = {
   kill : Nvram.Crash.plan option;
       (** Individual-crash plan armed once, at submission time. *)
   interleave : int list;
-      (** Worker id chosen at each scheduling decision of era 1, in order —
-          the decision prefix of a systematic (lib/mc) execution.  Empty
-          for randomly fuzzed schedules: workers then run free (domains).
-          Serialised as [interleave w0 w1 ...]; several [interleave] lines
-          concatenate, so long prefixes stay readable. *)
+      (** Worker id chosen at each scheduling decision, across eras, in
+          order — the decision prefix the harness follows before its
+          policy takes over.  A systematic (lib/mc) execution records its
+          pre-crash decisions; a failing fuzz case records the choices its
+          seeded policy made.  Serialised as [interleave w0 w1 ...]; several
+          [interleave] lines concatenate, so long prefixes stay
+          readable. *)
   preempt : int option;
       (** Preemption bound the interleaving was explored under (recorded
           for the reproducer header; replay follows {!interleave} exactly
@@ -75,8 +77,8 @@ val generate : ?faults:bool -> rng:Random.State.t -> max_eras:int -> unit -> t
     point or a seeded [Random] probability, and a kill plan with
     probability ~1/3.  With [~faults:true] also draws tear and bitflip
     plans (each [Never] with probability 1/3) and a fault seed.
-    Deterministic in [rng].  Generated schedules carry no interleaving
-    (free-running workers). *)
+    Deterministic in [rng].  Generated schedules carry no interleaving:
+    the harness's policy picks every worker. *)
 
 val to_lines : t -> string list
 
@@ -87,4 +89,5 @@ val of_lines : string list -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
 (** One-line digest, e.g. ["[at-op 17; random 9431 0.010000] kill=never"] —
-    stable across runs, used in the fuzzer's deterministic trace. *)
+    stable across runs, used in the fuzzer's deterministic trace.  An
+    interleave prefix longer than 16 choices shows as its length. *)

@@ -151,8 +151,7 @@ let schedule_candidates (w : Workload.t) (s : Schedule.t) =
     else []
   in
   (* Does the failure need the specific interleaving at all?  If it still
-     reproduces free-running (or under the default cooperative policy),
-     the prefix was noise. *)
+     reproduces under the default policy, the prefix was noise. *)
   let interleave_drop =
     if s.Schedule.interleave = [] then []
     else [ (w, without_interleave s) ]
@@ -164,10 +163,7 @@ let candidates w s outcome =
   (match concretize s outcome with Some s' -> [ (w, s') ] | None -> [])
   @ op_candidates w s @ worker_candidates w s @ schedule_candidates w s
 
-let default_runner ?sabotage w s = Harness.run ?sabotage w s
-
-let shrink ?(max_attempts = 150) ?sabotage ?(runner = default_runner) workload
-    schedule outcome =
+let shrink ?(max_attempts = 150) ?sabotage workload schedule outcome =
   (match outcome.Harness.verdict with
   | Harness.Fail _ | Harness.Fatal _ -> ()
   | Harness.Pass -> invalid_arg "Shrink.shrink: outcome is a pass");
@@ -177,7 +173,7 @@ let shrink ?(max_attempts = 150) ?sabotage ?(runner = default_runner) workload
     if (not (budget ())) || measure w s >= current then None
     else begin
       incr attempts;
-      match runner ?sabotage w s with
+      match Harness.run ?sabotage w s with
       | { Harness.verdict = Harness.Fail _; _ } as o -> Some (w, s, o)
       | { Harness.verdict = Harness.Fatal _; _ } as o
         when not (Schedule.has_faults s) ->

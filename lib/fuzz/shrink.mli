@@ -13,7 +13,8 @@
       [At_op] crash points (earlier crashes), drop the tear and bitflip
       fault plans (a failure that survives without them was never about
       the media fault), drop the interleaving prefix (a failure that
-      reproduces without it was never about the exact interleaving).
+      reproduces under the default policy was never about the exact
+      interleaving).
 
     A schedule's interleaving prefix records decisions of one specific
     workload, so candidates that mutate the workload (fewer ops, fewer
@@ -53,7 +54,6 @@ val concretize : Schedule.t -> Harness.outcome -> Schedule.t option
 val shrink :
   ?max_attempts:int ->
   ?sabotage:bool ->
-  ?runner:(?sabotage:bool -> Workload.t -> Schedule.t -> Harness.outcome) ->
   Workload.t ->
   Schedule.t ->
   Harness.outcome ->
@@ -63,10 +63,7 @@ val shrink :
     (default 150); on exhaustion the best case found so far is returned.
     [sabotage] is forwarded to every validation re-run, so a failure found
     under disabled checksum verification shrinks in the same regime.
-    [runner] (default [Harness.run]) executes each candidate; pass
-    [Mc.Explore.runner] when shrinking a model-checker reproducer so
-    candidates that keep their interleaving prefix are replayed
-    cooperatively instead of free-running (the plain harness ignores the
-    prefix, which would validate candidates against a different execution
-    than the one the reproducer describes).  Raises [Invalid_argument] if
-    [outcome] is a pass. *)
+    Every candidate runs through [Harness.run] under the default policy:
+    one that keeps its [interleave] prefix replays exactly the execution
+    the prefix records, so a fuzz failure and a model-checker reproducer
+    shrink alike.  Raises [Invalid_argument] if [outcome] is a pass. *)

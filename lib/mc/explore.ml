@@ -4,6 +4,7 @@ module Workload = Fuzz.Workload
 module Schedule = Fuzz.Schedule
 module Harness = Fuzz.Harness
 module Reproducer = Fuzz.Reproducer
+module Coop = Runtime.Coop
 
 type config = {
   preempt_bound : int;
@@ -49,49 +50,69 @@ type verdict =
   | Violation of violation * stats
   | Budget_exhausted of stats
 
-(* One stateless execution: follow [prefix] decision by decision, then
-   extend with the non-preempting default policy, recording every
-   pre-crash decision.  Executions are deterministic (single thread, no
-   sleep-yield, no RNG), so re-running a prefix reproduces its parent's
-   decisions exactly — the standard stateless-DFS invariant.
-
-   A trace longer than [max_points] sets [exhausted] instead of raising:
-   an exception here would unwind through the harness's generic handler
-   and come back as a spurious [Fail] verdict — the checker must report
-   [Budget_exhausted], not crash or cry wolf (the bug this fixes).
-
-   When [props] are given, the execution also feeds the trace-property
-   checker: footprint [Access] events at each decision (the op the chosen
-   worker executes on resume), crash events from the harness observer, and
-   invocation/response/recovery events from the runtime probe — all
-   synchronous on the single cooperative thread, so stream order is
-   execution order. *)
-let run_execution ~config ~workload ?(props = []) ?(prop_sabotage = false)
-    prefix =
+(* The trace-property monitors around one harness execution: [props]
+   instantiated afresh, fed footprint [Access] events at each decision (the
+   op the chosen worker executes on resume), crash events from the harness
+   observer, and invocation/response/recovery events from the runtime probe
+   — all synchronous on the single cooperative thread, so stream order is
+   execution order.  Returns the outcome and the first monitor violation. *)
+let monitored ~config ~props ~prop_sabotage ?decide workload schedule =
   let checker =
     if props = [] then None else Some (Prop.run ~sabotage:prop_sabotage props)
   in
   let emit ev = match checker with None -> () | Some c -> c.Prop.feed ev in
-  let emit_access (p : Coop.point) = function
-    | Coop.Run j -> (
+  let observer = function
+    | Harness.Decision (p, Coop.Run j) -> (
         match List.assoc_opt j p.Coop.pending with
         (* Synthetic scheduler-only accesses (negative lines: work-queue
            pops) exist for the reduction, not for the monitors. *)
         | Some access when access.Crash.first_line >= 0 ->
             emit (Prop.Access { worker = j; access })
         | Some _ | None -> ())
-    | Coop.Crash_here -> ()
+    | Harness.Driver (Runtime.Driver.Crash_fired { era; _ }) ->
+        emit (Prop.Crashed { era })
+    | Harness.Decision (_, Coop.Crash_here) | Harness.Driver _ -> ()
   in
+  let run () =
+    Harness.run ?decide ~device_size:config.device_size
+      ~flush_mode:config.flush_mode ~break_drain:config.broken_drain ~observer
+      workload schedule
+  in
+  match checker with
+  | None -> (run (), None)
+  | Some c ->
+      Runtime.Exec.set_probe
+        (Some
+           (function
+           | Runtime.Exec.Op_invoked { worker; func_id } ->
+               emit (Prop.Invoked { worker; func_id })
+           | Runtime.Exec.Op_responded { worker; func_id } ->
+               emit (Prop.Responded { worker; func_id })
+           | Runtime.Exec.Recovery_pass { worker; frames } ->
+               emit (Prop.Recovery { worker; frames })));
+      let outcome =
+        Fun.protect ~finally:(fun () -> Runtime.Exec.set_probe None) run
+      in
+      (outcome, c.Prop.result ())
+
+(* One stateless execution: follow [prefix] decision by decision, then
+   extend with the non-preempting default policy, recording every
+   pre-crash decision.  Executions are deterministic (single thread, no
+   RNG), so re-running a prefix reproduces its parent's decisions exactly —
+   the standard stateless-DFS invariant.
+
+   A trace longer than [max_points] sets [exhausted] instead of raising:
+   an exception here would unwind through the harness's generic handler
+   and come back as a spurious [Fail] verdict — the checker must report
+   [Budget_exhausted], not crash or cry wolf (the bug this fixes). *)
+let run_execution ~config ~workload ?(props = []) ?(prop_sabotage = false)
+    prefix =
   let trace = ref [] in
   let n = ref 0 in
   let crash_injected = ref false in
   let exhausted = ref false in
   let decide p =
-    if !crash_injected || !exhausted then begin
-      let d = Coop.default_decision p in
-      emit_access p d;
-      d
-    end
+    if !crash_injected || !exhausted then Coop.default_decision p
     else if !n >= config.max_points then begin
       exhausted := true;
       Coop.default_decision p
@@ -110,38 +131,13 @@ let run_execution ~config ~workload ?(props = []) ?(prop_sabotage = false)
       trace := (p, d) :: !trace;
       incr n;
       (match d with Coop.Crash_here -> crash_injected := true | _ -> ());
-      emit_access p d;
       d
     end
   in
-  let spawn pmem = Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem) ~decide in
-  let run () =
-    Harness.run ~spawn ~device_size:config.device_size
-      ~flush_mode:config.flush_mode ~break_drain:config.broken_drain
-      ~observer:(function
-        | Runtime.Driver.Crash_fired { era; _ } -> emit (Prop.Crashed { era })
-        | _ -> ())
+  let outcome, prop_failure =
+    monitored ~config ~props ~prop_sabotage
+      ~decide:(fun () -> decide)
       workload Schedule.none
-  in
-  let outcome =
-    match checker with
-    | None -> run ()
-    | Some _ ->
-        Runtime.Exec.set_probe
-          (Some
-             (function
-             | Runtime.Exec.Op_invoked { worker; func_id } ->
-                 emit (Prop.Invoked { worker; func_id })
-             | Runtime.Exec.Op_responded { worker; func_id } ->
-                 emit (Prop.Responded { worker; func_id })
-             | Runtime.Exec.Recovery_pass { worker; frames } ->
-                 emit (Prop.Recovery { worker; frames })));
-        Fun.protect
-          ~finally:(fun () -> Runtime.Exec.set_probe None)
-          run
-  in
-  let prop_failure =
-    match checker with None -> None | Some c -> c.Prop.result ()
   in
   (Array.of_list (List.rev !trace), outcome, !exhausted, prop_failure)
 
@@ -567,85 +563,10 @@ let explore ?(config = default_config) ?(check = fun _ -> Ok ())
 
 (* ------------------------------------------------------------------ *)
 
-let replay_spawn ?(emit = fun (_ : Prop.event) -> ()) (schedule : Schedule.t)
-    pmem =
-  let remaining = ref schedule.Schedule.interleave in
-  let decide (p : Coop.point) =
-    let d =
-      match !remaining with
-      | j :: rest when List.mem j p.Coop.enabled ->
-          remaining := rest;
-          Coop.Run j
-      | _ :: rest ->
-          (* Divergence from the recorded prefix (hand-edited file?):
-             degrade to the default policy rather than fail. *)
-          remaining := rest;
-          Coop.default_decision p
-      | [] -> Coop.default_decision p
-    in
-    (match d with
-    | Coop.Run j -> (
-        match List.assoc_opt j p.Coop.pending with
-        | Some access when access.Crash.first_line >= 0 ->
-            emit (Prop.Access { worker = j; access })
-        | Some _ | None -> ())
-    | Coop.Crash_here -> ());
-    d
-  in
-  Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem) ~decide
-
 let replay_checked ?(config = default_config) ?(props = [])
     ?(prop_sabotage = false) (repro : Reproducer.t) =
-  let checker =
-    if props = [] then None else Some (Prop.run ~sabotage:prop_sabotage props)
-  in
-  let emit ev = match checker with None -> () | Some c -> c.Prop.feed ev in
-  let run () =
-    Harness.run
-      ~spawn:(replay_spawn ~emit repro.Reproducer.schedule)
-      ~device_size:config.device_size ~flush_mode:config.flush_mode
-      ~break_drain:config.broken_drain
-      ~observer:(function
-        | Runtime.Driver.Crash_fired { era; _ } -> emit (Prop.Crashed { era })
-        | _ -> ())
-      repro.Reproducer.workload repro.Reproducer.schedule
-  in
-  let outcome =
-    match checker with
-    | None -> run ()
-    | Some _ ->
-        Runtime.Exec.set_probe
-          (Some
-             (function
-             | Runtime.Exec.Op_invoked { worker; func_id } ->
-                 emit (Prop.Invoked { worker; func_id })
-             | Runtime.Exec.Op_responded { worker; func_id } ->
-                 emit (Prop.Responded { worker; func_id })
-             | Runtime.Exec.Recovery_pass { worker; frames } ->
-                 emit (Prop.Recovery { worker; frames })));
-        Fun.protect
-          ~finally:(fun () -> Runtime.Exec.set_probe None)
-          run
-  in
-  let prop_failure =
-    match checker with None -> None | Some c -> c.Prop.result ()
-  in
-  (outcome, prop_failure)
-
-let replay ?config (repro : Reproducer.t) = fst (replay_checked ?config repro)
-
-(* Route a schedule through the right executor: cooperative replay when it
-   carries an interleaving (a plain [Harness.run] would spawn free-running
-   domains and silently ignore it), the plain harness otherwise.  The
-   shrinker injects this so its candidates measure what they claim to. *)
-let runner ?(config = default_config) () ?sabotage workload
-    (schedule : Schedule.t) =
-  if schedule.Schedule.interleave = [] then
-    Harness.run ?sabotage workload schedule
-  else
-    Harness.run ?sabotage ~spawn:(replay_spawn schedule)
-      ~device_size:config.device_size ~flush_mode:config.flush_mode
-      ~break_drain:config.broken_drain workload schedule
+  monitored ~config ~props ~prop_sabotage repro.Reproducer.workload
+    repro.Reproducer.schedule
 
 let reproducer ~workload (v : violation) =
   {

@@ -4,9 +4,9 @@
     reduction (Flanagan & Godefroid, POPL 2005) plus sleep sets.
 
     One {e execution} is a full crash-restart run of a workload under the
-    cooperative scheduler ({!Coop}), driven by a {e decision vector}: the
-    worker chosen at each persistence-operation scheduling point, or a
-    crash injected there.  The explorer performs a stateless DFS over
+    cooperative scheduler ({!Runtime.Coop}), driven by a {e decision
+    vector}: the worker chosen at each persistence-operation scheduling
+    point, or a crash injected there.  The explorer performs a stateless DFS over
     decision vectors — re-executing from scratch with a longer prefix each
     time — and covers
 
@@ -21,8 +21,8 @@
     Mazurkiewicz-trace equivalence class of the crash-free interleavings:
     each scheduling point carries the {e footprint} of the transition it
     starts (cache-line range and kind of the pending store, plus the lines
-    read before the next point — see {!Coop.point} and {!Por}), and at
-    backtrack time only race-reversing alternatives are pushed, with sleep
+    read before the next point — see {!Runtime.Coop.point} and {!Por}), and
+    at backtrack time only race-reversing alternatives are pushed, with sleep
     sets suppressing commuting siblings.  Alternatives whose reversal would
     exceed the preemption bound are conservatively re-seeded at the latest
     earlier free-switch point (bounded-DPOR style; Coons, Musuvathi &
@@ -115,36 +115,17 @@ val explore :
     through [Prop.sabotage_drop_flushes] first — the self-check that the
     property layer has teeth. *)
 
-val replay : ?config:config -> Fuzz.Reproducer.t -> Fuzz.Harness.outcome
-(** Re-execute a reproducer under the cooperative scheduler: follow the
-    schedule's [interleave] prefix decision for decision (then the default
-    policy), with the crash fired by the recorded [At_op] era plan.  Used
-    by [crash_fuzzer --replay] and [model_check --replay] on reproducers
-    that carry an interleaving. *)
-
 val replay_checked :
   ?config:config ->
   ?props:Prop.t list ->
   ?prop_sabotage:bool ->
   Fuzz.Reproducer.t ->
   Fuzz.Harness.outcome * (string * string) option
-(** {!replay}, with the trace-property monitors watching the replayed
-    execution; returns the harness outcome and the first monitor violation
-    as [(property name, message)], if any. *)
-
-val runner :
-  ?config:config ->
-  unit ->
-  ?sabotage:bool ->
-  Fuzz.Workload.t ->
-  Fuzz.Schedule.t ->
-  Fuzz.Harness.outcome
-(** [runner () workload schedule] executes a schedule the way it was
-    found: through cooperative replay when it carries an [interleave]
-    prefix (a plain [Fuzz.Harness.run] would spawn free-running domains
-    and silently drop the prefix), through the plain harness otherwise.
-    Shaped for [Fuzz.Shrink.run]'s [runner] parameter, so shrinking a
-    model-checker reproducer measures the schedule it claims to. *)
+(** [Fuzz.Reproducer.replay] on [config]'s device, with the trace-property
+    monitors watching the replayed execution; returns the harness outcome
+    and the first monitor violation as [(property name, message)], if any.
+    The harness follows the schedule's [interleave] prefix and fires the
+    crash from the recorded [At_op] era plan. *)
 
 val reproducer : workload:Fuzz.Workload.t -> violation -> Fuzz.Reproducer.t
 (** Package a violation as a [Fuzz.Reproducer] artifact (standard line

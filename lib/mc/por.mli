@@ -1,7 +1,7 @@
 (** Access footprints and the dependence relation for dynamic
     partial-order reduction (Flanagan & Godefroid, POPL 2005).
 
-    A {e transition} of the cooperative scheduler ({!Coop}) is coarser
+    A {e transition} of the cooperative scheduler ({!Runtime.Coop}) is coarser
     than one device operation: choosing worker [j] executes the
     write-class operation [j] is suspended at, then lets [j] run — through
     any number of device {e reads} — until its next write-class entry.

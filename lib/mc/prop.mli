@@ -7,10 +7,11 @@
     re-persists its repair".  This module gives the explorer a typed event
     stream and monitors over it (in the OPPAS/POMC style of checking
     properties on the paths the reduced search actually walks), fed from
-    three exact sources: decision-time access footprints ({!Coop.point}),
-    the runtime's execution probe ([Runtime.Exec.set_probe]) and the
-    harness crash observer.  Monitors are deterministic and synchronous —
-    no sampling, no ring buffer — so a flagged path is replayable. *)
+    three exact sources: decision-time access footprints
+    ({!Runtime.Coop.point}), the runtime's execution probe
+    ([Runtime.Exec.set_probe]) and the harness crash observer.  Monitors
+    are deterministic and synchronous — no sampling, no ring buffer — so a
+    flagged path is replayable. *)
 
 type event =
   | Invoked of { worker : int; func_id : int }

@@ -29,7 +29,12 @@ let default_decision p =
       | j :: _ -> Run j
       | [] -> invalid_arg "Coop.default_decision: no enabled worker")
 
-let spawn ~crash_ctl ~decide : Runtime.System.spawn =
+let random_decision rng p =
+  match p.enabled with
+  | [] -> invalid_arg "Coop.random_decision: no enabled worker"
+  | en -> Run (List.nth en (Random.State.int rng (List.length en)))
+
+let spawn ~crash_ctl ~decide : System.spawn =
  fun body workers ->
   let fibers = Array.init workers (fun i -> Not_started (fun () -> body i)) in
   (* Footprint of the persistence op each suspended fiber is about to

@@ -14,7 +14,10 @@
     hook-free.  After a crash (decided or externally armed) every fiber is
     drained: resumed once, it dies at its next device operation with
     [Crash_now] — the same prompt-stop behaviour free-running domains
-    exhibit — or runs to completion if it touches the device no more. *)
+    exhibit — or runs to completion if it touches the device no more.
+
+    The fuzz harness, the model checker and the CAS experiment run on it,
+    so each of their runs is a pure function of its inputs and policy. *)
 
 type _ Effect.t += Yield : unit Effect.t
 
@@ -54,9 +57,15 @@ val default_decision : point -> decision
 
     @raise Invalid_argument on an empty [enabled] list. *)
 
+val random_decision : Random.State.t -> point -> decision
+(** [random_decision rng] runs a worker drawn uniformly from [enabled] and
+    never crashes: the seeded policy of fuzz cases and the CAS experiment.
+
+    @raise Invalid_argument on an empty [enabled] list. *)
+
 val spawn :
-  crash_ctl:Nvram.Crash.t -> decide:(point -> decision) -> Runtime.System.spawn
-(** [spawn ~crash_ctl ~decide] is a {!Runtime.System.spawn} strategy that
+  crash_ctl:Nvram.Crash.t -> decide:(point -> decision) -> System.spawn
+(** [spawn ~crash_ctl ~decide] is a {!System.spawn} strategy that
     runs all workers cooperatively on the calling thread, consulting
     [decide] at every scheduling point.  Each era ([System.run] or
     [System.recover] invocation) calls the strategy afresh — fibers are

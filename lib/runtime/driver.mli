@@ -75,8 +75,9 @@ val run_to_completion :
     [reclaim] provides the application's live heap roots for the leak sweep
     after each successful recovery.  [spawn] substitutes the worker
     execution strategy of every era (normal and recovery) — see
-    {!System.spawn}; the model checker uses it to run the whole
-    crash-restart loop cooperatively on one thread.
+    {!System.spawn}; the fuzz harness, the model checker and the CAS
+    experiment pass {!Coop.spawn} to run the whole crash-restart loop
+    cooperatively on one thread.
 
     @raise Failure if more than [max_crashes] (default 10_000) crashes
     occur — a guard against plans that fire before any progress. *)

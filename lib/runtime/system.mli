@@ -52,9 +52,8 @@ type spawn = (int -> unit) -> int -> unit
     swallowed and other failures captured before the strategy sees them),
     so a strategy only decides {e where and in what order} workers run.
     The default strategy starts one domain per worker behind a start
-    barrier; the systematic model checker (lib/mc) substitutes a
-    cooperative single-threaded scheduler that steps workers as effect
-    fibers, one persistence operation at a time. *)
+    barrier; {!Coop.spawn} is the cooperative single-threaded one that
+    steps workers as effect fibers, one persistence operation at a time. *)
 
 exception Worker_failures of (int * exn) list
 (** Raised by {!run} and {!recover} when {e several} worker domains failed

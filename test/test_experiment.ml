@@ -193,6 +193,23 @@ let test_timed_linearizable () =
       (Verify.Linearizability.is_sequentially_consistent ~init ops)
   done
 
+(* An experiment is a function of its spec: the workers run on the
+   cooperative scheduler under a policy seeded from [spec.seed], so two
+   runs agree on every crash, era and answer, and so do two timed runs. *)
+let test_run_is_function_of_spec () =
+  let spec =
+    { E.default_spec with seed = 1; workers = 4; crash_mode = E.Every_ops 400 }
+  in
+  let a = E.run spec and b = E.run spec in
+  Alcotest.(check bool) "crashes occurred" true (a.E.crashes > 0);
+  Alcotest.(check int) "same crashes" a.E.crashes b.E.crashes;
+  Alcotest.(check int) "same eras" a.E.eras b.E.eras;
+  Alcotest.(check bool) "same history" true (a.E.history = b.E.history);
+  let timed = { spec with n_ops = 12; workers = 3 } in
+  Alcotest.(check bool)
+    "same timed history" true
+    (E.run_timed timed = E.run_timed timed)
+
 let test_outcome_reporting () =
   let o =
     E.run { E.default_spec with n_ops = 16; seed = 2; crash_mode = E.No_crashes }
@@ -228,5 +245,7 @@ let () =
           Alcotest.test_case "timed executions linearizable" `Slow
             test_timed_linearizable;
           Alcotest.test_case "outcome reporting" `Quick test_outcome_reporting;
+          Alcotest.test_case "a run is a function of its spec" `Quick
+            test_run_is_function_of_spec;
         ] );
     ]

@@ -185,9 +185,6 @@ let test_sabotage_is_caught () =
       Campaign.seed = 1913;
       runs = 24;
       max_ops = 16;
-      (* Single worker keeps every case deterministic, so the sabotage
-         verdict cannot flicker with thread timing. *)
-      max_workers = 1;
       shrink_attempts = 10;
       faults = true;
       sabotage = true;
@@ -450,6 +447,98 @@ let test_torn_completion_is_loud () =
       | Harness.Pass | Harness.Fatal _ -> ()
       | Harness.Fail msg -> Alcotest.failf "silent corruption: %s" msg)
 
+(* A multi-worker case is a pure function of its inputs: three workers
+   interleaved by a seeded policy, two era crashes and a kill, run twenty
+   times, end the same way every time — and its recorded choices replay it
+   under the default policy. *)
+let three_workers_workload =
+  {
+    Workload.kind = Workload.Rstack;
+    workers = 3;
+    init = 0;
+    ops =
+      List.init 12 (fun i ->
+          if i mod 3 = 2 then Workload.Pop else Workload.Push (100 + i));
+  }
+
+let three_workers_schedule =
+  {
+    Schedule.none with
+    Schedule.eras =
+      [ Crash.At_op 70; Crash.Random { seed = 5; probability = 0.02 } ];
+    kill = Some (Crash.At_op 110);
+  }
+
+let test_multi_worker_case_replays () =
+  let decide () = Runtime.Coop.random_decision (Random.State.make [| 9 |]) in
+  let run () =
+    Harness.run ~decide three_workers_workload three_workers_schedule
+  in
+  let first = run () in
+  let same label (o : Harness.outcome) =
+    Alcotest.(check bool) (label ^ ": verdict") true
+      (o.Harness.verdict = first.Harness.verdict);
+    Alcotest.(check string) (label ^ ": fingerprint") first.Harness.fingerprint
+      o.Harness.fingerprint;
+    Alcotest.(check (list (pair int int)))
+      (label ^ ": crash points") first.Harness.crash_points
+      o.Harness.crash_points
+  in
+  (match first.Harness.verdict with
+  | Harness.Pass -> ()
+  | Harness.Fail msg | Harness.Fatal msg -> Alcotest.fail msg);
+  Alcotest.(check bool) "an era crash fired" true
+    (first.Harness.crash_points <> []);
+  Alcotest.(check bool) "the policy switched workers" true
+    (List.length (List.sort_uniq compare first.Harness.interleave) > 1);
+  (* A kill on the orchestrator re-runs the case without it; this one lands
+     on a worker, so the run differs from the kill-free one. *)
+  let unkilled =
+    Harness.run ~decide three_workers_workload
+      { three_workers_schedule with Schedule.kill = None }
+  in
+  Alcotest.(check bool) "the kill landed on a worker" true
+    (unkilled.Harness.interleave <> first.Harness.interleave);
+  for i = 2 to 20 do
+    same (Printf.sprintf "run %d" i) (run ())
+  done;
+  same "replay"
+    (Reproducer.replay
+       {
+         Reproducer.seed = None;
+         case = None;
+         workload = three_workers_workload;
+         schedule =
+           {
+             three_workers_schedule with
+             Schedule.interleave = first.Harness.interleave;
+           };
+         expected = None;
+         trace = [];
+       })
+
+(* The planted bug with several workers, interleaved by a seeded policy:
+   the failing case replays exactly from its recorded choices, and shrinks
+   to a case that still fails and replays to the same message. *)
+let test_planted_bug_multi_worker () =
+  let workload = { known_bad_workload with Workload.workers = 3 } in
+  let decide () = Runtime.Coop.random_decision (Random.State.make [| 4 |]) in
+  let outcome = Harness.run ~decide workload known_bad_schedule in
+  let msg = fail_message outcome in
+  Alcotest.(check bool) "counter message" true (contains msg "faulty counter");
+  let schedule =
+    { known_bad_schedule with Schedule.interleave = outcome.Harness.interleave }
+  in
+  Alcotest.(check string) "the recorded choices replay it" msg
+    (fail_message (Harness.run workload schedule));
+  let shrunk = Shrink.shrink workload schedule outcome in
+  let shrunk_msg = fail_message shrunk.Shrink.outcome in
+  Alcotest.(check bool) "shrinking made it smaller" true
+    (Shrink.measure shrunk.Shrink.workload shrunk.Shrink.schedule
+    < Shrink.measure workload schedule);
+  Alcotest.(check string) "the shrunk case replays" shrunk_msg
+    (fail_message (Harness.run shrunk.Shrink.workload shrunk.Shrink.schedule))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -476,6 +565,8 @@ let () =
             test_rcas_run_produces_history;
           Alcotest.test_case "eager vs coalesced differential" `Quick
             test_differential_eager_vs_coalesced;
+          Alcotest.test_case "3-worker case replays 20 times" `Quick
+            test_multi_worker_case_replays;
         ] );
       ( "media faults",
         [
@@ -500,6 +591,8 @@ let () =
             test_shrink_drops_stale_interleave;
           Alcotest.test_case "reproducer replays" `Quick
             test_reproducer_round_trip_and_replay;
+          Alcotest.test_case "multi-worker failure replays and shrinks" `Quick
+            test_planted_bug_multi_worker;
         ] );
       ( "worker kills",
         [

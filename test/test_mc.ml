@@ -13,7 +13,7 @@ module Workload = Fuzz.Workload
 module Schedule = Fuzz.Schedule
 module Harness = Fuzz.Harness
 module Reproducer = Fuzz.Reproducer
-module Coop = Mc.Coop
+module Coop = Runtime.Coop
 module Explore = Mc.Explore
 
 let contains haystack needle =
@@ -172,7 +172,7 @@ let test_reproducer_round_trips_and_replays () =
   | Error msg -> Alcotest.fail msg
   | Ok repro' -> (
       Alcotest.(check bool) "round trip" true (repro = repro');
-      match Explore.replay repro' with
+      match Reproducer.replay repro' with
       | { Harness.verdict = Harness.Fail msg; _ } ->
           Alcotest.(check string)
             "replay reproduces the violation" v.Explore.reason msg
@@ -180,6 +180,29 @@ let test_reproducer_round_trips_and_replays () =
           Alcotest.failf "replay died unrecoverably: %s" msg
       | { Harness.verdict = Harness.Pass; _ } ->
           Alcotest.fail "replay did not reproduce the violation")
+
+(* The violation replays through the plain fuzz path, with no routing:
+   [Fuzz.Reproducer.replay] follows the interleave prefix itself, and the
+   prefix is what makes the case fail — without it the same workload and
+   crash point pass under the default policy. *)
+let test_interleave_reproducer_replays_plainly () =
+  let workload = e3_workload Workload.Rcas_buggy in
+  let v, _ = violation_exn (explore workload) in
+  let repro = Explore.reproducer ~workload v in
+  (match Reproducer.replay repro with
+  | { Harness.verdict = Harness.Fail msg; _ } ->
+      Alcotest.(check string) "same violation" v.Explore.reason msg
+  | _ -> Alcotest.fail "the plain replay did not reproduce the violation");
+  let stripped =
+    {
+      repro with
+      Reproducer.schedule =
+        { repro.Reproducer.schedule with Schedule.interleave = [] };
+    }
+  in
+  match Reproducer.replay stripped with
+  | { Harness.verdict = Harness.Pass; _ } -> ()
+  | _ -> Alcotest.fail "the violation does not need its interleaving"
 
 let test_user_check_runs_at_terminal_states () =
   let seen = ref 0 in
@@ -409,6 +432,8 @@ let () =
             test_user_check_runs_at_terminal_states;
           Alcotest.test_case "chain structures certified with 2 workers"
             `Quick test_chain_structures_two_workers;
+          Alcotest.test_case "interleave reproducer replays plainly" `Quick
+            test_interleave_reproducer_replays_plainly;
         ] );
       ( "props",
         [
