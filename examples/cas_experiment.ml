@@ -1,8 +1,10 @@
 (* The running example of Section 5.2 as a command-line tool.
 
    Generates a random CAS workload, executes it on the persistent-stack
-   runtime with 4 (or --workers) worker threads under simulated crashes,
-   and verifies the resulting execution for serializability.
+   runtime with 4 (or --workers) workers under simulated crashes, and
+   verifies the resulting execution for serializability.  The workers are
+   cooperative fibers interleaved by a policy seeded from --seed, so one
+   seed always prints the same result.
 
    Examples:
      dune exec examples/cas_experiment.exe -- --range wide
@@ -89,7 +91,7 @@ let seeds =
     & info [ "seeds" ] ~docv:"K" ~doc:"Number of consecutive seeds to run.")
 
 let workers =
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"W" ~doc:"Worker threads.")
+  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"W" ~doc:"Workers.")
 
 let impl =
   Arg.(
