@@ -101,12 +101,9 @@ let test_e3_buggy_detected () =
      buggy-CAS workload, and must find the lost-success non-serializable
      execution — same result, same explored-state counts, every run. *)
   let workload =
-    {
-      Fuzz.Workload.kind = Fuzz.Workload.Rcas_buggy;
-      workers = 2;
-      init = 0;
-      ops = [ Fuzz.Workload.Cas (0, 1); Fuzz.Workload.Cas (1, 2) ];
-    }
+    Result.get_ok
+      (Fuzz.Workload.of_lines
+         [ "kind rcas-buggy"; "workers 2"; "init 0"; "op cas 0 1"; "op cas 1 2" ])
   in
   let config =
     { Mc.Explore.default_config with Mc.Explore.preempt_bound = 1 }
@@ -210,6 +207,73 @@ let test_run_is_function_of_spec () =
     "same timed history" true
     (E.run_timed timed = E.run_timed timed)
 
+(* Pins of the Section 5.2 rows as EXPERIMENTS.md reports them: the crash
+   total and the verdict count of each row, and one seeded run on each
+   unbounded stack kind.  An experiment is a function of its spec, so these
+   totals move only when the execution does. *)
+let row ~seeds spec =
+  List.fold_left
+    (fun (crashes, serializable) seed ->
+      let o = E.run { spec with E.seed } in
+      ( crashes + o.E.crashes,
+        if is_serializable o then serializable + 1 else serializable ))
+    (0, 0)
+    (List.init seeds (fun i -> i + 1))
+
+let e3_spec variant =
+  {
+    E.default_spec with
+    n_ops = 300;
+    workers = 8;
+    variant;
+    range = Verify.Generator.Custom (0, 1);
+    crash_mode = E.Random_ops 0.02;
+  }
+
+let test_row_pins () =
+  let check name (crashes, serializable) got =
+    Alcotest.(check (pair int int)) name (crashes, serializable) got
+  in
+  check "E1: 143 crashes, 5/5 serializable" (143, 5)
+    (row ~seeds:5
+       {
+         E.default_spec with
+         n_ops = 64;
+         range = Verify.Generator.Wide;
+         crash_mode = E.Random_ops 0.01;
+       });
+  check "E3: 2141 crashes, 8/8 flagged" (2141, 0)
+    (row ~seeds:8 (e3_spec Recoverable.Rcas.Buggy));
+  check "E3-control: 2209 crashes, 8/8 serializable" (2209, 8)
+    (row ~seeds:8 (e3_spec Recoverable.Rcas.Correct))
+
+let test_stack_kind_pins () =
+  List.iter
+    (fun (stack_kind, crashes, eras, successes, final) ->
+      let o =
+        E.run
+          {
+            E.default_spec with
+            seed = 1;
+            crash_mode = E.Random_ops 0.005;
+            stack_kind;
+          }
+      in
+      Alcotest.(check (list int))
+        "crashes, eras, successes, final"
+        [ crashes; eras; successes; final ]
+        [
+          o.E.crashes;
+          o.E.eras;
+          List.length (Verify.History.successes o.E.history);
+          o.E.history.Verify.History.final;
+        ];
+      Alcotest.(check bool) "serializable" true (is_serializable o))
+    [
+      (Runtime.System.Resizable_stack 256, 35, 51, 9, 9);
+      (Runtime.System.Linked_stack 256, 21, 32, 9, 9);
+    ]
+
 let test_outcome_reporting () =
   let o =
     E.run { E.default_spec with n_ops = 16; seed = 2; crash_mode = E.No_crashes }
@@ -247,5 +311,7 @@ let () =
           Alcotest.test_case "outcome reporting" `Quick test_outcome_reporting;
           Alcotest.test_case "a run is a function of its spec" `Quick
             test_run_is_function_of_spec;
+          Alcotest.test_case "E1/E3 row pins" `Slow test_row_pins;
+          Alcotest.test_case "stack kind pins" `Quick test_stack_kind_pins;
         ] );
     ]
