@@ -39,6 +39,7 @@ let cas_workload ~kind ~workers =
     Workload.kind;
     workers;
     init = 0;
+    stack = Workload.default_stack;
     ops = List.init workers (fun i -> Workload.Cas (i, i + 1));
   }
 
@@ -47,6 +48,7 @@ let rcounter_workload ~n_ops =
     Workload.kind = Workload.Rcounter;
     workers = 1;
     init = 0;
+    stack = Workload.default_stack;
     ops = List.init (max 1 n_ops) (fun _ -> Workload.Bump);
   }
 

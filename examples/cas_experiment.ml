@@ -2,9 +2,10 @@
 
    Generates a random CAS workload, executes it on the persistent-stack
    runtime with 4 (or --workers) workers under simulated crashes, and
-   verifies the resulting execution for serializability.  The workers are
-   cooperative fibers interleaved by a policy seeded from --seed, so one
-   seed always prints the same result.
+   verifies the resulting execution for serializability.  Each seed's run
+   is a fuzz case (Fuzz.Harness.run): the workers are cooperative fibers
+   interleaved by a policy seeded from the seed, so one seed always
+   prints the same result.
 
    Examples:
      dune exec examples/cas_experiment.exe -- --range wide
@@ -37,11 +38,9 @@ let run ops range seed seeds workers impl crash_prob crash_every stack =
         else Experiment.No_crashes
   in
   let stack_kind =
-    match stack with
-    | "bounded" -> Runtime.System.Bounded_stack 4096
-    | "resizable" -> Runtime.System.Resizable_stack 256
-    | "linked" -> Runtime.System.Linked_stack 256
-    | _ -> failwith "stack must be bounded | resizable | linked"
+    match Fuzz.Workload.stack_of_string stack with
+    | Ok kind -> kind
+    | Error msg -> failwith msg
   in
   let non_serializable = ref 0 in
   for s = seed to seed + seeds - 1 do

@@ -34,108 +34,67 @@ type outcome = {
   verdict : Verify.Serializability.verdict;
   eras : int;
   crashes : int;
-  flushes : int;
+  reproducer : Fuzz.Reproducer.t;
 }
 
-let attempt_func_id = 11
-let cas_func_id = 12
-
-let plan_of spec ~era =
-  match spec.crash_mode with
-  | No_crashes -> Crash.Never
-  | Every_ops n -> Crash.At_op n
-  | Random_ops probability ->
-      Crash.Random { seed = (spec.seed * 7919) + era; probability }
-
-(* Cooperative workers under a uniform-random policy seeded from the spec:
-   an experiment is a function of its spec. *)
-let spawn spec pmem =
-  Runtime.Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem)
-    ~decide:(Runtime.Coop.random_decision (Random.State.make [| spec.seed |]))
-
-let run ?(device_size = 1 lsl 22) spec =
-  let init_value, pairs =
+let workload spec =
+  let init, pairs =
     Verify.Generator.workload ~seed:spec.seed ~n:spec.n_ops ~range:spec.range
   in
-  (* Section 5: the CAS algorithm assumes no volatile NVRAM cache, so the
-     device persists every write immediately. *)
-  let lines_before =
-    (Obs.Counters.totals Obs.Probe.counters).Obs.Counters.lines_flushed
-  in
-  let pmem = Pmem.create ~auto_flush:true ~size:device_size () in
-  let registry = Runtime.Registry.create () in
-  let rcas = ref None in
-  let handle () =
-    match !rcas with
-    | Some r -> r
-    | None -> invalid_arg "Experiment: register not initialised"
-  in
-  Recoverable.Cas_op.register_attempt registry ~id:attempt_func_id handle;
-  Recoverable.Cas_op.register_cas registry ~id:cas_func_id
-    ~attempt_id:attempt_func_id handle;
-  let config =
-    {
-      System.workers = spec.workers;
-      stack_kind = spec.stack_kind;
-      task_capacity = spec.n_ops;
-      task_max_args = 16;
-    }
-  in
-  let init sys =
-    let base =
-      Heap.alloc (System.heap sys) (Rcas.region_size ~nprocs:spec.workers)
-    in
-    rcas :=
-      Some
-        (Rcas.create pmem ~base ~nprocs:spec.workers ~init:init_value
-           ~variant:spec.variant);
-    System.set_root sys base
-  in
-  let reattach sys =
-    match System.root sys with
-    | Some base ->
-        rcas :=
-          Some (Rcas.attach pmem ~base ~nprocs:spec.workers ~variant:spec.variant)
-    | None -> invalid_arg "Experiment: system root lost"
-  in
-  let submit sys =
-    List.iter
-      (fun (old_value, new_value) ->
-        ignore
-          (System.submit sys ~func_id:cas_func_id
-             ~args:(Value.of_int2 old_value new_value)))
-      pairs
-  in
-  let reclaim sys =
-    match System.root sys with Some base -> [ base ] | None -> []
-  in
-  let report =
-    Runtime.Driver.run_to_completion pmem ~registry ~config ~submit ~init
-      ~reattach ~reclaim ~plan:(plan_of spec) ~spawn:(spawn spec pmem) ()
-  in
-  let ops =
-    List.map2
-      (fun (expected, desired) (_, answer) ->
-        { Verify.History.expected; desired; result = Value.bool_of_answer answer })
-      pairs report.results
-  in
-  let history =
-    {
-      Verify.History.init = init_value;
-      final = Rcas.read (handle ());
-      ops;
-    }
-  in
   {
-    spec;
-    history;
-    verdict = Verify.Serializability.check history;
-    eras = report.eras;
-    crashes = report.crashes;
-    flushes =
-      (Obs.Counters.totals Obs.Probe.counters).Obs.Counters.lines_flushed
-      - lines_before;
+    Fuzz.Workload.kind =
+      (match spec.variant with
+      | Rcas.Correct -> Fuzz.Workload.Rcas
+      | Rcas.Buggy -> Fuzz.Workload.Rcas_buggy);
+    workers = spec.workers;
+    init;
+    stack = spec.stack_kind;
+    ops = List.map (fun (e, d) -> Fuzz.Workload.Cas (e, d)) pairs;
   }
+
+(* One crash plan per era the harness's crash budget allows, so a run
+   crashes as often as the spec asks; past the list every era is [Never]. *)
+let schedule spec =
+  let eras =
+    match spec.crash_mode with
+    | No_crashes -> []
+    | Every_ops n -> List.init Fuzz.Harness.max_crashes (fun _ -> Crash.At_op n)
+    | Random_ops probability ->
+        List.init Fuzz.Harness.max_crashes (fun i ->
+            Crash.Random { seed = (spec.seed * 7919) + i + 1; probability })
+  in
+  { Fuzz.Schedule.none with eras }
+
+let run ?(device_size = 1 lsl 22) spec =
+  let workload = workload spec and schedule = schedule spec in
+  let o =
+    Fuzz.Harness.run
+      ~decide:(fun () ->
+        Runtime.Coop.random_decision (Random.State.make [| spec.seed |]))
+      ~device_size workload schedule
+  in
+  match o.Fuzz.Harness.history with
+  | Some history ->
+      {
+        spec;
+        history;
+        verdict = Verify.Serializability.check history;
+        eras = o.stats.eras;
+        crashes = o.stats.crashes;
+        reproducer =
+          {
+            Fuzz.Reproducer.seed = Some spec.seed;
+            case = None;
+            workload;
+            schedule = { schedule with interleave = o.interleave };
+            expected = None;
+            trace = [];
+          };
+      }
+  | None -> (
+      match o.verdict with
+      | Fail msg | Fatal msg -> failwith ("Experiment.run: " ^ msg)
+      | Pass -> failwith "Experiment.run: no CAS history")
 
 let pp_range fmt = function
   | Verify.Generator.Wide -> Format.pp_print_string fmt "wide"
@@ -164,6 +123,7 @@ let run_timed ?(device_size = 1 lsl 22) spec =
   let registry = Runtime.Registry.create () in
   let rcas = ref None in
   let handle () = Option.get !rcas in
+  let attempt_func_id = 11 and cas_func_id = 12 in
   Recoverable.Cas_op.register_attempt registry ~id:attempt_func_id handle;
   (* A timed wrapper around the CAS operation: invocation and response are
      stamped on a shared logical clock.  Crash-free, so the recover
@@ -216,7 +176,11 @@ let run_timed ?(device_size = 1 lsl 22) spec =
         (System.submit sys ~func_id:cas_func_id
            ~args:(Value.of_int2 old_value new_value)))
     pairs;
-  (match System.run ~spawn:(spawn spec pmem) sys with
+  let spawn =
+    Runtime.Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem)
+      ~decide:(Runtime.Coop.random_decision (Random.State.make [| spec.seed |]))
+  in
+  (match System.run ~spawn sys with
   | `Completed -> ()
   | `Crashed -> invalid_arg "Experiment.run_timed: unexpected crash");
   (List.rev !trace, init_value)

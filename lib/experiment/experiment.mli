@@ -15,18 +15,23 @@
     [variant = Buggy] (the announcement matrix removed) executions with
     value collisions are expected to be caught as non-serializable.
 
-    The workers run as cooperative fibers ({!Runtime.Coop}) that a
-    uniform-random policy seeded from [spec.seed] interleaves at every
-    persistence operation, so an execution — its interleaving, crash
-    points, history and verdict — is a function of its spec. *)
+    An experiment is a fuzz case: {!run} maps the spec to a
+    {!Fuzz.Workload.t} ([rcas] or [rcas-buggy] on the spec's stack kind)
+    and a {!Fuzz.Schedule.t} (one crash plan per era) and executes it with
+    {!Fuzz.Harness.run}, which also checks the heap after every recovery.
+    The workers are cooperative fibers that a uniform-random policy seeded
+    from [spec.seed] interleaves at every persistence operation, so an
+    execution — its interleaving, crash points, history and verdict — is a
+    function of its spec, and its {!outcome.reproducer} replays it. *)
 
 type crash_mode =
   | No_crashes
   | Every_ops of int
       (** Crash when the era's persistence-operation counter reaches the
-          given value — deterministic. *)
+          given value — deterministic: era [i]'s plan is [At_op n]. *)
   | Random_ops of float
-      (** Per-operation crash probability (seeded from the spec). *)
+      (** Per-operation crash probability: era [i]'s plan is [Random]
+          seeded with [spec.seed * 7919 + i]. *)
 
 type spec = {
   n_ops : int;
@@ -48,14 +53,18 @@ type outcome = {
   verdict : Verify.Serializability.verdict;
   eras : int;
   crashes : int;
-  flushes : int;
-      (** lines persisted over the whole run: the ledger's [lines_flushed]
-          delta *)
+  reproducer : Fuzz.Reproducer.t;
+      (** The run as a fuzz case: its workload, and its schedule with the
+          policy's choices as the [interleave] prefix.
+          {!Fuzz.Reproducer.replay} repeats the run, and {!Fuzz.Shrink}
+          can shrink a flagged one. *)
 }
 
 val run : ?device_size:int -> spec -> outcome
-(** Runs the experiment on a fresh in-memory device in the cache-less
-    (auto-flush) mode that Section 5 prescribes for the CAS algorithm. *)
+(** Runs the experiment on a fresh in-memory device (4 MiB by default) in
+    the cache-less (auto-flush) mode that Section 5 prescribes for the CAS
+    algorithm.  Fails if the run ends without a CAS history: a recovery
+    that refused the image or a broken heap. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** One summary line: workload, crash count, verdict. *)

@@ -48,7 +48,12 @@ let draw config i =
   let schedule =
     Schedule.generate ~faults:config.faults ~rng ~max_eras:config.max_eras ()
   in
-  (workload, schedule, rng)
+  (* Drawn last: case [i]'s workload and schedule do not depend on it. *)
+  let stack =
+    List.nth Workload.stacks
+      (Random.State.int rng (List.length Workload.stacks))
+  in
+  ({ workload with Workload.stack }, schedule, rng)
 
 let case_inputs config i =
   let workload, schedule, _ = draw config i in

@@ -65,54 +65,42 @@ let check_conservation ~what ~inserted ~extracted ~remaining =
          what (List.length inserted) (List.length extracted)
          (List.length remaining))
 
+(* The stack and the queue seen as one op per answer: an insert of a
+   value, an extract that answered a value (or empty), or an op of another
+   structure. *)
+type step = Insert of int | Extract of int option | Foreign
+
+let stack_step op answer =
+  match op with
+  | Workload.Push v -> Insert v
+  | Workload.Pop -> Extract (Recoverable.Stack_op.pop_answer answer)
+  | _ -> Foreign
+
+let queue_step op answer =
+  match op with
+  | Workload.Enqueue v -> Insert v
+  | Workload.Dequeue -> Extract (Recoverable.Queue_op.dequeue_answer answer)
+  | _ -> Foreign
+
 (* Sequential ground truth for single-worker runs: one worker executes
    tasks in submission order, so the answers must replay a plain
-   in-memory structure op for op, whatever the crash schedule did. *)
-let check_sequential_lifo ops answers =
-  let stack = ref [] in
-  let rec go i ops answers =
-    match (ops, answers) with
-    | [], [] -> Ok ()
-    | Workload.Push v :: ops, _ :: answers ->
-        stack := v :: !stack;
-        go (i + 1) ops answers
-    | Workload.Pop :: ops, answer :: answers ->
-        let expect =
-          match !stack with
-          | [] -> None
-          | v :: rest ->
-              stack := rest;
-              Some v
+   in-memory stack ([lifo]) or queue op for op, whatever the crash
+   schedule did. *)
+let check_sequential ~what ~lifo steps =
+  let rec go i contents = function
+    | [] -> Ok ()
+    | Insert v :: steps ->
+        go (i + 1) (if lifo then v :: contents else contents @ [ v ]) steps
+    | Extract got :: steps ->
+        let expect, rest =
+          match contents with [] -> (None, []) | v :: rest -> (Some v, rest)
         in
-        if Recoverable.Stack_op.pop_answer answer = expect then
-          go (i + 1) ops answers
-        else Error (Printf.sprintf "rstack: op %d diverges from sequential replay" i)
-    | _ -> Error "rstack: op/answer shape mismatch"
+        if got = expect then go (i + 1) rest steps
+        else
+          Error (Printf.sprintf "%s: op %d diverges from sequential replay" what i)
+    | Foreign :: _ -> Error (what ^ ": op/answer shape mismatch")
   in
-  go 0 ops answers
-
-let check_sequential_fifo ops answers =
-  let queue = ref [] in
-  let rec go i ops answers =
-    match (ops, answers) with
-    | [], [] -> Ok ()
-    | Workload.Enqueue v :: ops, _ :: answers ->
-        queue := !queue @ [ v ];
-        go (i + 1) ops answers
-    | Workload.Dequeue :: ops, answer :: answers ->
-        let expect =
-          match !queue with
-          | [] -> None
-          | v :: rest ->
-              queue := rest;
-              Some v
-        in
-        if Recoverable.Queue_op.dequeue_answer answer = expect then
-          go (i + 1) ops answers
-        else Error (Printf.sprintf "rqueue: op %d diverges from sequential replay" i)
-    | _ -> Error "rqueue: op/answer shape mismatch"
-  in
-  go 0 ops answers
+  go 0 [] steps
 
 let check_sequential_map ops answers bindings =
   let tbl = Hashtbl.create 16 in
@@ -171,43 +159,17 @@ let check_concurrent_map ops answers bindings =
   in
   check_removes keys
 
-let check_stack workload answers remaining =
-  let ops = workload.Workload.ops in
-  let inserted =
-    List.filter_map (function Workload.Push v -> Some v | _ -> None) ops
-  in
-  let extracted =
-    List.combine ops answers
-    |> List.filter_map (function
-         | Workload.Pop, a -> Recoverable.Stack_op.pop_answer a
-         | _ -> None)
-  in
-  let* () = check_duplicates ~what:"rstack" extracted in
-  let* () =
-    check_conservation ~what:"rstack" ~inserted ~extracted ~remaining
-  in
+(* Exactly-once for the stack and the queue: no value extracted twice,
+   extracted plus remaining values are the inserted ones, and one worker
+   replays the sequential structure. *)
+let check_extracting ~what ~lifo step workload answers remaining =
+  let steps = List.map2 step workload.Workload.ops answers in
+  let inserted = List.filter_map (function Insert v -> Some v | _ -> None) steps in
+  let extracted = List.filter_map (function Extract v -> v | _ -> None) steps in
+  let* () = check_duplicates ~what extracted in
+  let* () = check_conservation ~what ~inserted ~extracted ~remaining in
   if workload.Workload.workers = 1 then
-    let* () = check_sequential_lifo ops answers in
-    Pass
-  else Pass
-
-let check_queue workload answers remaining =
-  let ops = workload.Workload.ops in
-  let inserted =
-    List.filter_map (function Workload.Enqueue v -> Some v | _ -> None) ops
-  in
-  let extracted =
-    List.combine ops answers
-    |> List.filter_map (function
-         | Workload.Dequeue, a -> Recoverable.Queue_op.dequeue_answer a
-         | _ -> None)
-  in
-  let* () = check_duplicates ~what:"rqueue" extracted in
-  let* () =
-    check_conservation ~what:"rqueue" ~inserted ~extracted ~remaining
-  in
-  if workload.Workload.workers = 1 then
-    let* () = check_sequential_fifo ops answers in
+    let* () = check_sequential ~what ~lifo steps in
     Pass
   else Pass
 
@@ -268,137 +230,102 @@ let answers_in_order workload results =
   else
     Ok (List.map snd (List.sort (fun (i, _) (j, _) -> compare i j) results))
 
-let stack_case pmem workload =
+(* A linked structure on the heap (stack, queue, map): a root region
+   holding its per-worker state, nodes reclaimed from its live chains.
+   [register] installs its operations against the structure's handle,
+   [func_of] names the task an op submits, and [check] and [digest] read
+   the structure after completion. *)
+let structure_case ~register ~region_size ~create ~attach ~live_nodes
+    ~func_of ~check ~digest pmem workload =
   let registry = Runtime.Registry.create () in
-  let stack = ref None in
-  let handle () = Option.get !stack in
-  Recoverable.Stack_op.register_push registry ~id:push_id
-    ~attempt_id:push_attempt_id handle;
-  Recoverable.Stack_op.register_pop registry ~id:pop_id
-    ~attempt_id:pop_attempt_id handle;
+  let structure = ref None in
+  let handle () = Option.get !structure in
+  register registry handle;
   let nprocs = workload.Workload.workers in
   {
     registry;
     init =
       (fun sys ->
-        let base =
-          Heap.alloc (System.heap sys) (Rstack.region_size ~nprocs)
-        in
-        stack := Some (Rstack.create pmem ~heap:(System.heap sys) ~base ~nprocs);
+        let heap = System.heap sys in
+        let base = Heap.alloc heap (region_size ~nprocs) in
+        structure := Some (create pmem ~heap ~base ~nprocs);
         System.set_root sys base);
     reattach =
       (fun sys ->
-        stack :=
-          Some
-            (Rstack.attach pmem ~heap:(System.heap sys) ~base:(root_exn sys)
-               ~nprocs));
-    reclaim =
-      (fun sys -> root_exn sys :: Rstack.live_nodes (handle ()));
+        structure :=
+          Some (attach pmem ~heap:(System.heap sys) ~base:(root_exn sys) ~nprocs));
+    reclaim = (fun sys -> root_exn sys :: live_nodes (handle ()));
     submit_op =
-      (fun sys _index -> function
-        | Workload.Push v -> submit sys ~func_id:push_id ~args:(Value.of_int v)
-        | Workload.Pop -> submit sys ~func_id:pop_id ~args:Bytes.empty
-        | _ -> invalid_arg "Harness: non-stack op in an rstack workload");
+      (fun sys _index op ->
+        let func_id, args = func_of op in
+        submit sys ~func_id ~args);
     conclude =
       (fun results ->
         ( (let* answers = answers_in_order workload results in
-           check_stack workload answers (Rstack.to_list (handle ()))),
+           check workload answers (handle ())),
           None ));
-    digest =
-      (fun () ->
-        Rstack.to_list (handle ())
-        |> List.map string_of_int |> String.concat ";");
+    digest = (fun () -> digest (handle ()));
   }
 
-let queue_case pmem workload =
-  let registry = Runtime.Registry.create () in
-  let queue = ref None in
-  let handle () = Option.get !queue in
-  Recoverable.Queue_op.register_enqueue registry ~id:enq_id
-    ~attempt_id:enq_attempt_id handle;
-  Recoverable.Queue_op.register_dequeue registry ~id:deq_id
-    ~attempt_id:deq_attempt_id handle;
-  let nprocs = workload.Workload.workers in
-  {
-    registry;
-    init =
-      (fun sys ->
-        let base =
-          Heap.alloc (System.heap sys) (Rqueue.region_size ~nprocs)
-        in
-        queue := Some (Rqueue.create pmem ~heap:(System.heap sys) ~base ~nprocs);
-        System.set_root sys base);
-    reattach =
-      (fun sys ->
-        queue :=
-          Some
-            (Rqueue.attach pmem ~heap:(System.heap sys) ~base:(root_exn sys)
-               ~nprocs));
-    reclaim =
-      (fun sys -> root_exn sys :: Rqueue.live_nodes (handle ()));
-    submit_op =
-      (fun sys _index -> function
-        | Workload.Enqueue v -> submit sys ~func_id:enq_id ~args:(Value.of_int v)
-        | Workload.Dequeue -> submit sys ~func_id:deq_id ~args:Bytes.empty
-        | _ -> invalid_arg "Harness: non-queue op in an rqueue workload");
-    conclude =
-      (fun results ->
-        ( (let* answers = answers_in_order workload results in
-           check_queue workload answers (Rqueue.to_list (handle ()))),
-          None ));
-    digest =
-      (fun () ->
-        Rqueue.to_list (handle ())
-        |> List.map string_of_int |> String.concat ";");
-  }
+let digest_ints l = String.concat ";" (List.map string_of_int l)
 
-let map_case pmem workload =
-  let registry = Runtime.Registry.create () in
-  let map = ref None in
-  let handle () = Option.get !map in
-  Recoverable.Map_op.register_put registry ~id:put_id
-    ~attempt_id:put_attempt_id handle;
-  Recoverable.Map_op.register_remove registry ~id:rm_id
-    ~attempt_id:rm_attempt_id handle;
-  let nprocs = workload.Workload.workers in
-  {
-    registry;
-    init =
-      (fun sys ->
-        let base =
-          Heap.alloc (System.heap sys)
-            (Rmap.region_size ~buckets:map_buckets ~nprocs)
-        in
-        map :=
-          Some
-            (Rmap.create pmem ~heap:(System.heap sys) ~base
-               ~buckets:map_buckets ~nprocs);
-        System.set_root sys base);
-    reattach =
-      (fun sys ->
-        map :=
-          Some
-            (Rmap.attach pmem ~heap:(System.heap sys) ~base:(root_exn sys)
-               ~buckets:map_buckets ~nprocs));
-    reclaim = (fun sys -> root_exn sys :: Rmap.live_nodes (handle ()));
-    submit_op =
-      (fun sys _index -> function
-        | Workload.Put (k, v) ->
-            submit sys ~func_id:put_id ~args:(Value.of_int2 k v)
-        | Workload.Remove k -> submit sys ~func_id:rm_id ~args:(Value.of_int k)
-        | _ -> invalid_arg "Harness: non-map op in an rmap workload");
-    conclude =
-      (fun results ->
-        ( (let* answers = answers_in_order workload results in
-           check_map workload answers (Rmap.bindings (handle ()))),
-          None ));
-    digest =
-      (fun () ->
-        Rmap.bindings (handle ())
-        |> List.sort compare
-        |> List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v)
-        |> String.concat ";");
-  }
+let stack_case =
+  structure_case
+    ~register:(fun registry handle ->
+      Recoverable.Stack_op.register_push registry ~id:push_id
+        ~attempt_id:push_attempt_id handle;
+      Recoverable.Stack_op.register_pop registry ~id:pop_id
+        ~attempt_id:pop_attempt_id handle)
+    ~region_size:Rstack.region_size ~create:Rstack.create ~attach:Rstack.attach
+    ~live_nodes:Rstack.live_nodes
+    ~func_of:(function
+      | Workload.Push v -> (push_id, Value.of_int v)
+      | Workload.Pop -> (pop_id, Bytes.empty)
+      | _ -> invalid_arg "Harness: non-stack op in an rstack workload")
+    ~check:(fun workload answers stack ->
+      check_extracting ~what:"rstack" ~lifo:true stack_step workload answers
+        (Rstack.to_list stack))
+    ~digest:(fun stack -> digest_ints (Rstack.to_list stack))
+
+let queue_case =
+  structure_case
+    ~register:(fun registry handle ->
+      Recoverable.Queue_op.register_enqueue registry ~id:enq_id
+        ~attempt_id:enq_attempt_id handle;
+      Recoverable.Queue_op.register_dequeue registry ~id:deq_id
+        ~attempt_id:deq_attempt_id handle)
+    ~region_size:Rqueue.region_size ~create:Rqueue.create ~attach:Rqueue.attach
+    ~live_nodes:Rqueue.live_nodes
+    ~func_of:(function
+      | Workload.Enqueue v -> (enq_id, Value.of_int v)
+      | Workload.Dequeue -> (deq_id, Bytes.empty)
+      | _ -> invalid_arg "Harness: non-queue op in an rqueue workload")
+    ~check:(fun workload answers queue ->
+      check_extracting ~what:"rqueue" ~lifo:false queue_step workload answers
+        (Rqueue.to_list queue))
+    ~digest:(fun queue -> digest_ints (Rqueue.to_list queue))
+
+let map_case =
+  structure_case
+    ~register:(fun registry handle ->
+      Recoverable.Map_op.register_put registry ~id:put_id
+        ~attempt_id:put_attempt_id handle;
+      Recoverable.Map_op.register_remove registry ~id:rm_id
+        ~attempt_id:rm_attempt_id handle)
+    ~region_size:(Rmap.region_size ~buckets:map_buckets)
+    ~create:(Rmap.create ~buckets:map_buckets)
+    ~attach:(Rmap.attach ~buckets:map_buckets)
+    ~live_nodes:Rmap.live_nodes
+    ~func_of:(function
+      | Workload.Put (k, v) -> (put_id, Value.of_int2 k v)
+      | Workload.Remove k -> (rm_id, Value.of_int k)
+      | _ -> invalid_arg "Harness: non-map op in an rmap workload")
+    ~check:(fun workload answers map ->
+      check_map workload answers (Rmap.bindings map))
+    ~digest:(fun map ->
+      Rmap.bindings map |> List.sort compare
+      |> List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v)
+      |> String.concat ";")
 
 let cas_case pmem workload =
   let registry = Runtime.Registry.create () in
@@ -580,6 +507,7 @@ let case_of pmem (workload : Workload.t) =
   | Workload.Rcounter -> rcounter_case pmem workload
 
 let default_device_size = 1 lsl 21
+let max_crashes = 1000
 
 let run_once ?(decide = fun () -> Coop.default_decision)
     ?(device_size = default_device_size) ?(flush_mode = Pmem.Eager)
@@ -632,7 +560,7 @@ let run_once ?(decide = fun () -> Coop.default_decision)
   let config =
     {
       System.workers = workload.workers;
-      stack_kind = System.Bounded_stack 4096;
+      stack_kind = workload.stack;
       task_capacity = max 1 (List.length workload.ops);
       task_max_args = 24;
     }
@@ -709,7 +637,7 @@ let run_once ?(decide = fun () -> Coop.default_decision)
         ~submit ~init:case.init ~reattach:case.reattach ~recovered:check_heap
         ~reclaim:case.reclaim
         ~plan:(fun ~era -> Schedule.plan_for schedule ~era)
-        ~observer ~max_crashes:1000 ~spawn ()
+        ~observer ~max_crashes ~spawn ()
     with
     | report ->
         recovery := report.Runtime.Driver.recovery;

@@ -1,6 +1,9 @@
 (** Execute one fuzz case: a {!Workload} driven to completion under a
     {!Schedule} by the crash-restart driver, followed by invariant
-    checking.
+    checking.  The workers run on the workload's persistent stack kind
+    (bounded, resizable or linked), and the heap's invariants are checked
+    after every recovery.  The Section 5.2 CAS experiment
+    ([Experiment.run]) is one such case.
 
     Recovery invariants checked, per workload kind:
 
@@ -90,6 +93,10 @@ type event =
   | Decision of Runtime.Coop.point * Runtime.Coop.decision
       (** A scheduling decision, prefix included, before the chosen worker
           runs. *)
+
+val max_crashes : int
+(** The crash budget of one run (1000): a schedule that crashes more often
+    fails the case. *)
 
 val run :
   ?decide:(unit -> Runtime.Coop.point -> Runtime.Coop.decision) ->

@@ -58,7 +58,7 @@ let of_lines lines =
             Ok (seed, Some case, expected, wl, sl)
         | "fail" :: rest ->
             Ok (seed, case, Some (String.concat " " rest), wl, sl)
-        | ("kind" | "workers" | "init" | "op") :: _ ->
+        | ("kind" | "workers" | "init" | "stack" | "op") :: _ ->
             Ok (seed, case, expected, line :: wl, sl)
         | ("era" | "kill" | "interleave" | "preempt" | "por" | "reversal"
           | "tear" | "bitflip" | "fault-seed")

@@ -3,7 +3,7 @@
     when the case was found.
 
     The format is line-based and self-describing — workload lines
-    ([kind]/[workers]/[init]/[op]) and schedule lines ([era]/[kill]) as
+    ([kind]/[workers]/[init]/[stack]/[op]) and schedule lines ([era]/[kill]) as
     serialised by {!Workload} and {!Schedule}, plus [seed]/[case]/[fail]
     metadata; [#] starts a comment:
 

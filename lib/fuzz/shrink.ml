@@ -41,48 +41,32 @@ let rec drop_trailing_never = function
       | Crash.Never :: rest -> drop_trailing_never (List.rev rest)
       | _ -> plans)
 
-(* Replace Random era plans with the At_op point observed in [outcome];
-   Random plans that never fired become Never. *)
+(* Pin every era plan to what [outcome] saw it do: an era that crashed
+   gets the At_op point observed, any other gets Never (it ran out, or was
+   never reached), and trailing Nevers go.  The rewritten schedule repeats
+   the run exactly. *)
 let concretize (s : Schedule.t) (outcome : Harness.outcome) =
-  if not (List.exists (function Crash.Random _ -> true | _ -> false) s.eras)
-  then None
-  else
-    let eras =
-      List.mapi
-        (fun i plan ->
-          match plan with
-          | Crash.Random _ -> (
-              match List.assoc_opt (i + 1) outcome.Harness.crash_points with
-              | Some at_op -> Crash.At_op (max 1 at_op)
-              | None -> Crash.Never)
-          | other -> other)
-        s.eras
-    in
-    Some { s with Schedule.eras = drop_trailing_never eras }
+  let eras =
+    List.mapi
+      (fun i _ ->
+        match List.assoc_opt (i + 1) outcome.Harness.crash_points with
+        | Some at_op -> Crash.At_op (max 1 at_op)
+        | None -> Crash.Never)
+      s.eras
+    |> drop_trailing_never
+  in
+  if eras = s.eras then None else Some { s with Schedule.eras }
 
 let remove_chunk ops ~start ~len =
   List.filteri (fun i _ -> i < start || i >= start + len) ops
 
 let rec chunk_sizes n = if n >= 1 then n :: chunk_sizes (n / 2) else []
 
-(* An interleaving prefix records scheduling decisions of one specific
-   workload: change the ops or the worker count and the recorded decision
-   indices describe an execution that no longer exists.  Workload-mutating
-   candidates therefore drop the prefix (and its por/reversal metadata)
-   rather than carry it along stale — replay would otherwise silently
-   follow a prefix about a different program. *)
-let without_interleave (s : Schedule.t) =
-  {
-    s with
-    Schedule.interleave = [];
-    preempt = None;
-    por = false;
-    reversals = [];
-  }
-
+(* Op and worker candidates keep the interleaving prefix, so a failure
+   that needs it can shrink; each candidate is re-run before it is
+   accepted (see the interface). *)
 let op_candidates (w : Workload.t) (s : Schedule.t) =
   let n = List.length w.ops in
-  let s = without_interleave s in
   List.concat_map
     (fun size ->
       let rec starts at =
@@ -99,10 +83,18 @@ let op_candidates (w : Workload.t) (s : Schedule.t) =
 let worker_candidates (w : Workload.t) (s : Schedule.t) =
   if w.workers <= 1 then []
   else
-    let s = without_interleave s in
     [ ({ w with Workload.workers = 1 }, s) ]
     @ (if w.workers > 2 then [ ({ w with Workload.workers = w.workers - 1 }, s) ]
        else [])
+
+let without_interleave (s : Schedule.t) =
+  {
+    s with
+    Schedule.interleave = [];
+    preempt = None;
+    por = false;
+    reversals = [];
+  }
 
 let schedule_candidates (w : Workload.t) (s : Schedule.t) =
   let kill_drop =
@@ -163,6 +155,14 @@ let candidates w s outcome =
   (match concretize s outcome with Some s' -> [ (w, s') ] | None -> [])
   @ op_candidates w s @ worker_candidates w s @ schedule_candidates w s
 
+(* An accepted candidate keeps only the choices its run made: the
+   recorded list replays the same run under the default policy, and it is
+   never longer than the prefix the run followed. *)
+let trim (s : Schedule.t) (o : Harness.outcome) =
+  if s.Schedule.interleave = [] then s
+  else if o.Harness.interleave = [] then without_interleave s
+  else { s with Schedule.interleave = o.Harness.interleave }
+
 let shrink ?(max_attempts = 150) ?sabotage workload schedule outcome =
   (match outcome.Harness.verdict with
   | Harness.Fail _ | Harness.Fatal _ -> ()
@@ -174,12 +174,12 @@ let shrink ?(max_attempts = 150) ?sabotage workload schedule outcome =
     else begin
       incr attempts;
       match Harness.run ?sabotage w s with
-      | { Harness.verdict = Harness.Fail _; _ } as o -> Some (w, s, o)
+      | { Harness.verdict = Harness.Fail _; _ } as o -> Some (w, trim s o, o)
       | { Harness.verdict = Harness.Fatal _; _ } as o
         when not (Schedule.has_faults s) ->
           (* A Fatal under armed faults is an acceptable loud failure, not
              a finding — accepting it would shrink the bug away. *)
-          Some (w, s, o)
+          Some (w, trim s o, o)
       | _ -> None
     end
   in

@@ -4,8 +4,9 @@
     by re-running the case; a candidate is kept only if it still fails.
     Reductions, tried largest-first:
 
-    - {b concretise}: replace probabilistic era plans with [At_op] at the
-      crash point actually observed, turning the schedule replayable;
+    - {b concretise}: pin each era plan to the [At_op] crash point
+      actually observed, or to [Never] for an era that did not crash,
+      turning the schedule replayable and dropping eras it never used;
     - {b fewer ops}: delta-style removal of chunks of the op trace
       (halves, then quarters, down to single ops);
     - {b fewer workers}: drop to one worker, else one fewer;
@@ -16,11 +17,15 @@
       reproduces under the default policy was never about the exact
       interleaving).
 
-    A schedule's interleaving prefix records decisions of one specific
-    workload, so candidates that mutate the workload (fewer ops, fewer
-    workers) drop the prefix and its [por]/[reversal] metadata instead of
-    carrying it stale; the measure counts the prefix, so the drop is
-    itself a shrink.
+    Candidates that mutate the workload (fewer ops, fewer workers) keep the
+    schedule's interleaving prefix, so a failure that needs its
+    interleaving can shrink: the prefix no longer describes the candidate's
+    execution choice for choice, but the candidate is re-run before it is
+    accepted, and a choice naming a worker that is not runnable falls to
+    the policy.  An accepted candidate's prefix becomes the choices its run
+    made, which replay it and are never longer.  The measure counts the
+    prefix and its [por]/[reversal] metadata, so dropping a prefix that
+    turns out to be noise is itself a shrink.
 
     A candidate whose verdict is [Fatal] validates only if its schedule
     carries no fault plans: under armed faults a loud refusal to recover
@@ -45,11 +50,11 @@ val measure : Workload.t -> Schedule.t -> int
     its metadata.  Exposed for regression tests pinning the ordering. *)
 
 val concretize : Schedule.t -> Harness.outcome -> Schedule.t option
-(** Replace probabilistic era plans with the [At_op] crash points the
-    outcome actually observed ([None] when no era plan is probabilistic);
-    plans that never fired become [Never].  Exposed for regression tests
-    (a concretised plan must weigh less than the [Random] it replaces,
-    whatever the observed op number). *)
+(** Replace each era plan with the [At_op] crash point the outcome
+    actually observed in that era, or with [Never] when the era did not
+    crash, and drop trailing [Never]s ([None] when that changes nothing).
+    Exposed for regression tests (a concretised plan must weigh less than
+    the [Random] it replaces, whatever the observed op number). *)
 
 val shrink :
   ?max_attempts:int ->

@@ -1,3 +1,5 @@
+module System = Runtime.System
+
 type kind = Rstack | Rqueue | Rmap | Rcas | Rcas_buggy | Faulty | Rcounter
 
 type op =
@@ -10,7 +12,13 @@ type op =
   | Cas of int * int
   | Bump
 
-type t = { kind : kind; workers : int; init : int; ops : op list }
+type t = {
+  kind : kind;
+  workers : int;
+  init : int;
+  stack : System.stack_kind;
+  ops : op list;
+}
 
 let correct_kinds = [ Rstack; Rqueue; Rmap; Rcas; Rcounter ]
 
@@ -32,6 +40,41 @@ let kind_of_string = function
   | "faulty" -> Ok Faulty
   | "rcounter" -> Ok Rcounter
   | other -> Error (Printf.sprintf "unknown workload kind %S" other)
+
+(* The stack kinds at their default sizes, the first the default: what
+   campaigns draw and what [cas_experiment --stack NAME] runs. *)
+let stacks = System.[ Bounded_stack 4096; Resizable_stack 256; Linked_stack 256 ]
+let default_stack = List.hd stacks
+
+let stack_to_string = function
+  | System.Bounded_stack n -> Printf.sprintf "bounded %d" n
+  | System.Resizable_stack n -> Printf.sprintf "resizable %d" n
+  | System.Linked_stack n -> Printf.sprintf "linked %d" n
+
+(* ["linked 256"], or a bare ["linked"] for the kind's default size. *)
+let stack_of_string s =
+  let named name =
+    List.find_opt
+      (fun k -> String.starts_with ~prefix:(name ^ " ") (stack_to_string k))
+      stacks
+  in
+  let sized n = function
+    | System.Bounded_stack _ -> System.Bounded_stack n
+    | System.Resizable_stack _ -> System.Resizable_stack n
+    | System.Linked_stack _ -> System.Linked_stack n
+  in
+  let kind =
+    match String.split_on_char ' ' (String.trim s) |> List.filter (( <> ) "") with
+    | [ name ] -> named name
+    | [ name; size ] -> (
+        match (named name, int_of_string_opt size) with
+        | Some k, Some n when n > 0 -> Some (sized n k)
+        | _ -> None)
+    | _ -> None
+  in
+  Option.to_result kind
+    ~none:
+      (Printf.sprintf "expected bounded | resizable | linked [SIZE], got %S" s)
 
 (* Distinct values per mutation make exactly-once violations observable:
    the same value showing up in two answers is proof of a duplicated
@@ -63,7 +106,7 @@ let generate kind ~rng ~n_ops ~workers =
      protocol (op [i] moves the counter from [i] to [i+1]) is only a valid
      oracle when tasks execute in submission order. *)
   let workers = match kind with Faulty | Rcounter -> 1 | _ -> max workers 1 in
-  { kind; workers; init; ops = List.init n_ops gen }
+  { kind; workers; init; stack = default_stack; ops = List.init n_ops gen }
 
 let op_to_string = function
   | Push v -> Printf.sprintf "push %d" v
@@ -111,6 +154,10 @@ let to_lines t =
     Printf.sprintf "workers %d" t.workers;
     Printf.sprintf "init %d" t.init;
   ]
+  (* The default stack is implicit, so reproducers written before stacks
+     were selectable read and print the same. *)
+  @ (if t.stack = default_stack then []
+     else [ Printf.sprintf "stack %s" (stack_to_string t.stack) ])
   @ List.map (fun op -> Printf.sprintf "op %s" (op_to_string op)) t.ops
 
 let of_lines lines =
@@ -135,11 +182,15 @@ let of_lines lines =
             match int_of_string_opt v with
             | Some init -> Ok { t with init }
             | None -> Error (Printf.sprintf "bad init value %S" v))
+        | [ "stack"; name; size ] -> (
+            match stack_of_string (name ^ " " ^ size) with
+            | Ok stack -> Ok { t with stack }
+            | Error _ -> Error (Printf.sprintf "bad stack entry %S" line))
         | "op" :: rest ->
             let* op = op_of_string (String.concat " " rest) in
             Ok { t with ops = op :: t.ops }
         | _ -> Error (Printf.sprintf "unknown workload entry %S" line))
-      (Ok { kind = Rstack; workers = 1; init = 0; ops = [] })
+      (Ok { kind = Rstack; workers = 1; init = 0; stack = default_stack; ops = [] })
       lines
   in
   if t.ops = [] then Error "workload has no ops"
@@ -147,4 +198,6 @@ let of_lines lines =
 
 let pp fmt t =
   Format.fprintf fmt "%s workers=%d ops=%d" (kind_to_string t.kind) t.workers
-    (List.length t.ops)
+    (List.length t.ops);
+  if t.stack <> default_stack then
+    Format.fprintf fmt " stack=%s" (stack_to_string t.stack)

@@ -26,6 +26,7 @@ let known_bad_workload =
     Workload.kind = Workload.Faulty;
     workers = 1;
     init = 0;
+    stack = Workload.default_stack;
     ops = List.init 5 (fun _ -> Workload.Bump);
   }
 
@@ -456,6 +457,7 @@ let three_workers_workload =
     Workload.kind = Workload.Rstack;
     workers = 3;
     init = 0;
+    stack = Workload.default_stack;
     ops =
       List.init 12 (fun i ->
           if i mod 3 = 2 then Workload.Pop else Workload.Push (100 + i));
@@ -539,6 +541,147 @@ let test_planted_bug_multi_worker () =
   Alcotest.(check string) "the shrunk case replays" shrunk_msg
     (fail_message (Harness.run shrunk.Shrink.workload shrunk.Shrink.schedule))
 
+(* A failure that needs its interleaving: the E3 configuration of Section
+   5.2 (buggy CAS, eight workers, 300 CAS ops on the values {0,1}, one
+   seeded 2% crash plan per era), interleaved by a seeded policy.  Its
+   recorded choices replay the failure and the default policy alone does
+   not, so only a shrinker whose candidates keep the prefix can make it
+   smaller. *)
+let e3_case () =
+  let init, pairs =
+    Verify.Generator.workload ~seed:1 ~n:300
+      ~range:(Verify.Generator.Custom (0, 1))
+  in
+  let workload =
+    Result.get_ok
+      (Workload.of_lines
+         ([ "kind rcas-buggy"; "workers 8"; Printf.sprintf "init %d" init ]
+         @ List.map (fun (e, d) -> Printf.sprintf "op cas %d %d" e d) pairs))
+  in
+  let schedule =
+    {
+      Schedule.none with
+      Schedule.eras =
+        List.init 1000 (fun i ->
+            Crash.Random { seed = 7919 + i + 1; probability = 0.02 });
+    }
+  in
+  let decide () = Runtime.Coop.random_decision (Random.State.make [| 1 |]) in
+  let outcome = Harness.run ~decide workload schedule in
+  (workload, { schedule with Schedule.interleave = outcome.Harness.interleave })
+
+let test_interleaved_failure_shrinks () =
+  let workload, schedule = e3_case () in
+  let outcome = Harness.run workload schedule in
+  let msg = fail_message outcome in
+  Alcotest.(check bool) "flagged" true (contains msg "NOT serializable");
+  (match
+     (Harness.run workload { schedule with Schedule.interleave = [] })
+       .Harness.verdict
+   with
+  | Harness.Pass -> ()
+  | _ -> Alcotest.fail "the failure must need its interleaving");
+  let shrunk = Shrink.shrink workload schedule outcome in
+  Alcotest.(check bool)
+    "fewer ops" true
+    (List.length shrunk.Shrink.workload.Workload.ops
+    < List.length workload.Workload.ops);
+  let repro =
+    {
+      Reproducer.seed = None;
+      case = None;
+      workload = shrunk.Shrink.workload;
+      schedule = shrunk.Shrink.schedule;
+      expected = None;
+      trace = [];
+    }
+  in
+  match Reproducer.of_lines (Reproducer.to_lines repro) with
+  | Error msg -> Alcotest.fail msg
+  | Ok repro ->
+      Alcotest.(check string)
+        "the shrunk reproducer fails on replay"
+        (fail_message shrunk.Shrink.outcome)
+        (fail_message (Reproducer.replay repro))
+
+(* The reproducer's [stack] line: every kind round-trips, a file without
+   one (every reproducer written before the line existed) runs on the
+   bounded stack, and a malformed one is an [Error] quoting the line. *)
+let test_stack_line () =
+  List.iter
+    (fun stack ->
+      let repro =
+        {
+          Reproducer.seed = None;
+          case = None;
+          workload = { known_bad_workload with Workload.stack };
+          schedule = known_bad_schedule;
+          expected = None;
+          trace = [];
+        }
+      in
+      match Reproducer.of_lines (Reproducer.to_lines repro) with
+      | Ok repro' ->
+          Alcotest.(check bool)
+            (Workload.stack_to_string stack ^ " round trip")
+            true (repro = repro')
+      | Error msg -> Alcotest.fail msg)
+    (Runtime.System.Resizable_stack 128 :: Workload.stacks);
+  (match Reproducer.of_lines torn_completion_reproducer with
+  | Ok repro ->
+      Alcotest.(check bool)
+        "no stack line: bounded 4096" true
+        (repro.Reproducer.workload.Workload.stack
+        = Runtime.System.Bounded_stack 4096)
+  | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun line ->
+      match
+        Reproducer.of_lines
+          [ "kind rstack"; "workers 1"; "init 0"; line; "op pop" ]
+      with
+      | Ok _ -> Alcotest.failf "%S accepted" line
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the line" msg)
+            true (contains msg line))
+    [ "stack linked"; "stack ring 64"; "stack bounded x" ]
+
+(* A campaign runs its cases on all three stacks, each drawn after the
+   case's workload and schedule. *)
+let test_campaign_draws_every_stack () =
+  let stacks =
+    List.init 30 (fun i ->
+        (fst (Campaign.case_inputs Campaign.default i)).Workload.stack)
+  in
+  Alcotest.(check int)
+    "kinds drawn" 3
+    (List.length (List.sort_uniq compare stacks))
+
+(* The E3 experiment is the fuzz case above: [Experiment.run] hands back
+   its workload and its schedule with the run's choices, and that
+   reproducer replays the flagged run. *)
+let test_experiment_is_a_fuzz_case () =
+  let o =
+    Experiment.run
+      {
+        Experiment.default_spec with
+        n_ops = 300;
+        seed = 1;
+        workers = 8;
+        variant = Recoverable.Rcas.Buggy;
+        range = Verify.Generator.Custom (0, 1);
+        crash_mode = Experiment.Random_ops 0.02;
+      }
+  in
+  let workload, schedule = e3_case () in
+  let repro = o.Experiment.reproducer in
+  Alcotest.(check bool) "workload" true (repro.Reproducer.workload = workload);
+  Alcotest.(check bool) "schedule" true (repro.Reproducer.schedule = schedule);
+  Alcotest.(check bool)
+    "replays the flagged run" true
+    (contains (fail_message (Reproducer.replay repro)) "NOT serializable")
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -554,6 +697,7 @@ let () =
             test_schedule_round_trip_property;
           Alcotest.test_case "schedule malformed line numbers" `Quick
             test_schedule_malformed_line_numbers;
+          Alcotest.test_case "stack line" `Quick test_stack_line;
         ] );
       ( "campaign",
         [
@@ -567,6 +711,10 @@ let () =
             test_differential_eager_vs_coalesced;
           Alcotest.test_case "3-worker case replays 20 times" `Quick
             test_multi_worker_case_replays;
+          Alcotest.test_case "draws every stack kind" `Quick
+            test_campaign_draws_every_stack;
+          Alcotest.test_case "the E3 experiment is a fuzz case" `Quick
+            test_experiment_is_a_fuzz_case;
         ] );
       ( "media faults",
         [
@@ -593,6 +741,8 @@ let () =
             test_reproducer_round_trip_and_replay;
           Alcotest.test_case "multi-worker failure replays and shrinks" `Quick
             test_planted_bug_multi_worker;
+          Alcotest.test_case "interleaved failure shrinks" `Quick
+            test_interleaved_failure_shrinks;
         ] );
       ( "worker kills",
         [

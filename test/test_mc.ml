@@ -28,6 +28,7 @@ let e3_workload kind =
     Workload.kind;
     workers = 2;
     init = 0;
+    stack = Workload.default_stack;
     ops = [ Workload.Cas (0, 1); Workload.Cas (1, 2) ];
   }
 
@@ -241,6 +242,7 @@ let rcounter_workload n =
     Workload.kind = Workload.Rcounter;
     workers = 1;
     init = 0;
+    stack = Workload.default_stack;
     ops = List.init n (fun _ -> Workload.Bump);
   }
 
