@@ -540,6 +540,169 @@ let test_dump_views () =
   Alcotest.(check bool) "render non-empty" true
     (String.length (Pstack.Dump.render lines) > 0)
 
+(* The dump and the recovery decoder [Frame.read] read one format.  On
+   every stack kind, in both views, and after a one-bit flip in a frame's
+   arguments, in its checksum word or in a pointer code, a dumped frame is
+   flagged [crc_ok = false] exactly when [Frame.read] reports a checksum
+   mismatch at its offset, and a frame [Frame.read] accepts dumps with the
+   same function id, marker and pointer target. *)
+type dumped = {
+  kind : string;
+  build : Pmem.t -> Heap.t -> unit;
+  scan : Pmem.t -> Pstack.Dump.view -> Pstack.Dump.line list;
+}
+
+let dumped_stacks =
+  let pushes push =
+    List.iteri
+      (fun i len -> push ~func_id:(i + 2) ~args:(Bytes.make len 'd'))
+      [ 0; 40; 100; 8; 60; 16 ]
+  in
+  let base = off ((1 lsl 19) + 1024) in
+  [
+    {
+      kind = "bounded";
+      build =
+        (fun pmem _ ->
+          pushes (Pstack.Bounded.push (Pstack.Bounded.create pmem ~base ~capacity:8192)));
+      scan = (fun pmem view -> Pstack.Dump.scan_region pmem ~view ~base);
+    };
+    {
+      kind = "resizable";
+      build =
+        (fun pmem heap ->
+          pushes
+            (Pstack.Resizable.push
+               (Pstack.Resizable.create pmem ~heap ~anchor:(off 0) ())));
+      scan =
+        (fun pmem view ->
+          Pstack.Dump.scan_region pmem ~view
+            ~base:(off (Pmem.read_int pmem (off 0))));
+    };
+    {
+      kind = "linked";
+      build =
+        (fun pmem heap ->
+          pushes
+            (Pstack.Linked.push
+               (Pstack.Linked.create pmem ~heap ~anchor:(off 0) ~block_size:128
+                  ())));
+      scan =
+        (fun pmem view -> Pstack.Dump.scan_linked pmem ~view ~anchor:(off 0));
+    };
+  ]
+
+type surgery = Intact | Args_bit | Crc_bit | Pointer_code_bit
+
+(* The byte a surgery flips: in the second frame with arguments, or in the
+   first pointer frame ([None] when the stack has none). *)
+let surgery_target lines = function
+  | Intact -> None
+  | (Args_bit | Crc_bit) as s -> (
+      match
+        List.filter_map
+          (function
+            | Pstack.Dump.Frame { off; args_len; _ } when args_len > 0 ->
+                Some off
+            | _ -> None)
+          lines
+      with
+      | _ :: at :: _ ->
+          Some
+            (Offset.add at
+               (if s = Args_bit then Frame.ordinary_header_size + 3
+                else Frame.crc_rel + 2))
+      | _ -> Alcotest.fail "fewer than two frames with arguments")
+  | Pointer_code_bit ->
+      List.find_map
+        (function
+          | Pstack.Dump.Pointer_frame { off; _ } ->
+              Some (Offset.add off Frame.pointer_code_rel)
+          | _ -> None)
+        lines
+
+let check_agreement label lines pmem =
+  let agree at ~crc_ok ~what accepted =
+    match Frame.read pmem ~at with
+    | Ok scanned ->
+        Alcotest.(check bool) (label ^ ": accepted frame dumps crc ok") true crc_ok;
+        accepted scanned
+    | Error { Frame.crc_mismatch = true; _ } ->
+        Alcotest.(check bool) (label ^ ": rejected frame dumps crc BAD") false crc_ok
+    | Error c ->
+        Alcotest.failf "%s: dumped %s that Frame.read finds damaged: %a" label
+          what Frame.pp_corruption c
+  in
+  List.iter
+    (function
+      | Pstack.Dump.Frame { off; func_id; last; crc_ok; _ } ->
+          agree off ~crc_ok ~what:"an ordinary frame" (function
+            | Frame.Ordinary { frame; last = last'; _ } ->
+                Alcotest.(check int) (label ^ ": func_id") func_id
+                  frame.Frame.func_id;
+                Alcotest.(check bool) (label ^ ": last") last last'
+            | Frame.Pointer _ -> Alcotest.failf "%s: kinds differ" label)
+      | Pstack.Dump.Pointer_frame { off; next; crc_ok } ->
+          agree off ~crc_ok ~what:"a pointer frame" (function
+            | Frame.Pointer { next = next'; _ } ->
+                Alcotest.(check int) (label ^ ": pointer target")
+                  (Offset.to_int next) (Offset.to_int next')
+            | Frame.Ordinary _ -> Alcotest.failf "%s: kinds differ" label)
+      | Pstack.Dump.Invalid_tail _ -> ())
+    lines
+
+let test_dump_agrees_with_read d surgery () =
+  let pmem = Pmem.create ~size:(1 lsl 20) () in
+  let heap = Heap.format pmem ~base:(off 64) ~len:(1 lsl 19) in
+  d.build pmem heap;
+  (match surgery_target (d.scan pmem Pstack.Dump.Volatile) surgery with
+  | None -> ()
+  | Some at ->
+      Pmem.write_byte pmem at (Pmem.read_byte pmem at lxor 0x10);
+      Pmem.flush_byte pmem at);
+  let bad lines =
+    List.length
+      (List.filter
+         (function
+           | Pstack.Dump.Frame { crc_ok = false; _ }
+           | Pstack.Dump.Pointer_frame { crc_ok = false; _ } ->
+               true
+           | _ -> false)
+         lines)
+  in
+  (* the tracked reads of [Frame.read] see the volatile view; after a
+     power cycle they see exactly the persisted bytes *)
+  let lines = d.scan pmem Pstack.Dump.Volatile in
+  check_agreement "volatile" lines pmem;
+  Alcotest.(check int) "damaged frames" (if surgery = Intact then 0 else 1)
+    (bad lines);
+  Pmem.crash_and_restart pmem;
+  let lines = d.scan pmem Pstack.Dump.Persistent in
+  check_agreement "persistent" lines pmem;
+  Alcotest.(check int) "damaged frames after restart"
+    (if surgery = Intact then 0 else 1)
+    (bad lines)
+
+let dump_agreement_cases =
+  List.concat_map
+    (fun d ->
+      List.filter_map
+        (fun (name, surgery) ->
+          if surgery = Pointer_code_bit && d.kind <> "linked" then None
+          else
+            Some
+              (Alcotest.test_case
+                 (Printf.sprintf "agrees with Frame.read (%s, %s)" d.kind name)
+                 `Quick
+                 (test_dump_agrees_with_read d surgery)))
+        [
+          ("intact", Intact);
+          ("argument bit", Args_bit);
+          ("checksum bit", Crc_bit);
+          ("pointer code bit", Pointer_code_bit);
+        ])
+    dumped_stacks
+
 (* ------------------------------------------------------------------ *)
 (* Device-traffic pins                                                 *)
 
@@ -730,7 +893,9 @@ let () =
           Alcotest.test_case "invariant 2 violation" `Quick
             test_unsafe_push_violates_invariant_2;
         ] );
-      ("dump", [ Alcotest.test_case "views" `Quick test_dump_views ]);
+      ( "dump",
+        Alcotest.test_case "views" `Quick test_dump_views
+        :: dump_agreement_cases );
       ( "device traffic",
         List.map
           (fun (name, pin) ->
