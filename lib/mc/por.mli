@@ -29,9 +29,6 @@ val universe : (int * int) list
     reads of a trace's final transition (no successor point reports
     them). *)
 
-val ranges_overlap : int * int -> int * int -> bool
-(** Inclusive line ranges share at least one line. *)
-
 val dependent : footprint -> footprint -> bool
 (** Whether two transitions (of different workers) may fail to commute:
     some head op of one overlaps the head op or the reads of the other.

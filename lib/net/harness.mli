@@ -33,10 +33,6 @@ val server_exe : unit -> string
 (** Locate [nvkv_server.exe] next to (or in [../bin] of) the running
     executable; fails if absent. *)
 
-val parse_addr : string -> Unix.sockaddr
-(** Inverse of the server's READY-line address ([unix:PATH],
-    [tcp:HOST:PORT]). *)
-
 val start_server :
   ?size:int ->
   ?workers:int ->

@@ -59,8 +59,6 @@ val err_shutdown : int
 
 val err_bad_request : int
 
-val err_name : int -> string
-
 (** {2 Codec} *)
 
 type error =

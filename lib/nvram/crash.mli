@@ -140,8 +140,6 @@ val plan : t -> plan
     Textual encoding used by replayable crash-schedule artifacts:
     ["never"], ["at-op N"], or ["random SEED PROBABILITY"]. *)
 
-val pp_plan : Format.formatter -> plan -> unit
-
 val plan_to_string : plan -> string
 
 val plan_of_string : string -> (plan, string) result

@@ -1,8 +1,6 @@
-module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
-module Integrity = Nvram.Integrity
 
-type view = Volatile | Persistent
+type view = Frame.view = Volatile | Persistent
 
 type line =
   | Frame of {
@@ -20,125 +18,46 @@ type line =
     }
   | Invalid_tail of { off : Nvram.Offset.t; note : string }
 
-let peek pmem view ~off ~len =
-  match view with
-  | Volatile -> Pmem.peek_volatile pmem ~off ~len
-  | Persistent -> Pmem.peek_persistent pmem ~off ~len
-
-let peek_byte pmem view off = Char.code (Bytes.get (peek pmem view ~off ~len:1) 0)
-
-let peek_int64 pmem view off =
-  Bytes.get_int64_le (peek pmem view ~off ~len:8) 0
-
-(* Decode one frame without going through [Frame.read], which uses tracked
-   device reads: a dump must not perturb the crash schedule.  Unlike the
-   recovery scan, a checksum mismatch does not stop the dump — triage
-   wants to see the whole damaged image, so the line is decoded as-is and
-   flagged [crc_ok = false]. *)
-let decode pmem view off =
-  let size = Pmem.size pmem in
-  if Offset.to_int off >= size then
-    Error "frame start beyond the end of the device"
-  else begin
-    let preamble = peek_byte pmem view off in
-    if preamble = Frame.preamble_ordinary then begin
-      let args_len =
-        Int64.to_int (peek_int64 pmem view (Offset.add off Frame.args_len_rel))
-      in
-      if args_len < 0 || Offset.to_int off + Frame.ordinary_size ~args_len > size
-      then Error (Printf.sprintf "corrupt argument length %d" args_len)
-      else begin
-        let func_id =
-          Int64.to_int (peek_int64 pmem view (Offset.add off Frame.func_id_rel))
-        in
-        let answer_code = peek_byte pmem view (Offset.add off Frame.answer_flag_rel) in
-        let answer_value = peek_int64 pmem view (Offset.add off Frame.answer_value_rel) in
-        let answer =
-          if answer_code = 0 then None
-          else if answer_code <> Integrity.code_of_int64 answer_value then None
-          else Some answer_value
-        in
-        let crc_ok =
-          let stored = peek_int64 pmem view (Offset.add off Frame.crc_rel) in
-          let args =
-            peek pmem view
-              ~off:(Offset.add off Frame.ordinary_header_size)
-              ~len:args_len
-          in
-          let computed =
-            let h = Integrity.fnv64_byte Integrity.fnv64_init preamble in
-            let h = Integrity.fnv64_int64 h (Int64.of_int func_id) in
-            let h = Integrity.fnv64_int64 h (Int64.of_int args_len) in
-            Integrity.fnv64_sub h args ~pos:0 ~len:args_len
-          in
-          Int64.equal stored computed
-          && (answer_code = 0
-             || answer_code = Integrity.code_of_int64 answer_value)
-        in
-        let frame_size = Frame.ordinary_size ~args_len in
-        let marker = peek_byte pmem view (Offset.add off (frame_size - 1)) in
-        if marker <> Frame.marker_frame_end && marker <> Frame.marker_stack_end
-        then Error (Printf.sprintf "invalid end marker 0x%X" marker)
-        else
-          Ok
-            ( Frame
-                {
-                  off;
-                  func_id;
-                  args_len;
-                  answer;
-                  last = marker = Frame.marker_stack_end;
-                  crc_ok;
-                },
-              Offset.add off frame_size,
-              marker = Frame.marker_stack_end,
-              None )
-      end
-    end
-    else if preamble = Frame.preamble_pointer then begin
-      let next = Int64.to_int (peek_int64 pmem view (Offset.add off 1)) in
-      if next < 0 || next >= size then
-        Error (Printf.sprintf "pointer frame to invalid offset %d" next)
-      else
-        let crc_ok =
-          peek_byte pmem view (Offset.add off Frame.pointer_code_rel)
-          = Frame.pointer_code next
-        in
-        Ok
-          ( Pointer_frame { off; next = Offset.of_int next; crc_ok },
-            Offset.add off Frame.pointer_size,
-            false,
-            Some (Offset.of_int next) )
-    end
-    else Error (Printf.sprintf "invalid preamble 0x%X" preamble)
-  end
-
 let scan ~follow_pointers pmem view start =
+  let stop acc off note = List.rev (Invalid_tail { off; note } :: acc) in
   let rec go off acc =
-    match decode pmem view off with
-    | Error note -> List.rev (Invalid_tail { off; note } :: acc)
-    | Ok (line, after, last, jump) ->
-        let acc = line :: acc in
-        if last then
-          List.rev (Invalid_tail { off = after; note = "invalid data" } :: acc)
-        else begin
-          match jump with
-          | Some target when follow_pointers -> go target acc
-          | Some _ ->
-              List.rev
-                (Invalid_tail
-                   { off = after; note = "pointer frame not followed" }
-                :: acc)
-          | None -> go after acc
-        end
+    match Frame.peek pmem view ~at:off with
+    | Error { Frame.reason; _ } -> stop acc off reason
+    | Ok { scanned = Frame.Ordinary { frame; size; last }; crc_ok } ->
+        let slot = Frame.peek_answer pmem view ~frame:off in
+        let line =
+          Frame
+            {
+              off;
+              func_id = frame.Frame.func_id;
+              args_len = Bytes.length frame.Frame.args;
+              answer = (match slot with Frame.Answer v -> Some v | _ -> None);
+              last;
+              crc_ok = crc_ok && slot <> Frame.Torn;
+            }
+        in
+        let after = Offset.add off size in
+        if last then stop (line :: acc) after "invalid data"
+        else go after (line :: acc)
+    | Ok { scanned = Frame.Pointer { next; size; last }; crc_ok } ->
+        let acc = Pointer_frame { off; next; crc_ok } :: acc in
+        let after = Offset.add off size in
+        if last then stop acc after "pointer frame marked as stack top"
+        else if follow_pointers then go next acc
+        else stop acc after "pointer frame not followed"
   in
   go start []
 
 let scan_region pmem ~view ~base = scan ~follow_pointers:false pmem view base
 
 let scan_linked pmem ~view ~anchor =
-  let first = Int64.to_int (peek_int64 pmem view anchor) in
-  scan ~follow_pointers:true pmem view (Offset.of_int first)
+  let peek =
+    match view with
+    | Volatile -> Nvram.Pmem.peek_volatile
+    | Persistent -> Nvram.Pmem.peek_persistent
+  in
+  let first = Bytes.get_int64_le (peek pmem ~off:anchor ~len:8) 0 in
+  scan ~follow_pointers:true pmem view (Offset.of_int (Int64.to_int first))
 
 let pp_line fmt = function
   | Frame { off; func_id; args_len; answer; last; crc_ok } ->

@@ -1,12 +1,15 @@
 (** Textual rendering of the on-device stack layout.
 
     This is the executable counterpart of the paper's Figures 2–5 and 8:
-    it decodes the frames of a stack region exactly as the recovery scan
-    would, one line per frame, and reports where the valid stack ends.  Two
-    views are available: what the processor currently sees (volatile cache
-    included) and what would survive a crash losing every unflushed line. *)
+    it walks the frames of a stack region, one line per frame, and reports
+    where the valid stack ends.  Every frame is decoded by {!Frame.peek},
+    the recovery decoder run over untracked peeks, so a line shows exactly
+    what the recovery scan would accept, and a dump neither counts device
+    reads nor perturbs the crash schedule.  Two views are available: what
+    the processor currently sees (volatile cache included) and what would
+    survive a crash losing every unflushed line. *)
 
-type view =
+type view = Frame.view =
   | Volatile  (** cache content included — the running system's view *)
   | Persistent  (** persisted bytes only — the post-crash view *)
 
@@ -23,7 +26,7 @@ type line =
           (** whether the frame checksum (and the answer code, if set)
               verifies — unlike the recovery scan, a dump decodes and
               shows a checksum-corrupt frame instead of stopping, so
-              triage sees {e where} an image is damaged *)
+              triage sees {e where} an image is damaged ({!Frame.peek}) *)
     }
   | Pointer_frame of {
       off : Nvram.Offset.t;
@@ -38,8 +41,8 @@ val scan_region :
 (** [scan_region pmem ~view ~base] decodes frames from [base] until the
     stack end marker, following no pointers (bounded and resizable
     layouts).  Decoding stops with an [Invalid_tail] describing what
-    follows the top frame; a corrupt frame also yields an [Invalid_tail]
-    with a diagnostic note. *)
+    follows the top frame; a structurally corrupt frame also yields an
+    [Invalid_tail], whose note is the decoder's reason. *)
 
 val scan_linked :
   Nvram.Pmem.t -> view:view -> anchor:Nvram.Offset.t -> line list

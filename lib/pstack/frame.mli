@@ -61,9 +61,6 @@ type t = { func_id : int; args : bytes }
 
 (** {1 Constants} *)
 
-val preamble_ordinary : int
-val preamble_pointer : int
-
 val marker_frame_end : int
 (** [0x0]: more frames follow. *)
 
@@ -83,12 +80,10 @@ val dummy_func_id : int
 (** Function id of the dummy frame installed at stack initialisation
     (Section 3.4); never popped, never recovered. *)
 
-(** {2 Field offsets} (relative to the frame start; used by the untracked
-    decoder in {!Dump} and by byte-surgery corruption tests) *)
+(** {2 Field offsets} (relative to the frame start; used by byte-surgery
+    corruption tests) *)
 
 val func_id_rel : int
-val answer_flag_rel : int
-val answer_value_rel : int
 val args_len_rel : int
 val crc_rel : int
 val pointer_code_rel : int
@@ -101,10 +96,14 @@ val encode_ordinary : t -> marker:int -> bytes
 
 val encode_pointer : next:Nvram.Offset.t -> marker:int -> bytes
 
-val pointer_code : int -> int
-(** The one-byte code a pointer frame stores for a next-offset. *)
+(** {1 Decoding}
 
-(** {1 Decoding} *)
+    One decoder reads the format, for recovery and for inspection alike:
+    {!read} runs it over the device's tracked reads, {!peek} over untracked
+    peeks of either view.  The validity rules — preamble, argument length
+    bound, checksum, end marker, pointer code and pointer target — live
+    only there, so a dump shows exactly what the recovery scan would
+    accept. *)
 
 type scanned =
   | Ordinary of { frame : t; size : int; last : bool }
@@ -119,22 +118,43 @@ type corruption = {
   crc_mismatch : bool;
       (** [true] when the shape was plausible but the checksum disagreed
           — i.e. detection the integrity metadata paid for; [false] for
-          structural damage (bad preamble/marker/length) that even the
-          unchecksummed layout would have noticed *)
+          structural damage (bad preamble/marker/length, a frame start or
+          pointer target outside the device) that even the unchecksummed
+          layout would have noticed *)
 }
 
 val read :
   Nvram.Pmem.t -> at:Nvram.Offset.t -> (scanned, corruption) result
-(** [read pmem ~at] decodes the frame starting at [at], verifying its
-    checksum (unless [Nvram.Integrity.enabled] is off).  Never raises on
-    corrupt content: structural damage and checksum mismatches both come
-    back as [Error]. *)
+(** [read pmem ~at] decodes the frame starting at [at] through the device's
+    tracked reads (each one counted, and a crash point of an armed plan),
+    verifying its checksum (unless [Nvram.Integrity.enabled] is off) before
+    it reads the end marker.  Never raises on corrupt content: structural
+    damage and checksum mismatches both come back as [Error].  This is the
+    recovery scan's decoder. *)
 
 val read_exn : Nvram.Pmem.t -> at:Nvram.Offset.t -> scanned
 (** [read] for contexts that have already validated the image (tests,
     debug paths).
 
     @raise Invalid_argument on corrupt content. *)
+
+type view =
+  | Volatile  (** cache content included — the running system's view *)
+  | Persistent  (** persisted bytes only — the post-crash view *)
+
+type peeked = {
+  scanned : scanned;
+  crc_ok : bool;  (** whether the frame checksum or pointer code verifies *)
+}
+
+val peek :
+  Nvram.Pmem.t -> view -> at:Nvram.Offset.t -> (peeked, corruption) result
+(** [peek pmem view ~at] decodes like {!read}, but through untracked peeks
+    of [view]: it counts nothing and does not perturb the crash schedule.
+    A checksum mismatch does not stop it — the frame decodes as is with
+    [crc_ok = false], so triage sees where an image is damaged; the
+    checksum is checked whatever [Nvram.Integrity.enabled] says.
+    Structural damage is an [Error], as for {!read}. *)
 
 val pp_corruption : Format.formatter -> corruption -> unit
 
@@ -149,6 +169,16 @@ val read_answer : Nvram.Pmem.t -> frame:Nvram.Offset.t -> int64 option
     matches the value — a half-persisted or rotted slot reads as [None]
     (and counts one detected fault when observability is on), so recovery
     re-runs the callee rather than resume from a corrupt result. *)
+
+type slot =
+  | Empty  (** code byte 0: no answer *)
+  | Answer of int64  (** code byte matches the value *)
+  | Torn  (** code byte set but disagrees with the value *)
+
+val peek_answer : Nvram.Pmem.t -> view -> frame:Nvram.Offset.t -> slot
+(** [peek_answer pmem view ~frame] reads the answer slot of the ordinary
+    frame at [frame] by the same code rule as {!read_answer}, through
+    untracked peeks of [view]; it counts nothing. *)
 
 val write_answer : Nvram.Pmem.t -> frame:Nvram.Offset.t -> int64 -> unit
 (** Writes the value, sets the code byte and flushes the slot. *)

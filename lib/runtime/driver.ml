@@ -70,26 +70,32 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
   (* The main thread's own device operations (task-table scans, the reclaim
      sweep) are also subject to the armed crash plan, so the whole era is
      guarded, not just the worker domains. *)
-  (* A torn task completion is media damage no recovery can degrade
-     around: reported as {!Unrecoverable}, like a corrupt stack base. *)
-  let torn i =
-    raise
-      (Unrecoverable
-         {
-           reason =
-             Printf.sprintf "task %d's completion fails its checksum (torn)" i;
-           eras = !eras;
-           crashes = !crashes;
-         })
+  let unrecoverable fmt =
+    Printf.ksprintf
+      (fun reason ->
+        raise (Unrecoverable { reason; eras = !eras; crashes = !crashes }))
+      fmt
   in
-  let guarded f =
+  (* A torn task completion is media damage no recovery can degrade
+     around: reported as {!Unrecoverable}, like a corrupt stack base.  So
+     is a stack that cannot grow because a recovery took heap arenas out
+     of service: the quarantine surfacing, not an ordinary overflow. *)
+  let guarded sys f =
     try f () with
     | Crash.Crash_now -> `Crashed
-    | Task.Torn_completion i -> torn i
+    | Task.Torn_completion i ->
+        unrecoverable "task %d's completion fails its checksum (torn)" i
+    | Pstack.Run.Overflow as exn -> (
+        match Nvheap.Heap.quarantined_arenas (System.heap sys) with
+        | [] -> raise exn
+        | arenas ->
+            unrecoverable
+              "stack overflow: heap arena(s) %s quarantined by recovery"
+              (String.concat ", " (List.map string_of_int arenas)))
   in
   let rec normal_mode sys =
     arm ();
-    match guarded (fun () -> System.run ?spawn sys) with
+    match guarded sys (fun () -> System.run ?spawn sys) with
     | `Completed ->
         Log.info (fun m ->
             m "workload completed: %d eras, %d crashes" !eras !crashes);
@@ -134,22 +140,14 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
           fold_repairs ~era:crashed_era;
           sys
       | exception Pstack.Repair.Corrupt_stack { stack; at; reason } ->
-          raise
-            (Unrecoverable
-               {
-                 reason =
-                   Printf.sprintf "%s stack unrecoverable at %d: %s" stack
-                     (Nvram.Offset.to_int at) reason;
-                 eras = !eras;
-                 crashes = !crashes;
-               })
-      | exception Invalid_argument reason ->
-          raise (Unrecoverable { reason; eras = !eras; crashes = !crashes })
+          unrecoverable "%s stack unrecoverable at %d: %s" stack
+            (Nvram.Offset.to_int at) reason
+      | exception Invalid_argument reason -> unrecoverable "%s" reason
     in
     reattach sys;
     arm ();
     let reclaim = Option.map (fun f () -> f sys) reclaim in
-    let outcome = guarded (fun () -> System.recover ?spawn ?reclaim sys) in
+    let outcome = guarded sys (fun () -> System.recover ?spawn ?reclaim sys) in
     fold_repairs ~era:crashed_era;
     match outcome with
     | `Completed ->

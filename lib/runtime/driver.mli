@@ -40,8 +40,10 @@ type event =
 exception Unrecoverable of { reason : string; eras : int; crashes : int }
 (** A restart hit damage the recovery paths cannot degrade around — a
     corrupt dummy frame or anchor ({!Pstack.Repair.Corrupt_stack}), a
-    superblock failing its checksum, or a torn task completion
-    ({!Task.Torn_completion}).  Structured so campaign oracles can
+    superblock failing its checksum, a torn task completion
+    ({!Task.Torn_completion}), or a stack overflow ({!Pstack.Run.Overflow})
+    while a recovery has quarantined heap arenas, so the heap-backed stacks
+    may have no room to grow.  Structured so campaign oracles can
     distinguish a {e reported} fatal from an unexpected exception.  A
     printer is registered. *)
 

@@ -28,14 +28,10 @@ val items : t -> item list
 
 val is_clean : t -> bool
 
-val repaired_count : t -> int
-(** Items repaired in place (everything but quarantines). *)
-
 val quarantined_count : t -> int
 
 val quarantined_arenas : t -> int list
 (** Indices of heap arenas this recovery took out of service. *)
 
-val pp_item : Format.formatter -> item -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

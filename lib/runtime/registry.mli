@@ -46,7 +46,6 @@ type 'ctx t
 
 val create : unit -> 'ctx t
 
-val reserved_dummy_id : int
 val reserved_task_runner_id : int
 
 val completing : ('ctx -> bytes -> int64) -> 'ctx -> bytes -> outcome

@@ -1,4 +1,3 @@
-module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
 module Heap = Nvheap.Heap
 module Dump = Pstack.Dump
@@ -60,33 +59,6 @@ let stack_findings ~where lines =
         go acc saw_end rest
   in
   List.rev (go [] false lines)
-
-let scan_stack pmem config i =
-  match config.System.stack_kind with
-  | System.Bounded_stack _ ->
-      let base, _ = System.bounded_region config i in
-      Dump.scan_region pmem ~view:Dump.Volatile ~base
-  | System.Resizable_stack _ ->
-      let payload =
-        Offset.of_int (Pmem.read_int pmem (System.anchor_cell i))
-      in
-      Dump.scan_region pmem ~view:Dump.Volatile ~base:payload
-  | System.Linked_stack _ ->
-      Dump.scan_linked pmem ~view:Dump.Volatile ~anchor:(System.anchor_cell i)
-
-let repair_stack pmem config heap i ~report =
-  match config.System.stack_kind with
-  | System.Bounded_stack _ ->
-      let base, capacity = System.bounded_region config i in
-      ignore (Pstack.Bounded.attach ~report pmem ~base ~capacity)
-  | System.Resizable_stack _ ->
-      ignore
-        (Pstack.Resizable.attach ~report pmem ~heap
-           ~anchor:(System.anchor_cell i))
-  | System.Linked_stack _ ->
-      ignore
-        (Pstack.Linked.attach ~report pmem ~heap
-           ~anchor:(System.anchor_cell i) ())
 
 let run ?(repair = false) pmem =
   match System.image_config pmem with
@@ -154,7 +126,7 @@ let run ?(repair = false) pmem =
              re-attach, which truncates torn tails in place. *)
           for i = 0 to config.System.workers - 1 do
             let where = Printf.sprintf "worker %d stack" i in
-            (match scan_stack pmem config i with
+            (match System.image_stack pmem config i with
             | lines ->
                 let fs = stack_findings ~where lines in
                 List.iter (fun _ -> note_detected ()) fs;
@@ -169,7 +141,7 @@ let run ?(repair = false) pmem =
                   });
             if repair then
               match
-                repair_stack pmem config heap i ~report:(fun e ->
+                System.attach_stack pmem config heap i ~report:(fun e ->
                     add
                       {
                         where;
@@ -177,7 +149,7 @@ let run ?(repair = false) pmem =
                         repaired = true;
                       })
               with
-              | () -> ()
+              | _ -> ()
               | exception Pstack.Repair.Corrupt_stack { reason; _ } ->
                   add { where; detail = reason; repaired = false };
                   fatal := true

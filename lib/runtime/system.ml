@@ -138,12 +138,11 @@ let bounded_region config i =
   | Resizable_stack _ | Linked_stack _ ->
       invalid_arg "System: not a bounded-stack configuration"
 
-let make_stack ?(report = fun _ -> ()) ~fresh pmem config heap i =
+let make_stack ?(report = ignore) ~fresh pmem config heap i =
   (* Worker [i]'s stack allocates from arena [i]: stack growth never
      contends with another worker's allocator lock.  Frees route by address
      range, so cross-worker reclamation still lands in the owning arena. *)
   let heap = Heap.with_arena heap i in
-  let report e = report (Recovery_report.Stack_repair { worker = i; event = e }) in
   match config.stack_kind with
   | Bounded_stack _ ->
       let base, capacity = bounded_region config i in
@@ -166,8 +165,12 @@ let make_stack ?(report = fun _ -> ()) ~fresh pmem config heap i =
               default blocks from here on. *)
            Pstack.Linked.attach ~report pmem ~heap ~block_size ~anchor ())
 
-let make_stacks ?report ~fresh pmem config heap =
-  Array.init config.workers (make_stack ?report ~fresh pmem config heap)
+let attach_stack ?report = make_stack ?report ~fresh:false
+
+let make_stacks ?(report = ignore) ~fresh pmem config heap =
+  Array.init config.workers (fun i ->
+      make_stack ~fresh pmem config heap i ~report:(fun event ->
+          report (Recovery_report.Stack_repair { worker = i; event })))
 
 (* The reserved task wrapper.  Its frame brackets the whole task execution,
    so the completion bookkeeping is covered by recovery: the answer of the
@@ -373,7 +376,7 @@ let rec recover_worker t i =
   t.ctxs.(i) <-
     Exec.make ~pmem:t.pmem
       ~heap:(Heap.with_arena t.heap i)
-      ~stack:(make_stack ~fresh:false t.pmem t.config t.heap i)
+      ~stack:(attach_stack t.pmem t.config t.heap i)
       ~registry:t.registry ~worker_id:i;
   try Exec.recover t.ctxs.(i) with Nvram.Crash.Thread_killed -> recover_worker t i
 
@@ -449,7 +452,6 @@ let recover ?spawn ?reclaim t =
       `Completed
 
 let image_config pmem = read_superblock pmem
-let anchor_cell i = anchor_off i
 
 let image_root pmem =
   if not (Int64.equal (Pmem.read_int64 pmem Offset.null) magic) then None
@@ -458,6 +460,20 @@ let image_root pmem =
     match Pmem.read_int pmem root_off with
     | 0 -> None
     | off -> Some (Offset.of_int off)
+
+(* Where worker [i]'s stack lives on the image, by stack kind: a fixed
+   region for the bounded kind, the heap block its superblock anchor names
+   for the others. *)
+let image_stack pmem config i =
+  let view = Pstack.Dump.Volatile in
+  match config.stack_kind with
+  | Bounded_stack _ ->
+      let base, _ = bounded_region config i in
+      Pstack.Dump.scan_region pmem ~view ~base
+  | Resizable_stack _ ->
+      let base = Offset.of_int (Pmem.read_int pmem (anchor_off i)) in
+      Pstack.Dump.scan_region pmem ~view ~base
+  | Linked_stack _ -> Pstack.Dump.scan_linked pmem ~view ~anchor:(anchor_off i)
 
 let image_heap_base pmem config =
   let base, _len = heap_region pmem config in
@@ -494,21 +510,9 @@ let pp_image fmt pmem =
   if total > 32 then Format.fprintf fmt "    ... (%d more)@," (total - 32);
   for i = 0 to config.workers - 1 do
     Format.fprintf fmt "  worker %d stack:@," i;
-    let lines =
-      match config.stack_kind with
-      | Bounded_stack _ ->
-          let base, _ = bounded_region config i in
-          Pstack.Dump.scan_region pmem ~view:Pstack.Dump.Volatile ~base
-      | Resizable_stack _ ->
-          let payload = Offset.of_int (Pmem.read_int pmem (anchor_off i)) in
-          Pstack.Dump.scan_region pmem ~view:Pstack.Dump.Volatile ~base:payload
-      | Linked_stack _ ->
-          Pstack.Dump.scan_linked pmem ~view:Pstack.Dump.Volatile
-            ~anchor:(anchor_off i)
-    in
     List.iter
       (fun line -> Format.fprintf fmt "    %a@," Pstack.Dump.pp_line line)
-      lines
+      (image_stack pmem config i)
   done;
   let heap_base_off, _ = heap_region pmem config in
   let heap = Heap.open_existing pmem ~base:heap_base_off in

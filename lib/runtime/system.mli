@@ -114,19 +114,16 @@ val run : ?spawn:spawn -> t -> [ `Completed | `Crashed ]
     crash stopped the workers (the caller then goes through
     [Pmem.crash]/[Pmem.restart]/{!attach}/{!recover}).
 
+    A worker that receives [Nvram.Crash.Thread_killed] from an armed
+    individual-crash plan restarts alone (the individual crash-recovery
+    model of Section 2.2): it re-attaches its stack from the device,
+    replaces its execution context and completes its interrupted
+    operations while the other workers keep running.
+
     Any exception other than the crash signal raised by a task body is
     re-raised after all workers stopped; if several workers failed, they
     are re-raised together as {!Worker_failures} so no worker's diagnostic
     is dropped. *)
-
-val recover_worker : t -> int -> unit
-(** [recover_worker t i] performs an {e individual} recovery of worker [i]
-    (the individual crash-recovery model of Section 2.2): re-attaches the
-    worker's stack from the device, replaces its execution context, and
-    completes its interrupted operations — without stopping the other
-    workers.  {!run} calls this automatically when a worker receives
-    [Nvram.Crash.Thread_killed] from an armed individual-crash plan, so a
-    killed worker restarts and resumes in place. *)
 
 val recover :
   ?spawn:spawn ->
@@ -174,9 +171,28 @@ val bounded_region : config -> int -> Nvram.Offset.t * int
 
     @raise Invalid_argument for non-bounded configurations. *)
 
-val anchor_cell : int -> Nvram.Offset.t
-(** Superblock cell holding worker [i]'s stack anchor (resizable and
-    linked kinds). *)
+val image_stack : Nvram.Pmem.t -> config -> int -> Pstack.Dump.line list
+(** [image_stack pmem config i] is worker [i]'s stack, dumped in the
+    volatile view ({!Pstack.Dump}) from wherever its kind keeps it: the
+    fixed region of a bounded stack, or the heap block its superblock
+    anchor names.
+
+    @raise Invalid_argument if the stack's anchor or a frame's fields lead
+    outside the device. *)
+
+val attach_stack :
+  ?report:(Pstack.Repair.event -> unit) ->
+  Nvram.Pmem.t ->
+  config ->
+  Nvheap.Heap.t ->
+  int ->
+  Exec.stack
+(** [attach_stack pmem config heap i] re-attaches worker [i]'s stack the
+    way {!attach} does, truncating a torn tail in place and passing each
+    repair to [report].
+
+    @raise Pstack.Repair.Corrupt_stack if the stack is damaged beyond tail
+    truncation. *)
 
 val image_heap_base : Nvram.Pmem.t -> config -> Nvram.Offset.t
 (** Device offset of the heap region for this configuration. *)

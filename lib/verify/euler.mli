@@ -13,10 +13,6 @@ val add_edge : t -> int -> int -> unit
 (** Multigraph: parallel edges accumulate. *)
 
 val edge_count : t -> int
-val vertices : t -> int list
-
-val out_degree : t -> int -> int
-val in_degree : t -> int -> int
 
 val degrees_admit_path : t -> src:int -> dst:int -> bool
 (** The degree conditions for an Eulerian path from [src] to [dst]:

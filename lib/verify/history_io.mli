@@ -23,17 +23,6 @@ val error_message : file:string -> line:int -> msg:string -> string
 (** ["FILE:LINE: MSG"] — the rendering the CLI prints; exposed so tests can
     assert on it. *)
 
-type entry =
-  | Skip  (** Blank line or comment. *)
-  | Init of int
-  | Final of int
-  | Op of History.op
-
-val parse_entry : file:string -> line:int -> string -> entry
-(** Parse one line.  @raise Malformed with that [file]/[line] on any
-    unparseable entry, including non-integer operands and unknown
-    outcomes. *)
-
 val of_lines : file:string -> string list -> History.t
 (** Assemble a history from the lines of a file.  The last [init]/[final]
     entries win.  @raise Malformed if any line is malformed or a required

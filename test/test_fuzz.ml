@@ -448,6 +448,28 @@ let test_torn_completion_is_loud () =
       | Harness.Pass | Harness.Fatal _ -> ()
       | Harness.Fail msg -> Alcotest.failf "silent corruption: %s" msg)
 
+(* A torn write makes the first recovery quarantine heap arena 0, the
+   arena the resizable stack grows into.  The stack's next growth finds no
+   room: the run must end in a loud fatal that names the quarantine, not
+   in an anonymous overflow. *)
+let quarantined_growth_reproducer =
+  [
+    "kind rcounter"; "workers 1"; "init 0"; "stack resizable 256"; "op bump";
+    "op bump"; "op bump"; "op bump"; "op bump"; "era 1 at-op 180";
+    "tear at-op 1"; "fault-seed 340815";
+  ]
+
+let test_quarantined_growth_is_loud () =
+  match Reproducer.of_lines quarantined_growth_reproducer with
+  | Error msg -> Alcotest.fail msg
+  | Ok repro -> (
+      match (Reproducer.replay repro).Harness.verdict with
+      | Harness.Fatal msg ->
+          Alcotest.(check bool) ("names the quarantine: " ^ msg) true
+            (contains msg "arena(s) 0 quarantined")
+      | Harness.Pass -> Alcotest.fail "the torn write went unnoticed"
+      | Harness.Fail msg -> Alcotest.failf "not a loud fatal: %s" msg)
+
 (* A multi-worker case is a pure function of its inputs: three workers
    interleaved by a seeded policy, two era crashes and a kill, run twenty
    times, end the same way every time — and its recorded choices replay it
@@ -723,6 +745,8 @@ let () =
           Alcotest.test_case "sabotage caught" `Quick test_sabotage_is_caught;
           Alcotest.test_case "torn task completion is loud" `Quick
             test_torn_completion_is_loud;
+          Alcotest.test_case "quarantined stack growth is loud" `Quick
+            test_quarantined_growth_is_loud;
         ] );
       ( "planted bug",
         [
