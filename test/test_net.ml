@@ -250,6 +250,218 @@ let properties =
       garbage_never_raises;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The event loop in process                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A worker domain that runs the thunks it is handed, in order. *)
+type worker = {
+  jobs : (unit -> unit) option Queue.t;
+  mu : Mutex.t;
+  nonempty : Condition.t;
+  mutable domain : unit Domain.t option;
+}
+
+let start_worker () =
+  let w =
+    {
+      jobs = Queue.create ();
+      mu = Mutex.create ();
+      nonempty = Condition.create ();
+      domain = None;
+    }
+  in
+  let rec run () =
+    Mutex.lock w.mu;
+    while Queue.is_empty w.jobs do
+      Condition.wait w.nonempty w.mu
+    done;
+    let job = Queue.pop w.jobs in
+    Mutex.unlock w.mu;
+    match job with
+    | Some f ->
+        f ();
+        run ()
+    | None -> ()
+  in
+  w.domain <- Some (Domain.spawn run);
+  w
+
+let post w job =
+  Mutex.protect w.mu (fun () -> Queue.add job w.jobs);
+  Condition.signal w.nonempty
+
+let stop_worker w =
+  post w None;
+  Option.iter Domain.join w.domain
+
+let answer_of (req : Wire.request) =
+  Wire.Value ((req.Wire.client * 1_000_000) + req.Wire.seq)
+
+let write_all fd buf =
+  let rec go off =
+    if off < Bytes.length buf then
+      go (off + Unix.write fd buf off (Bytes.length buf - off))
+  in
+  go 0
+
+(* Read responses until [n] have arrived; count how often each seq is
+   answered and check every answer. *)
+let read_responses fd ~client ~n =
+  let counts = Hashtbl.create n in
+  let buf = ref (Bytes.create 65536) and len = ref 0 and got = ref 0 in
+  while !got < n do
+    if !len = Bytes.length !buf then begin
+      let bigger = Bytes.create (2 * Bytes.length !buf) in
+      Bytes.blit !buf 0 bigger 0 !len;
+      buf := bigger
+    end;
+    let r = Unix.read fd !buf !len (Bytes.length !buf - !len) in
+    if r = 0 then Alcotest.failf "server closed after %d of %d answers" !got n;
+    len := !len + r;
+    let rec parse () =
+      match Wire.decode_response !buf ~len:!len with
+      | Wire.Complete (resp, consumed) ->
+          Bytes.blit !buf consumed !buf 0 (!len - consumed);
+          len := !len - consumed;
+          incr got;
+          if resp.Wire.client <> client then
+            Alcotest.failf "answer for client %d on client %d's connection"
+              resp.Wire.client client;
+          let expected =
+            answer_of { Wire.client; seq = resp.Wire.seq; op = Wire.Ping }
+          in
+          if resp.Wire.result <> expected then
+            Alcotest.failf "seq %d answered %s" resp.Wire.seq
+              (Format.asprintf "%a" Wire.pp_result resp.Wire.result);
+          Hashtbl.replace counts resp.Wire.seq
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts resp.Wire.seq));
+          parse ()
+      | Wire.Incomplete -> ()
+      | Wire.Broken e ->
+          Alcotest.failf "response stream broken: %a" Wire.pp_error e
+    in
+    parse ()
+  done;
+  if !len <> 0 then Alcotest.failf "%d stray bytes after the answers" !len;
+  counts
+
+(* A lost answer fails the read after 30 s instead of hanging the test. *)
+let connect_unix path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  fd
+
+(* Two connections against one in-process server.  Client 1 sends
+   requests the handler holds back, and closes its connection while they
+   are still in flight; they complete afterwards on the worker domains.
+   Client 0 then writes [pipelined] requests before reading any answer,
+   more than the socket buffers hold in both directions, so the loop must
+   keep reading while its writes fall short.  Its requests complete
+   synchronously on the loop thread (seq mod 3 = 0) or on one of two
+   worker domains, and every seq must be answered exactly once. *)
+let pipelined = 16_000
+let held_back = 64
+
+let loop_serves_pipelined_and_survives_close () =
+  let path = Filename.temp_file "nvkv_loop" ".sock" in
+  Sys.remove path;
+  let workers = [| start_worker (); start_worker () |] in
+  let held = ref [] and held_mu = Mutex.create () in
+  let handler (req : Wire.request) k =
+    let answer () = k (answer_of req) in
+    if req.Wire.client = 1 then
+      Mutex.protect held_mu (fun () -> held := answer :: !held)
+    else
+      match req.Wire.seq mod 3 with
+      | 0 -> answer ()
+      | i -> post workers.(i - 1) (Some answer)
+  in
+  let server = Net.Server.create ~addr:(Unix.ADDR_UNIX path) handler in
+  let loop = Domain.spawn (fun () -> Net.Server.serve server) in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Server.request_stop server;
+      Domain.join loop;
+      Array.iter stop_worker workers;
+      try Sys.remove path with _ -> ())
+    (fun () ->
+      let doomed = connect_unix path in
+      for seq = 1 to held_back do
+        write_all doomed
+          (Wire.encode_request { Wire.client = 1; seq; op = Wire.Get seq })
+      done;
+      let rec await tries =
+        let n = Mutex.protect held_mu (fun () -> List.length !held) in
+        if n < held_back then
+          if tries = 0 then Alcotest.failf "only %d held requests arrived" n
+          else begin
+            Unix.sleepf 0.01;
+            await (tries - 1)
+          end
+      in
+      await 1000;
+      Unix.close doomed;
+      let fd = connect_unix path in
+      let reqs = Buffer.create (pipelined * 48) in
+      for seq = 1 to pipelined do
+        Buffer.add_bytes reqs
+          (Wire.encode_request { Wire.client = 0; seq; op = Wire.Get seq })
+      done;
+      (* The held answers complete while client 0's requests stream in. *)
+      let release =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.005;
+            let answers = Mutex.protect held_mu (fun () -> !held) in
+            List.iteri (fun i a -> post workers.(i mod 2) (Some a)) answers)
+      in
+      write_all fd (Buffer.to_bytes reqs);
+      let counts = read_responses fd ~client:0 ~n:pipelined in
+      Domain.join release;
+      Unix.close fd;
+      for seq = 1 to pipelined do
+        match Hashtbl.find_opt counts seq with
+        | Some 1 -> ()
+        | Some n -> Alcotest.failf "seq %d answered %d times" seq n
+        | None -> Alcotest.failf "seq %d never answered" seq
+      done;
+      Alcotest.(check int) "no answer for an unsent seq" pipelined
+        (Hashtbl.length counts))
+
+(* A connection that closes without sending anything, and one that sends
+   a broken frame, are dropped without disturbing a third one. *)
+let loop_drops_broken_connections () =
+  let path = Filename.temp_file "nvkv_loop" ".sock" in
+  Sys.remove path;
+  let server =
+    Net.Server.create ~addr:(Unix.ADDR_UNIX path) (fun req k ->
+        k (answer_of req))
+  in
+  let loop = Domain.spawn (fun () -> Net.Server.serve server) in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Server.request_stop server;
+      Domain.join loop;
+      try Sys.remove path with _ -> ())
+    (fun () ->
+      Unix.close (connect_unix path);
+      let broken = connect_unix path in
+      write_all broken (Bytes.of_string "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX");
+      let fd = connect_unix path in
+      for seq = 1 to 100 do
+        write_all fd
+          (Wire.encode_request { Wire.client = 2; seq; op = Wire.Dequeue })
+      done;
+      let counts = read_responses fd ~client:2 ~n:100 in
+      Alcotest.(check int) "every seq answered" 100 (Hashtbl.length counts);
+      (* The broken connection was dropped: the server closed its end. *)
+      let b = Bytes.create 1 in
+      Alcotest.(check int) "broken frame closes the connection" 0
+        (Unix.read broken b 0 1);
+      Unix.close broken;
+      Unix.close fd)
+
 let () =
   Alcotest.run "net"
     [
@@ -257,4 +469,11 @@ let () =
       ( "wire-malformed",
         [ Alcotest.test_case "typed Malformed errors" `Quick malformed_is_typed ]
       );
+      ( "event-loop",
+        [
+          Alcotest.test_case "pipelined answers survive a closed peer" `Quick
+            loop_serves_pipelined_and_survives_close;
+          Alcotest.test_case "broken connections are dropped" `Quick
+            loop_drops_broken_connections;
+        ] );
     ]
