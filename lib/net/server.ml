@@ -1,11 +1,16 @@
 type handler = Wire.request -> (Wire.result -> unit) -> unit
 
+(* Each connection owns one input and one output buffer.  Input bytes
+   [rpos, rlen) are received but not yet decoded; output bytes
+   [opos, olen) are encoded responses not yet written. *)
 type conn = {
   fd : Unix.file_descr;
   mutable rbuf : Bytes.t;
+  mutable rpos : int;
   mutable rlen : int;
-  out : Bytes.t Queue.t;
-  mutable outpos : int;  (* bytes of the head chunk already written *)
+  mutable obuf : Bytes.t;
+  mutable opos : int;
+  mutable olen : int;
   mutable inflight : int;
   mutable eof : bool;
   mutable dead : bool;
@@ -17,12 +22,21 @@ type t = {
   handler : handler;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  wake_byte : Bytes.t;  (* read-only: the byte every wake writes *)
+  junk : Bytes.t;  (* loop thread only: where drained wake bytes go *)
   mu : Mutex.t;
   completions : (conn * Wire.request * Wire.result * int) Queue.t;
+  taken : (conn * Wire.request * Wire.result * int) Queue.t;
+      (* loop thread only: the completions of the current tick *)
+  mutable loop_domain : Domain.id option;
   stop : bool Atomic.t;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable inflight_total : int;  (* loop thread only *)
 }
+
+(* Read at least this many bytes per [read]; a connection's input buffer
+   starts at four times that and doubles when a frame outgrows it. *)
+let min_read = 4096
 
 let create ?(backlog = 64) ~addr handler =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
@@ -46,8 +60,12 @@ let create ?(backlog = 64) ~addr handler =
     handler;
     wake_r;
     wake_w;
+    wake_byte = Bytes.make 1 '\000';
+    junk = Bytes.create 64;
     mu = Mutex.create ();
     completions = Queue.create ();
+    taken = Queue.create ();
+    loop_domain = None;
     stop = Atomic.make false;
     conns = Hashtbl.create 16;
     inflight_total = 0;
@@ -56,7 +74,7 @@ let create ?(backlog = 64) ~addr handler =
 let addr t = t.sockaddr
 
 let wake t =
-  try ignore (Unix.write t.wake_w (Bytes.make 1 '\000') 0 1)
+  try ignore (Unix.single_write t.wake_w t.wake_byte 0 1)
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
     ()
 
@@ -74,12 +92,41 @@ let drop t conn =
     try Unix.close conn.fd with _ -> ()
   end
 
-let push_out conn frame = Queue.add frame conn.out
+let pending_out conn = conn.opos < conn.olen
+
+let push_out conn frame =
+  let n = Bytes.length frame in
+  if conn.olen + n > Bytes.length conn.obuf then begin
+    let live = conn.olen - conn.opos in
+    let buf =
+      if live + n <= Bytes.length conn.obuf then conn.obuf
+      else Bytes.create (max (live + n) (2 * Bytes.length conn.obuf))
+    in
+    Bytes.blit conn.obuf conn.opos buf 0 live;
+    conn.obuf <- buf;
+    conn.opos <- 0;
+    conn.olen <- live
+  end;
+  Bytes.blit frame 0 conn.obuf conn.olen n;
+  conn.olen <- conn.olen + n
+
+(* One [write] of everything buffered; a partial write keeps the tail. *)
+let write_out t conn =
+  match Unix.single_write conn.fd conn.obuf conn.opos (conn.olen - conn.opos) with
+  | n ->
+      conn.opos <- conn.opos + n;
+      if conn.opos = conn.olen then begin
+        conn.opos <- 0;
+        conn.olen <- 0
+      end
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      ()
+  | exception Unix.Unix_error _ -> drop t conn
 
 let drain_wake_pipe t =
-  let junk = Bytes.create 64 in
   let rec loop () =
-    match Unix.read t.wake_r junk 0 64 with
+    match Unix.read t.wake_r t.junk 0 (Bytes.length t.junk) with
     | 0 -> ()
     | _ -> loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -88,13 +135,8 @@ let drain_wake_pipe t =
   loop ()
 
 let drain_completions t =
-  let batch =
-    Mutex.protect t.mu (fun () ->
-        let xs = List.of_seq (Queue.to_seq t.completions) in
-        Queue.clear t.completions;
-        xs)
-  in
-  List.iter
+  Mutex.protect t.mu (fun () -> Queue.transfer t.completions t.taken);
+  Queue.iter
     (fun (conn, (req : Wire.request), result, t0_ns) ->
       t.inflight_total <- t.inflight_total - 1;
       conn.inflight <- conn.inflight - 1;
@@ -105,7 +147,26 @@ let drain_completions t =
         Obs.Counters.incr Obs.Probe.counters Requests_served;
         Obs.Probe.stop Net_request t0_ns
       end)
-    batch
+    t.taken;
+  Queue.clear t.taken
+
+(* The wake rule: only the completion that finds the queue empty writes the
+   wake pipe.  The loop drains the pipe before it takes the queue, so a
+   completion added after the take finds the queue empty and wakes the
+   next [select]; one added before it is taken with the rest.  The loop's
+   own completions (a handler answering synchronously) need no wake at
+   all: the loop takes the queue before it next blocks. *)
+let complete t conn req t0_ns result =
+  let was_empty =
+    Mutex.protect t.mu (fun () ->
+        let was_empty = Queue.is_empty t.completions in
+        Queue.add (conn, req, result, t0_ns) t.completions;
+        was_empty)
+  in
+  if was_empty then
+    match t.loop_domain with
+    | Some d when d = Domain.self () -> ()
+    | _ -> wake t
 
 let dispatch t conn (req : Wire.request) =
   if Atomic.get t.stop then
@@ -120,63 +181,51 @@ let dispatch t conn (req : Wire.request) =
     let t0_ns = Obs.Probe.start () in
     conn.inflight <- conn.inflight + 1;
     t.inflight_total <- t.inflight_total + 1;
-    t.handler req (fun result ->
-        Mutex.protect t.mu (fun () ->
-            Queue.add (conn, req, result, t0_ns) t.completions);
-        wake t)
+    t.handler req (complete t conn req t0_ns)
   end
 
+(* Read straight into the connection's buffer, then decode every whole
+   frame in place. *)
 let handle_readable t conn =
-  let chunk = Bytes.create 4096 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+  if Bytes.length conn.rbuf - conn.rlen < min_read then begin
+    let live = conn.rlen - conn.rpos in
+    let buf =
+      if live + min_read <= Bytes.length conn.rbuf then conn.rbuf
+      else Bytes.create (2 * Bytes.length conn.rbuf)
+    in
+    Bytes.blit conn.rbuf conn.rpos buf 0 live;
+    conn.rbuf <- buf;
+    conn.rpos <- 0;
+    conn.rlen <- live
+  end;
+  match
+    Unix.read conn.fd conn.rbuf conn.rlen (Bytes.length conn.rbuf - conn.rlen)
+  with
   | 0 -> conn.eof <- true
   | n ->
-      let need = conn.rlen + n in
-      if Bytes.length conn.rbuf < need then begin
-        let bigger = Bytes.create (max need (2 * Bytes.length conn.rbuf)) in
-        Bytes.blit conn.rbuf 0 bigger 0 conn.rlen;
-        conn.rbuf <- bigger
-      end;
-      Bytes.blit chunk 0 conn.rbuf conn.rlen n;
-      conn.rlen <- need;
+      conn.rlen <- conn.rlen + n;
       let rec parse () =
         if not conn.dead then
-          match Wire.decode_request conn.rbuf ~len:conn.rlen with
+          match
+            Wire.decode_request conn.rbuf ~pos:conn.rpos
+              ~len:(conn.rlen - conn.rpos)
+          with
           | Wire.Complete (req, consumed) ->
-              Bytes.blit conn.rbuf consumed conn.rbuf 0 (conn.rlen - consumed);
-              conn.rlen <- conn.rlen - consumed;
+              conn.rpos <- conn.rpos + consumed;
               dispatch t conn req;
               parse ()
           | Wire.Incomplete -> ()
           | Wire.Broken _ -> drop t conn
       in
-      parse ()
+      parse ();
+      if conn.rpos = conn.rlen then begin
+        conn.rpos <- 0;
+        conn.rlen <- 0
+      end
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
   | exception Unix.Unix_error _ -> drop t conn
-
-let handle_writable t conn =
-  let rec flush () =
-    match Queue.peek_opt conn.out with
-    | None -> ()
-    | Some head -> (
-        let remaining = Bytes.length head - conn.outpos in
-        match Unix.write conn.fd head conn.outpos remaining with
-        | n ->
-            if n = remaining then begin
-              ignore (Queue.pop conn.out);
-              conn.outpos <- 0;
-              flush ()
-            end
-            else conn.outpos <- conn.outpos + n
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-          ->
-            ()
-        | exception Unix.Unix_error _ -> drop t conn)
-  in
-  flush ()
 
 let accept_ready t =
   let rec loop () =
@@ -186,10 +235,12 @@ let accept_ready t =
         Hashtbl.replace t.conns fd
           {
             fd;
-            rbuf = Bytes.create 4096;
+            rbuf = Bytes.create (4 * min_read);
+            rpos = 0;
             rlen = 0;
-            out = Queue.create ();
-            outpos = 0;
+            obuf = Bytes.create min_read;
+            opos = 0;
+            olen = 0;
             inflight = 0;
             eof = false;
             dead = false;
@@ -203,31 +254,30 @@ let accept_ready t =
   loop ()
 
 let serve t =
+  t.loop_domain <- Some (Domain.self ());
   let conns () = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
   let rec loop () =
     drain_wake_pipe t;
     drain_completions t;
-    (* Reap connections with nothing left to do: peer gone and no response
-       still owed or buffered. *)
+    (* Write this tick's responses at once, then reap connections with
+       nothing left to do: peer gone and no response owed or buffered. *)
     List.iter
       (fun c ->
-        if c.eof && c.inflight = 0 && Queue.is_empty c.out then drop t c)
+        if pending_out c then write_out t c;
+        if c.eof && c.inflight = 0 && not (pending_out c) then drop t c)
       (conns ());
+    let live = conns () in
     let stopping = Atomic.get t.stop in
-    let pending_out = List.exists (fun c -> not (Queue.is_empty c.out)) (conns ()) in
-    if stopping && t.inflight_total = 0 && not pending_out then ()
+    if stopping && t.inflight_total = 0 && not (List.exists pending_out live)
+    then ()
     else begin
       let reads =
         t.wake_r
         :: (if stopping then [] else [ t.listen_fd ])
-        @ List.filter_map
-            (fun c -> if c.eof then None else Some c.fd)
-            (conns ())
+        @ List.filter_map (fun c -> if c.eof then None else Some c.fd) live
       in
       let writes =
-        List.filter_map
-          (fun c -> if Queue.is_empty c.out then None else Some c.fd)
-          (conns ())
+        List.filter_map (fun c -> if pending_out c then Some c.fd else None) live
       in
       (match Unix.select reads writes [] (-1.) with
       | readable, writable, _ ->
@@ -242,7 +292,8 @@ let serve t =
           List.iter
             (fun fd ->
               match Hashtbl.find_opt t.conns fd with
-              | Some conn when not conn.dead -> handle_writable t conn
+              | Some conn when (not conn.dead) && pending_out conn ->
+                  write_out t conn
               | _ -> ())
             writable
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -252,6 +303,6 @@ let serve t =
   loop ();
   List.iter (fun c -> drop t c) (conns ());
   (try Unix.close t.listen_fd with _ -> ());
-  (match t.sockaddr with
+  match t.sockaddr with
   | Unix.ADDR_UNIX path -> ( try Unix.unlink path with _ -> ())
-  | _ -> ())
+  | _ -> ()

@@ -105,29 +105,30 @@ let encode_response { client; seq; result } =
 (* Progressive header validation: bytes already received are judged
    immediately (wrong magic in a one-byte buffer is Broken), bytes not yet
    received keep the verdict at Incomplete.  [Complete (plen, consumed)]
-   means a whole CRC-verified frame of the expected kind is present. *)
-let decode_frame buf ~len ~expect =
-  if len >= 1 && Bytes.get buf 0 <> 'N' then Broken Bad_magic
-  else if len >= 2 && Bytes.get buf 1 <> 'K' then Broken Bad_magic
-  else if len >= 3 && Char.code (Bytes.get buf 2) <> version then
-    Broken (Bad_version (Char.code (Bytes.get buf 2)))
-  else if len >= 4 && Char.code (Bytes.get buf 3) <> expect then
-    Broken (Bad_kind (Char.code (Bytes.get buf 3)))
+   means a whole CRC-verified frame of the expected kind starts at [pos]. *)
+let decode_frame buf ~pos ~len ~expect =
+  let byte i = Bytes.get buf (pos + i) in
+  if len >= 1 && byte 0 <> 'N' then Broken Bad_magic
+  else if len >= 2 && byte 1 <> 'K' then Broken Bad_magic
+  else if len >= 3 && Char.code (byte 2) <> version then
+    Broken (Bad_version (Char.code (byte 2)))
+  else if len >= 4 && Char.code (byte 3) <> expect then
+    Broken (Bad_kind (Char.code (byte 3)))
   else if len < header_size then Incomplete
   else
-    let plen = Int32.to_int (Bytes.get_int32_le buf 4) in
+    let plen = Int32.to_int (Bytes.get_int32_le buf (pos + 4)) in
     if plen < 0 || plen > max_payload then Broken (Oversized plen)
     else if len < overhead + plen then Incomplete
     else
-      let stored = Bytes.get_int64_le buf (header_size + plen) in
-      let computed = Integrity.fnv64 buf ~pos:0 ~len:(header_size + plen) in
+      let stored = Bytes.get_int64_le buf (pos + header_size + plen) in
+      let computed = Integrity.fnv64 buf ~pos ~len:(header_size + plen) in
       if not (Int64.equal stored computed) then Broken Bad_crc
       else Complete (plen, overhead + plen)
 
 let get_i buf off = Int64.to_int (Bytes.get_int64_le buf off)
 
-let decode_request buf ~len =
-  match decode_frame buf ~len ~expect:kind_request with
+let decode_request ?(pos = 0) buf ~len =
+  match decode_frame buf ~pos ~len ~expect:kind_request with
   | Incomplete -> Incomplete
   | Broken e -> Broken e
   | Complete (plen, consumed) ->
@@ -135,11 +136,12 @@ let decode_request buf ~len =
       else if (plen - 17) mod 8 <> 0 then
         Broken (Malformed "ragged operand bytes")
       else
-        let client = get_i buf header_size in
-        let seq = get_i buf (header_size + 8) in
-        let code = Char.code (Bytes.get buf (header_size + 16)) in
+        let body = pos + header_size in
+        let client = get_i buf body in
+        let seq = get_i buf (body + 8) in
+        let code = Char.code (Bytes.get buf (body + 16)) in
         let nops = (plen - 17) / 8 in
-        let operand i = get_i buf (header_size + 17 + (8 * i)) in
+        let operand i = get_i buf (body + 17 + (8 * i)) in
         let op =
           match (code, nops) with
           | 0, 0 -> Some Ping
@@ -159,7 +161,7 @@ let decode_request buf ~len =
         | Some op -> Complete ({ client; seq; op }, consumed))
 
 let decode_response buf ~len =
-  match decode_frame buf ~len ~expect:kind_response with
+  match decode_frame buf ~pos:0 ~len ~expect:kind_response with
   | Incomplete -> Incomplete
   | Broken e -> Broken e
   | Complete (plen, consumed) ->

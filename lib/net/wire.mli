@@ -83,8 +83,10 @@ val overhead : int
 val encode_request : request -> bytes
 val encode_response : response -> bytes
 
-val decode_request : bytes -> len:int -> request decoded
-(** Decode one request frame from the first [len] bytes.  Never raises:
+val decode_request : ?pos:int -> bytes -> len:int -> request decoded
+(** Decode one request frame from the [len] bytes starting at [pos]
+    (default [0]; [pos + len] must lie inside the buffer); the bytes
+    consumed count from [pos].  Never raises:
     every damaged input is {!Broken}, every short valid prefix
     {!Incomplete}.  Bytes already present are judged immediately — a wrong
     magic byte is {!Broken} even in a one-byte buffer. *)
