@@ -124,7 +124,10 @@ let gen_server_spec ~seed ~case =
     | `Startup -> 1 + Random.State.int rng 40
     | `Ready -> 1 + Random.State.int rng 120
   in
-  { Net.Harness.seed; case; kill_at; kill_from; reqs }
+  (* Drawn last, so every case keeps the schedule it drew before the flush
+     mode was part of a spec. *)
+  let flush = if Random.State.bool rng then `Coalesced else `Eager in
+  { Net.Harness.seed; case; kill_at; kill_from; flush; reqs }
 
 (* Greedy shrink under a global attempt budget: drop one request at a
    time, then pull the kill point earlier.  Every candidate re-runs the
@@ -164,7 +167,8 @@ let run_server_campaign seed runs shrink_attempts out quiet =
   for case = 0 to runs - 1 do
     let spec = gen_server_spec ~seed ~case in
     if not quiet then
-      Printf.printf "case %d: %d req(s), %d client(s), kill %d (%s)\n%!" case
+      Printf.printf "case %d: %d req(s), %d client(s), kill %d (%s), %s\n%!"
+        case
         (List.length spec.Net.Harness.reqs)
         (1
         + List.fold_left
@@ -173,7 +177,10 @@ let run_server_campaign seed runs shrink_attempts out quiet =
         spec.Net.Harness.kill_at
         (match spec.Net.Harness.kill_from with
         | `Ready -> "ready"
-        | `Startup -> "startup");
+        | `Startup -> "startup")
+        (match spec.Net.Harness.flush with
+        | `Eager -> "eager"
+        | `Coalesced -> "coalesced");
     match Net.Harness.run_spec spec with
     | Ok _ -> ()
     | Error msg ->

@@ -149,6 +149,10 @@ let op_put =
     result = (fun _ -> Wire.Done);
   }
 
+(* The server answers gets on its event loop without a frame
+   ([serve_get]), but [find_id] stays registered and [op_get] keeps code 2:
+   an image written by an older build may hold a framed get, and its
+   recovery must still find both. *)
 let op_get =
   {
     code = 2;
@@ -236,36 +240,60 @@ let make_registry () =
   register_dispatch registry (fun () -> Option.get !dedup);
   (registry, map, queue, dedup)
 
-let handler ~service ~dedup ~nclients (req : Wire.request) k =
-  let bad_client = req.Wire.client < 0 || req.Wire.client >= nclients in
-  match req.Wire.op with
+let request_failed exn =
+  Printf.eprintf "nvkv_server: request failed: %s\n%!" (Printexc.to_string exn);
+  Wire.Refused Wire.err_bad_request
+
+(* A get on the event-loop thread, with no stack frame: the same dedup
+   lookup, map read and dedup record the framed dispatch makes, then the
+   persist barrier that orders the record before the ack on a coalesced
+   device.  The record is the get's one persistent effect, and a torn
+   record reads as absent, so a crash at any point leaves nothing for
+   recovery to finish: the re-sent get runs again (DESIGN.md §14). *)
+let serve_get ~pmem ~map ~dedup ~client ~seq key =
+  try
+    match Dedup.lookup dedup ~client ~seq with
+    | Dedup.Hit answer ->
+        Obs.Counters.incr_dedup_hits Obs.Probe.counters;
+        op_get.result answer
+    | Dedup.Stale -> Wire.Refused Wire.err_stale
+    | Dedup.New ->
+        let answer = Value.answer_of_int_option (Rmap.find map ~key) in
+        Dedup.record dedup ~client ~seq ~answer;
+        Pmem.persist_barrier pmem;
+        op_get.result answer
+  with
+  | Crash.Crash_now as e -> raise e
+  | exn -> request_failed exn
+
+let handler ~service ~pmem ~map ~dedup ~nclients (req : Wire.request) k =
+  let { Wire.client; seq; op } = req in
+  let bad_client = client < 0 || client >= nclients in
+  match op with
   | Wire.Ping -> k Wire.Done
   | Wire.Last_seq ->
       if bad_client then k (Wire.Refused Wire.err_unknown)
-      else k (Wire.Value (Dedup.last_seq (dedup ()) ~client:req.Wire.client))
+      else k (Wire.Value (Dedup.last_seq (dedup ()) ~client))
+  | _ when bad_client -> k (Wire.Refused Wire.err_unknown)
+  | _ when seq <= 0 -> k (Wire.Refused Wire.err_bad_request)
+  | Wire.Get key ->
+      k (serve_get ~pmem ~map:(map ()) ~dedup:(dedup ()) ~client ~seq key)
   | op ->
-      if bad_client then k (Wire.Refused Wire.err_unknown)
-      else if req.Wire.seq <= 0 then k (Wire.Refused Wire.err_bad_request)
-      else
-        let o, a, b =
-          match op with
-          | Wire.Put (key, value) -> (op_put, key, value)
-          | Wire.Get key -> (op_get, key, 0)
-          | Wire.Del key -> (op_del, key, 0)
-          | Wire.Enqueue v -> (op_enq, v, 0)
-          | Wire.Dequeue -> (op_deq, 0, 0)
-          | Wire.Ping | Wire.Last_seq -> assert false
-        in
-        Service.submit service ~func_id:dispatch_id
-          ~args:(Value.of_ints [ req.Wire.client; req.Wire.seq; o.code; a; b ])
-          ~k:(function
-            | Ok answer when Int64.equal answer stale_answer ->
-                k (Wire.Refused Wire.err_stale)
-            | Ok answer -> k (o.result answer)
-            | Error exn ->
-                Printf.eprintf "nvkv_server: request failed: %s\n%!"
-                  (Printexc.to_string exn);
-                k (Wire.Refused Wire.err_bad_request))
+      let o, a, b =
+        match op with
+        | Wire.Put (key, value) -> (op_put, key, value)
+        | Wire.Del key -> (op_del, key, 0)
+        | Wire.Enqueue v -> (op_enq, v, 0)
+        | Wire.Dequeue -> (op_deq, 0, 0)
+        | Wire.Get _ | Wire.Ping | Wire.Last_seq -> assert false
+      in
+      Service.submit service ~func_id:dispatch_id
+        ~args:(Value.of_ints [ client; seq; o.code; a; b ])
+        ~k:(function
+          | Ok answer when Int64.equal answer stale_answer ->
+              k (Wire.Refused Wire.err_stale)
+          | Ok answer -> k (o.result answer)
+          | Error exn -> k (request_failed exn))
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
@@ -372,6 +400,9 @@ let run image size sock port workers nclients coalesced kill_at
       (sys, d.nclients)
     end
   in
+  (* READY promises a published root: on a coalesced device the format and
+     the recovery may still sit in pending lines, so write them back now. *)
+  Pmem.drain_all pmem;
   let recovery_ms = now_ms () -. t_start in
   if Obs.Config.enabled () then
     Obs.Histogram.record
@@ -388,9 +419,12 @@ let run image size sock port workers nclients coalesced kill_at
     | Some path -> Unix.ADDR_UNIX path
     | None -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
   in
-  let dedup_handle () = Option.get !dedup in
   let server =
-    Server.create ~addr (handler ~service ~dedup:dedup_handle ~nclients)
+    Server.create ~addr
+      (handler ~service ~pmem
+         ~map:(fun () -> Option.get !map)
+         ~dedup:(fun () -> Option.get !dedup)
+         ~nclients)
   in
   let stop_signal _ = Server.request_stop server in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
@@ -402,9 +436,12 @@ let run image size sock port workers nclients coalesced kill_at
   Server.serve server;
   Service.stop service;
   let t = Obs.Counters.totals Obs.Probe.counters in
-  Printf.printf "STATS conns=%d requests=%d dedup_hits=%d\n%!"
+  Printf.printf
+    "STATS conns=%d requests=%d dedup_hits=%d ops=%d flushes=%d writes=%d\n%!"
     t.Obs.Counters.conns_accepted t.Obs.Counters.requests_served
-    t.Obs.Counters.dedup_hits;
+    t.Obs.Counters.dedup_hits t.Obs.Counters.ops
+    (t.Obs.Counters.flushes + t.Obs.Counters.flushes_elided)
+    t.Obs.Counters.writes;
   0
 
 open Cmdliner

@@ -145,6 +145,7 @@ type spec = {
   case : int;
   kill_at : int;
   kill_from : [ `Ready | `Startup ];
+  flush : [ `Eager | `Coalesced ];
   reqs : (int * Wire.op) list;
 }
 
@@ -158,6 +159,7 @@ let spec_to_string spec =
   Buffer.add_string buf
     (Printf.sprintf "kill %d %s\n" spec.kill_at
        (match spec.kill_from with `Ready -> "ready" | `Startup -> "startup"));
+  if spec.flush = `Coalesced then Buffer.add_string buf "flush coalesced\n";
   List.iter
     (fun (client, op) ->
       Buffer.add_string buf
@@ -186,6 +188,8 @@ let parse_spec_line spec line =
       | "startup" ->
           int k (fun kill_at -> Ok { spec with kill_at; kill_from = `Startup })
       | _ -> bad ())
+  | [ "flush"; "eager" ] -> Ok { spec with flush = `Eager }
+  | [ "flush"; "coalesced" ] -> Ok { spec with flush = `Coalesced }
   | "req" :: client :: op_words ->
       int client (fun client ->
           match Wire.op_of_string (String.concat " " op_words) with
@@ -209,7 +213,14 @@ let spec_of_string text =
   match lines with
   | first :: rest when first = header ->
       parse
-        { seed = 0; case = 0; kill_at = 0; kill_from = `Ready; reqs = [] }
+        {
+          seed = 0;
+          case = 0;
+          kill_at = 0;
+          kill_from = `Ready;
+          flush = `Eager;
+          reqs = [];
+        }
         rest
   | _ -> Error "not a server reproducer (missing header)"
 
@@ -236,7 +247,9 @@ let run_spec ?(verbose = false) spec =
   let start ~kill =
     start_server ~workers:1 ~nclients
       ~kill_at:(if kill then spec.kill_at else 0)
-      ~kill_from:spec.kill_from ~image ~sock ()
+      ~kill_from:spec.kill_from
+      ~extra_args:(if spec.flush = `Coalesced then [ "--coalesced" ] else [])
+      ~image ~sock ()
   in
   let server = ref None in
   let clients : (int, Client.t) Hashtbl.t = Hashtbl.create 4 in

@@ -65,16 +65,23 @@ type spec = {
   case : int;  (** campaign case number; carried for reproducers *)
   kill_at : int;  (** SIGKILL at this persistence op; [0] = never *)
   kill_from : [ `Ready | `Startup ];
+  flush : [ `Eager | `Coalesced ];
+      (** the server's flush mode; [`Coalesced] starts every incarnation
+          with [--coalesced] *)
   reqs : (int * Wire.op) list;  (** (client index, op), driven in order *)
 }
 
 val spec_to_string : spec -> string
-(** The replayable reproducer text, first line [server-repro v1]. *)
+(** The replayable reproducer text, first line [server-repro v1].  A
+    coalesced spec carries a [flush coalesced] line; an eager one has no
+    flush line. *)
 
 val spec_of_string : string -> (spec, string) result
-(** Parses {!spec_to_string}'s text.  [Error] names the first malformed
-    line: a non-numeric seed, case, kill point or request client, a
-    negative client, an unknown kill origin or an unknown op. *)
+(** Parses {!spec_to_string}'s text.  Without a flush line the mode is
+    [`Eager], so reproducers written before the line existed replay
+    unchanged.  [Error] names the first malformed line: a non-numeric
+    seed, case, kill point or request client, a negative client, an
+    unknown kill origin or flush mode, or an unknown op. *)
 
 val is_spec : string -> bool
 (** Whether the text looks like a server reproducer (header sniff). *)
@@ -86,7 +93,7 @@ type stats = { restarts : int }
 
 val run_spec : ?verbose:bool -> spec -> (stats, string) result
 (** Execute the schedule against a fresh image with one worker (so the
-    sequential model is exact): drive each request with same-identity
+    sequential model is exact), in the spec's flush mode: drive each request with same-identity
     retry, restarting the server (kill disarmed) whenever it dies.  A
     restart that fails before READY is a violation, and so is one that
     prints [fresh=true] after some earlier incarnation printed READY (the

@@ -45,12 +45,13 @@ let check_spec ?(expect_kill = true) spec =
 
 let kill_case kill_at kill_from () =
   check_spec
-    { Harness.seed = 42; case = kill_at; kill_at; kill_from; reqs = schedule }
+    { Harness.seed = 42; case = kill_at; kill_at; kill_from; flush = `Eager;
+      reqs = schedule }
 
 let no_kill_case () =
   check_spec ~expect_kill:false
     { Harness.seed = 42; case = 0; kill_at = 0; kill_from = `Ready;
-      reqs = schedule }
+      flush = `Eager; reqs = schedule }
 
 (* ------------------------------------------------------------------ *)
 (* Manual sessions against a live server                               *)
@@ -445,10 +446,99 @@ let large_image_kill_recover () =
           done;
           Client.close c))
 
+(* ------------------------------------------------------------------ *)
+(* Gets on the event loop: the flush budget and a kill at every point   *)
+(* ------------------------------------------------------------------ *)
+
+let stat stats k =
+  match List.assoc_opt k stats with
+  | Some v -> v
+  | None -> Alcotest.failf "STATS line has no %s field" k
+
+(* The STATS totals of a one-worker server on a fresh image that served
+   [reqs] — (seq, op) pairs of client 0, a repeated seq being a re-send —
+   and then stopped gracefully.  [kill_at] arms a kill from READY; the
+   result is then [None] when the kill cut the session off. *)
+let session ?(coalesced = false) ?(kill_at = 0) reqs =
+  with_image (fun ~image ~sock ->
+      let extra_args = if coalesced then [ "--coalesced" ] else [] in
+      let s =
+        ok_server (Harness.start_server ~kill_at ~extra_args ~image ~sock ())
+      in
+      let c = Client.connect ~addr:s.Harness.sockaddr ~client:0 in
+      match List.iter (fun (seq, op) -> ignore (Client.call_seq c ~seq op)) reqs with
+      | exception (Unix.Unix_error _ | End_of_file) ->
+          Client.close c;
+          (match Unix.waitpid [] s.Harness.pid with
+          | _, Unix.WSIGNALED sg when sg = Sys.sigkill -> ()
+          | _ -> Alcotest.fail "server died other than by its armed kill");
+          None
+      | () ->
+          Client.close c;
+          (match Harness.stop_server s.Harness.pid with
+          | Unix.WEXITED 0 -> ()
+          | _ -> Alcotest.fail "graceful stop failed");
+          Some (stats_line s))
+
+let stats_of = function
+  | Some stats -> stats
+  | None -> Alcotest.fail "a kill-free session was cut off"
+
+(* A get is answered on the event loop with no stack frame: its only
+   persistent effect is its dedup record, one device write and one flush,
+   and it runs no [Exec] operation.  Two fresh images, one put against
+   one put and 50 gets (present and absent keys), differ by exactly that. *)
+let get_budget () =
+  let put = [ (1, Wire.Put (1, 10)) ] in
+  let gets = List.init 50 (fun i -> (i + 2, Wire.Get (i mod 2))) in
+  let base = stats_of (session put)
+  and served = stats_of (session (put @ gets)) in
+  let diff k = stat served k - stat base k in
+  Alcotest.(check int) "50 gets answered" 50 (diff "requests");
+  Alcotest.(check int) "one flush per get" 50 (diff "flushes");
+  Alcotest.(check int) "one device write per get" 50 (diff "writes");
+  Alcotest.(check int) "no Exec op for a get" 0 (diff "ops")
+
+(* The kill sweep's schedule.  [run_spec]'s duplicate probe re-sends the
+   last get, which the dedup record answers without a persistence op. *)
+let sweep_reqs = [ (0, Wire.Put (1, 10)); (0, Wire.Get 1); (0, Wire.Get 2) ]
+
+(* A SIGKILL at every persistence point K = 1..N of put / get / get /
+   re-sent get, N counted from a kill-free session (each write and each
+   flush call is one point).  The count is checked exact first: a kill at
+   N cuts the last get off, a kill at N + 1 lets the session finish.
+   Every K must fire, and the recovered server must pass [run_spec]'s
+   oracle. *)
+let get_kill_sweep coalesced () =
+  let session_reqs =
+    List.mapi (fun i (_, op) -> (i + 1, op)) sweep_reqs
+    @ [ (List.length sweep_reqs, snd (List.nth sweep_reqs 2)) ]
+  in
+  let points reqs =
+    let stats = stats_of (session ~coalesced reqs) in
+    stat stats "writes" + stat stats "flushes"
+  in
+  let n = points session_reqs - points [] in
+  Alcotest.(check bool) "a kill at N cuts the session off" true
+    (session ~coalesced ~kill_at:n session_reqs = None);
+  Alcotest.(check bool) "a kill at N + 1 lets it finish" true
+    (session ~coalesced ~kill_at:(n + 1) session_reqs <> None);
+  for kill_at = 1 to n do
+    check_spec
+      {
+        Harness.seed = 0;
+        case = kill_at;
+        kill_at;
+        kill_from = `Ready;
+        flush = (if coalesced then `Coalesced else `Eager);
+        reqs = sweep_reqs;
+      }
+  done
+
 let reproducer_text_roundtrips () =
   let spec =
     { Harness.seed = 7; case = 3; kill_at = 17; kill_from = `Startup;
-      reqs = schedule }
+      flush = `Eager; reqs = schedule }
   in
   match Harness.spec_of_string (Harness.spec_to_string spec) with
   | Ok parsed -> Alcotest.(check bool) "spec round-trips" true (parsed = spec)
@@ -486,14 +576,40 @@ let reproducer_text_rejects_malformed () =
       "req 0 frobnicate 1";
     ]
 
+(* The flush line: absent means eager, so older reproducers replay
+   unchanged; a coalesced spec round-trips; an unknown mode is refused. *)
+let reproducer_flush_line () =
+  let spec =
+    { Harness.seed = 1; case = 2; kill_at = 3; kill_from = `Ready;
+      flush = `Coalesced; reqs = schedule }
+  in
+  let text = Harness.spec_to_string spec in
+  Alcotest.(check bool) "coalesced spec names its mode" true
+    (contains text "\nflush coalesced\n");
+  (match Harness.spec_of_string text with
+  | Ok parsed -> Alcotest.(check bool) "spec round-trips" true (parsed = spec)
+  | Error msg -> Alcotest.failf "spec_of_string: %s" msg);
+  (match Harness.spec_of_string "server-repro v1\nseed 1\nkill 3 ready\n" with
+  | Ok parsed ->
+      Alcotest.(check bool) "no flush line is eager" true
+        (parsed.Harness.flush = `Eager)
+  | Error msg -> Alcotest.failf "spec_of_string: %s" msg);
+  match Harness.spec_of_string "server-repro v1\nflush turbo\n" with
+  | Ok _ -> Alcotest.fail "flush turbo accepted"
+  | Error msg ->
+      Alcotest.(check bool) "the bad line is named" true
+        (contains msg "flush turbo")
+
 let () =
   Alcotest.run "server"
     [
       ( "kill-recover",
         [
-          (* Three distinct seeded SIGKILL points while serving: early
-             (inside the first request's frame push), mid-schedule, and
-             deep (inside the later dequeues / dedup records). *)
+          (* Four seeded SIGKILL points while serving.  All four land
+             inside the first request, a put that makes persistence ops
+             1-42 from READY, at different depths of its nested calls; the
+             "gets" sweeps below kill at every point of a put and two
+             gets. *)
           Alcotest.test_case "kill at persistence op 3" `Slow
             (kill_case 3 `Ready);
           Alcotest.test_case "kill at persistence op 9" `Slow
@@ -532,5 +648,16 @@ let () =
             large_image_kill_recover;
           Alcotest.test_case "reproducer text rejects malformed lines" `Quick
             reproducer_text_rejects_malformed;
+          Alcotest.test_case "reproducer flush line" `Quick
+            reproducer_flush_line;
+        ] );
+      ( "gets",
+        [
+          Alcotest.test_case "a get costs one flush and one write" `Slow
+            get_budget;
+          Alcotest.test_case "kill at every point of put and gets (eager)"
+            `Slow (get_kill_sweep false);
+          Alcotest.test_case "kill at every point of put and gets (coalesced)"
+            `Slow (get_kill_sweep true);
         ] );
     ]
