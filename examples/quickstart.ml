@@ -6,7 +6,8 @@
    2. create a system (persistent stacks + heap + task table);
    3. register a recoverable operation (fetch-and-increment built on the
       recoverable CAS of Section 5);
-   4. submit tasks and run the workers;
+   4. submit tasks and run the workers (as seeded fibers, so the output
+      is the same on every run);
    5. crash the machine mid-run, restart, recover, finish;
    6. inspect the persistent stack bytes (the paper's Fig. 2 layout).
 
@@ -41,9 +42,16 @@ let () =
 
   (* 4-5. Drive to completion with one simulated power failure.  The
      driver runs create/init/submit, then normal mode; on the crash it
-     reboots the device, re-attaches, recovers in parallel and resumes. *)
+     reboots the device, re-attaches, recovers and resumes.  The workers
+     run as fibers on [Runtime.Coop] under a seeded policy instead of on
+     domains, so which worker runs which task, and everything printed
+     below, is the same on every run. *)
+  let spawn =
+    Runtime.Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem)
+      ~decide:(Runtime.Coop.random_decision (Random.State.make [| 1 |]))
+  in
   let report =
-    Runtime.Driver.run_to_completion pmem ~registry ~config
+    Runtime.Driver.run_to_completion pmem ~registry ~config ~spawn
       ~init:(fun sys ->
         let base = Heap.alloc (System.heap sys) (Rcas.region_size ~nprocs:2) in
         counter :=
