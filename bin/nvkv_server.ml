@@ -1,15 +1,19 @@
 (* The network-facing recoverable KV/queue service.
 
    One process serves a persistent image over the nvkv wire protocol
-   (lib/net): a select/accept event loop decodes requests and hands them to
-   the worker domains through [Runtime.Service]; every effectful request
-   executes as a registered recoverable function under the exactly-once
-   dispatch wrapper, which consults the persistent dedup table
-   ([Recoverable.Dedup]) before executing and records the answer before the
-   response frame leaves the process.  Kill the process at any moment and
-   restart it on the same image: acked operations are observable, retried
-   in-flight requests are answered from the dedup record instead of
-   re-executing.
+   (lib/net): a select/accept event loop decodes requests and hands every
+   effectful one (put, del, enqueue, dequeue) to the worker domains
+   through [Runtime.Service], where it executes as a registered
+   recoverable function under the exactly-once dispatch wrapper, which
+   consults the persistent dedup table ([Recoverable.Dedup]) before
+   executing and records the answer before the response frame leaves the
+   process.  A get changes nothing, so it has nothing for recovery to
+   finish: the loop answers it itself, with no stack frame — the same
+   dedup lookup, map read and dedup record, then a persist barrier before
+   the ack ([serve_get], DESIGN.md §14).  Kill the process at any moment
+   and restart it on the same image: acked operations are observable,
+   retried in-flight requests are answered from the dedup record instead
+   of re-executing.
 
    Startup decides fresh-vs-restart by the system superblock and user
    root: a valid superblock whose root cell is published means the
@@ -19,10 +23,11 @@
    set, is formatted from scratch.  A superblock whose checksum fails is
    damage, not a fresh image: the server refuses it (exit 3) rather than
    format over acked data.  The attach-to-serving span is the measured
-   recovery time, printed on the READY line; --max-recovery-ms refuses to
-   serve (exit 4) when it exceeds the budget.  Net.Harness passes that
-   budget on every start, so every restart the tests and the crash fuzzer
-   perform runs under it.
+   recovery time, printed on the READY line (pending lines of a coalesced
+   device are written back first, so READY means the root is durable);
+   --max-recovery-ms refuses to serve (exit 4) when it exceeds the budget.
+   Net.Harness passes that budget on every start, so every restart the
+   tests and the crash fuzzer perform runs under it.
 
    A fresh image sizes the map from the device: Rmap.buckets_for_device
    gives one bucket per 64 KiB, rounded down to a power of two and never
@@ -436,6 +441,8 @@ let run image size sock port workers nclients coalesced kill_at
   Server.serve server;
   Service.stop service;
   let t = Obs.Counters.totals Obs.Probe.counters in
+  (* flushes= counts flush calls in either mode: served eagerly or elided
+     into pending marks. *)
   Printf.printf
     "STATS conns=%d requests=%d dedup_hits=%d ops=%d flushes=%d writes=%d\n%!"
     t.Obs.Counters.conns_accepted t.Obs.Counters.requests_served

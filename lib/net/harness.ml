@@ -188,7 +188,6 @@ let parse_spec_line spec line =
       | "startup" ->
           int k (fun kill_at -> Ok { spec with kill_at; kill_from = `Startup })
       | _ -> bad ())
-  | [ "flush"; "eager" ] -> Ok { spec with flush = `Eager }
   | [ "flush"; "coalesced" ] -> Ok { spec with flush = `Coalesced }
   | "req" :: client :: op_words ->
       int client (fun client ->

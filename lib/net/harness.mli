@@ -93,11 +93,12 @@ type stats = { restarts : int }
 
 val run_spec : ?verbose:bool -> spec -> (stats, string) result
 (** Execute the schedule against a fresh image with one worker (so the
-    sequential model is exact), in the spec's flush mode: drive each request with same-identity
-    retry, restarting the server (kill disarmed) whenever it dies.  A
-    restart that fails before READY is a violation, and so is one that
-    prints [fresh=true] after some earlier incarnation printed READY (the
-    root was published before READY, so the image must be attached).
+    sequential model is exact), in the spec's flush mode: drive each
+    request with same-identity retry, restarting the server (kill
+    disarmed) whenever it dies.  A restart that fails before READY is a
+    violation, and so is one that prints [fresh=true] after some earlier
+    incarnation printed READY (the root was published before READY, so
+    the image must be attached).
     Then:
 
     - {b duplicate probe}: re-send every client's last [(seq, op)] — the

@@ -66,7 +66,8 @@ let op_string_roundtrip =
     op_gen (fun op -> Wire.op_of_string (Wire.op_to_string op) = Some op)
 
 (* A streaming reader sees frames back to back in one buffer: the decoder
-   must consume exactly the first and leave the second intact. *)
+   must consume exactly the first and leave the second intact, and decode
+   the second in place from where the first ends. *)
 let back_to_back =
   QCheck2.Test.make ~count:200 ~name:"concatenated frames split cleanly"
     QCheck2.Gen.(pair request_gen request_gen)
@@ -75,8 +76,9 @@ let back_to_back =
       let buf = Bytes.cat f1 f2 in
       match Wire.decode_request buf ~len:(Bytes.length buf) with
       | Wire.Complete (d1, n1) when d1 = r1 && n1 = Bytes.length f1 -> (
-          let rest = Bytes.sub buf n1 (Bytes.length buf - n1) in
-          match Wire.decode_request rest ~len:(Bytes.length rest) with
+          match
+            Wire.decode_request buf ~pos:n1 ~len:(Bytes.length buf - n1)
+          with
           | Wire.Complete (d2, n2) -> d2 = r2 && n2 = Bytes.length f2
           | _ -> false)
       | _ -> false)
