@@ -34,8 +34,10 @@ type t = {
   mutable inflight_total : int;  (* loop thread only *)
 }
 
-(* Read at least this many bytes per [read]; a connection's input buffer
-   starts at four times that and doubles when a frame outgrows it. *)
+(* Every [read] offers at least this much room: a connection's input
+   buffer starts at four times that, and when undecoded bytes leave less
+   room it moves them to the front, or doubles if that is not enough.  The
+   output buffer starts at this size and grows to hold a tick's answers. *)
 let min_read = 4096
 
 let create ?(backlog = 64) ~addr handler =
