@@ -22,10 +22,11 @@
    the cooperative scheduler.  [--flush-mode coalesced] runs any of the
    above on coalescing devices.  [--equivalence] runs the two-phase
    eager/coalesced equivalence check on the correct-CAS pair and the
-   rcounter workload; with [--broken-drain] the coalescer is sabotaged and
-   the check MUST catch the divergence (exit 0 iff it does) — the CI leg
-   that proves the certificate has teeth.  Exit codes: 0 expected outcome,
-   1 violation-side surprise, 2 usage error. *)
+   rcounter workload, or on [--kind]'s workload alone; with
+   [--broken-drain] the coalescer is sabotaged and the check MUST catch
+   the divergence (exit 0 iff it does) — the CI leg that proves the
+   certificate has teeth.  Exit codes: 0 expected outcome, 1
+   violation-side surprise, 2 usage error. *)
 
 module Pmem = Nvram.Pmem
 module Workload = Fuzz.Workload
@@ -134,37 +135,33 @@ let run_e3 ~workers ~preempt ~max_executions ~flush_mode ~por ~props ~out =
          correct-CAS certificate)";
       1
 
+(* The workload [--kind] names: the chained CAS workload for the CAS
+   kinds, else a short deterministic trace (seeded generation would also
+   work but a fixed trace keeps the run self-describing). *)
+let kind_workload kind ~workers ~n_ops =
+  match kind with
+  | Workload.Rcas | Workload.Rcas_buggy -> cas_workload ~kind ~workers
+  | _ ->
+      let rng = Random.State.make [| 1 |] in
+      Workload.generate kind ~rng ~n_ops ~workers
+
 let run_kind ~kind ~workers ~preempt ~max_executions ~flush_mode ~por ~props
     ~n_ops ~out =
-  match Workload.kind_of_string kind with
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      2
-  | Ok kind ->
-      let config = config ~preempt ~max_executions ~flush_mode ~por in
-      let workload =
-        match kind with
-        | Workload.Rcas | Workload.Rcas_buggy ->
-            cas_workload ~kind ~workers
-        | _ ->
-            (* A short deterministic trace; seeded generation would also
-               work but a fixed trace keeps the run self-describing. *)
-            let rng = Random.State.make [| 1 |] in
-            Workload.generate kind ~rng ~n_ops ~workers
-      in
-      let expect_violation =
-        match kind with
-        | Workload.Rcas_buggy | Workload.Faulty -> true
-        | _ -> false
-      in
-      let verdict =
-        explore_one
-          ~label:(Workload.kind_to_string kind)
-          ~config ~props ~out:(Some out) workload
-      in
-      (match (verdict, expect_violation) with
-      | Mc.Explore.Violation _, true | Mc.Explore.Certified _, false -> 0
-      | _ -> 1)
+  let config = config ~preempt ~max_executions ~flush_mode ~por in
+  let workload = kind_workload kind ~workers ~n_ops in
+  let expect_violation =
+    match kind with
+    | Workload.Rcas_buggy | Workload.Faulty -> true
+    | _ -> false
+  in
+  let verdict =
+    explore_one
+      ~label:(Workload.kind_to_string kind)
+      ~config ~props ~out:(Some out) workload
+  in
+  match (verdict, expect_violation) with
+  | Mc.Explore.Violation _, true | Mc.Explore.Certified _, false -> 0
+  | _ -> 1
 
 (* The property self-check deliverable: with flushes hidden from the
    monitors, the response-implies-persist property must flag the
@@ -217,20 +214,22 @@ let run_prop_sabotage ~preempt ~max_executions ~por ~n_ops ~out =
       1
 
 (* The equivalence deliverable: the coalesced search must reach no recovery
-   state the eager search cannot.  The correct-CAS pair runs on an
-   auto-flush device (coalescing inert — a sanity leg), rcounter on the
-   cached device where coalescing actually defers write-backs.  With
-   [broken_drain] the sabotaged coalescer MUST be caught on the cached
-   workload; exit 0 iff a divergence fired. *)
-let run_equivalence ~workers ~preempt ~max_executions ~por ~props ~n_ops
-    ~broken_drain ~out =
+   state the eager search cannot.  By default the correct-CAS pair runs on
+   an auto-flush device (coalescing inert — a sanity leg), rcounter on the
+   cached device where coalescing actually defers write-backs; [kind]
+   checks that kind's workload alone.  With [broken_drain] the sabotaged
+   coalescer MUST be caught; exit 0 iff a divergence fired. *)
+let run_equivalence ~kind ~workers ~preempt ~max_executions ~por ~props
+    ~n_ops ~broken_drain ~out =
   let config = config ~preempt ~max_executions ~flush_mode:Pmem.Eager ~por in
-  let rng = Random.State.make [| 1 |] in
   let workloads =
-    [
-      cas_workload ~kind:Workload.Rcas ~workers;
-      Workload.generate Workload.Rcounter ~rng ~n_ops ~workers;
-    ]
+    match kind with
+    | Some kind -> [ kind_workload kind ~workers ~n_ops ]
+    | None ->
+        [
+          cas_workload ~kind:Workload.Rcas ~workers;
+          kind_workload Workload.Rcounter ~workers ~n_ops;
+        ]
   in
   let check workload =
     Format.printf "[equivalence] %a (preempt bound %d%s%s)@." Workload.pp
@@ -393,7 +392,8 @@ let main_term =
       & info [ "equivalence" ]
           ~doc:
             "Run the two-phase eager/coalesced equivalence check instead \
-             of the E3 pair.")
+             of the E3 pair: on the correct-CAS pair and rcounter, or on \
+             the $(b,--kind) workload alone.")
   in
   let broken_drain =
     Arg.(
@@ -420,11 +420,12 @@ let main_term =
       broken_drain workers preempt max_executions n_ops out =
     let por = not no_por in
     Stdlib.exit
-      (match parse_props props with
-      | Error msg ->
+      (match (parse_props props, Option.map Workload.kind_of_string kind) with
+      | Error msg, _ | _, Some (Error msg) ->
           Printf.eprintf "error: %s\n" msg;
           2
-      | Ok props -> (
+      | Ok props, kind -> (
+          let kind = Option.map Result.get_ok kind in
           match (replay, prop_sabotage, equivalence, kind) with
           | Some path, _, _, _ ->
               (* Sabotaged replay needs monitors to sabotage. *)
@@ -435,8 +436,8 @@ let main_term =
           | None, true, _, _ ->
               run_prop_sabotage ~preempt ~max_executions ~por ~n_ops ~out
           | None, false, true, _ ->
-              run_equivalence ~workers ~preempt ~max_executions ~por ~props
-                ~n_ops ~broken_drain ~out
+              run_equivalence ~kind ~workers ~preempt ~max_executions ~por
+                ~props ~n_ops ~broken_drain ~out
           | None, false, false, Some kind ->
               run_kind ~kind ~workers ~preempt ~max_executions ~flush_mode
                 ~por ~props ~n_ops ~out

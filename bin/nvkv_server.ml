@@ -453,6 +453,15 @@ let run image size sock port workers nclients coalesced kill_at
 
 open Cmdliner
 
+(* An int below [min] is a usage error, refused before the image exists. *)
+let at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d" min))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let main_term =
   let image =
     Arg.(
@@ -463,7 +472,7 @@ let main_term =
   let size =
     Arg.(
       value
-      & opt int (1 lsl 21)
+      & opt (at_least 1) (1 lsl 21)
       & info [ "size" ] ~docv:"BYTES" ~doc:"Device size for a fresh image.")
   in
   let sock =
@@ -482,11 +491,12 @@ let main_term =
              given.")
   in
   let workers =
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N")
+    Arg.(value & opt (at_least 1) 2 & info [ "workers" ] ~docv:"N")
   in
   let nclients =
     Arg.(
-      value & opt int 16
+      value
+      & opt (at_least 1) 16
       & info [ "nclients" ] ~docv:"N" ~doc:"Dedup table slots.")
   in
   let coalesced =

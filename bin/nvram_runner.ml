@@ -48,8 +48,7 @@ let make_pmem w =
     Nvram.Backend.file ~persist_delay:w.persist_delay ~path:w.image
       ~size:image_size ()
   in
-  Pmem.create ~auto_flush:true ~yield_probability:0.3 ~backend ~size:image_size
-    ()
+  Pmem.create ~auto_flush:true ~backend ~size:image_size ()
 
 let make_registry w =
   let registry = Runtime.Registry.create () in

@@ -23,9 +23,7 @@ let n_transfers = 120
 let workers = 4
 
 let () =
-  let pmem =
-    Pmem.create ~auto_flush:true ~yield_probability:0.2 ~size:(1 lsl 21) ()
-  in
+  let pmem = Pmem.create ~auto_flush:true ~size:(1 lsl 21) () in
   let registry = Runtime.Registry.create () in
   let accounts = ref None in
   Bank.register registry (fun () -> Option.get !accounts);

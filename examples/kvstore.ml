@@ -39,9 +39,7 @@ let workload =
     (List.init 12 (fun i -> i + 1))
 
 let () =
-  let pmem =
-    Pmem.create ~auto_flush:true ~yield_probability:0.2 ~size:(1 lsl 21) ()
-  in
+  let pmem = Pmem.create ~auto_flush:true ~size:(1 lsl 21) () in
   let registry = Runtime.Registry.create () in
   let store = ref None in
   let handle () = Option.get !store in

@@ -25,9 +25,7 @@ let jobs = 40
 let workers = 4
 
 let () =
-  let pmem =
-    Pmem.create ~auto_flush:true ~yield_probability:0.2 ~size:(1 lsl 21) ()
-  in
+  let pmem = Pmem.create ~auto_flush:true ~size:(1 lsl 21) () in
   let registry = Runtime.Registry.create () in
   let queue = ref None in
   let handle () = Option.get !queue in

@@ -42,16 +42,11 @@ let () =
 
   (* 4-5. Drive to completion with one simulated power failure.  The
      driver runs create/init/submit, then normal mode; on the crash it
-     reboots the device, re-attaches, recovers and resumes.  The workers
-     run as fibers on [Runtime.Coop] under a seeded policy instead of on
-     domains, so which worker runs which task, and everything printed
-     below, is the same on every run. *)
-  let spawn =
-    Runtime.Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem)
-      ~decide:(Runtime.Coop.random_decision (Random.State.make [| 1 |]))
-  in
+     reboots the device, re-attaches, recovers and resumes.  It runs the
+     workers as seeded [Runtime.Coop] fibers, so everything printed below
+     is the same on every run. *)
   let report =
-    Runtime.Driver.run_to_completion pmem ~registry ~config ~spawn
+    Runtime.Driver.run_to_completion pmem ~registry ~config
       ~init:(fun sys ->
         let base = Heap.alloc (System.heap sys) (Rcas.region_size ~nprocs:2) in
         counter :=

@@ -60,8 +60,6 @@ type t = {
   crash_ctl : Crash.t;
   faults : faults;
   crash_rng : Random.State.t;
-  yield_probability : float;
-  yield_state : int Atomic.t;  (* lock-free LCG for scheduling jitter *)
   stripes : Mutex.t array;
       (* Striped device lock: stripe [s] guards every cache line [l] with
          [stripe_of t l = s] — its bytes in [volatile], its state byte and
@@ -86,7 +84,7 @@ let dirty = 2
 let pending = 3
 
 let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
-    ?(flush_mode = Eager) ?(yield_probability = 0.) ?backend ~size () =
+    ?(flush_mode = Eager) ?backend ~size () =
   Layout.check_line_size line_size;
   if size <= 0 then invalid_arg "Pmem.create: size must be positive";
   let backend =
@@ -144,8 +142,6 @@ let create ?(line_size = 64) ?(policy = Lose_all) ?(auto_flush = false)
         targets = [||];
       };
     crash_rng;
-    yield_probability;
-    yield_state = Atomic.make 0x9E3779B9;
     stripes = Array.init nstripes (fun _ -> Mutex.create ());
   }
 
@@ -162,22 +158,6 @@ let check_range t off len =
     invalid_arg
       (Printf.sprintf "Pmem: range [%d, %d) outside device of size %d" off
          (off + len) t.size)
-
-(* Scheduling jitter: on a single-CPU host, OS timeslices are thousands of
-   simulated operations long, so concurrent workers would never interleave
-   within the short windows concurrency bugs live in.  Descheduling the
-   calling OS thread with some probability after each tracked operation
-   restores fine-grained interleaving; a short [Unix.sleepf] deschedules
-   across worker domains, which [Thread.yield] (domain-local) does not.
-   Deliberately racy LCG: determinism is not wanted here. *)
-let maybe_yield t =
-  if t.yield_probability > 0. then begin
-    let s = Atomic.get t.yield_state in
-    let s' = (s * 0x5851F42D4C957F2D) + 0x14057B7EF767814F in
-    Atomic.set t.yield_state s';
-    let u = float_of_int ((s' lsr 11) land 0xFFFFFF) /. 16777216.0 in
-    if u < t.yield_probability then Unix.sleepf 1e-6
-  end
 
 (* The line holding device offset [off]: line sizes are powers of two, so
    a shift rather than a division on every access. *)
@@ -223,32 +203,28 @@ let count_write t ~lines ~len =
    (crash signals fire mid-operation by design). *)
 let with_lines t ~first ~last f =
   let n = Array.length t.stripes in
-  let result =
-    if first = last then Mutex.protect t.stripes.(stripe_of t first) f
-    else begin
-      let needed =
-        if last - first + 1 >= n then Array.make n true
-        else begin
-          let needed = Array.make n false in
-          for l = first to last do
-            needed.(stripe_of t l) <- true
-          done;
-          needed
-        end
-      in
-      for s = 0 to n - 1 do
-        if needed.(s) then Mutex.lock t.stripes.(s)
-      done;
-      Fun.protect
-        ~finally:(fun () ->
-          for s = n - 1 downto 0 do
-            if needed.(s) then Mutex.unlock t.stripes.(s)
-          done)
-        f
-    end
-  in
-  maybe_yield t;
-  result
+  if first = last then Mutex.protect t.stripes.(stripe_of t first) f
+  else begin
+    let needed =
+      if last - first + 1 >= n then Array.make n true
+      else begin
+        let needed = Array.make n false in
+        for l = first to last do
+          needed.(stripe_of t l) <- true
+        done;
+        needed
+      end
+    in
+    for s = 0 to n - 1 do
+      if needed.(s) then Mutex.lock t.stripes.(s)
+    done;
+    Fun.protect
+      ~finally:(fun () ->
+        for s = n - 1 downto 0 do
+          if needed.(s) then Mutex.unlock t.stripes.(s)
+        done)
+      f
+  end
 
 (* Whole-device operations (crash, peeks, line-state census) serialise
    against everything by holding every stripe. *)
@@ -504,9 +480,9 @@ let read_drain t ~first ~last =
    stripes of the lines it covers (ascending), refuse if the system has
    crashed, count the call, run the operation's body, unlock — also when
    the body's crash step raises, since crash signals fire mid-operation by
-   design — and yield.  [span] is that sequence.  Before the body runs it
-   fetches every covered line still absent from the cache, so bodies only
-   ever see present lines.
+   design.  [span] is that sequence; it ends at the unlock.  Before the
+   body runs it fetches every covered line still absent from the cache,
+   so bodies only ever see present lines.
 
    A span of one or two lines (every byte, word and CAS access, and
    frame-sized writes and flushes) locks its stripes by hand, and the body
@@ -550,7 +526,6 @@ let span t ~first ~last ~len counter body a b c =
     | result ->
         if hi <> lo then Mutex.unlock t.stripes.(hi);
         Mutex.unlock t.stripes.(lo);
-        maybe_yield t;
         result
     | exception e ->
         if hi <> lo then Mutex.unlock t.stripes.(hi);

@@ -81,7 +81,6 @@ val create :
   ?policy:policy ->
   ?auto_flush:bool ->
   ?flush_mode:flush_mode ->
-  ?yield_probability:float ->
   ?backend:Backend.t ->
   size:int ->
   unit ->
@@ -89,15 +88,9 @@ val create :
 (** [create ~size ()] is a fresh device of [size] bytes.  [line_size]
     defaults to 64 and must be a power of two; [policy] defaults to
     {!Lose_all}; [auto_flush] defaults to [false]; [backend] defaults to an
-    in-memory image of [size] bytes.
-
-    [yield_probability] (default 0) makes each device operation deschedule
-    the calling OS thread with the given probability, so that concurrent
-    workers on a machine with few cores interleave at operation granularity
-    instead of OS-timeslice granularity — without it, the narrow
-    interleaving windows that concurrency protocols defend against
-    essentially never occur in simulation.  Set it (e.g. to 0.2–0.5) for
-    concurrency experiments. *)
+    in-memory image of [size] bytes.  The device adds no scheduling
+    jitter: in-process workers interleave at {!crash_ctl}'s scheduler
+    hook ([Runtime.Coop]). *)
 
 val size : t -> int
 val line_size : t -> int

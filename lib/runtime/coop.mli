@@ -16,8 +16,9 @@
     [Crash_now] — the same prompt-stop behaviour free-running domains
     exhibit — or runs to completion if it touches the device no more.
 
-    The fuzz harness, the model checker and the CAS experiment run on it,
-    so each of their runs is a pure function of its inputs and policy. *)
+    {!Driver.run_to_completion} runs on it by default, and the fuzz
+    harness, the model checker and the CAS experiment with their own
+    policies, so each of their runs is a pure function of its inputs. *)
 
 type _ Effect.t += Yield : unit Effect.t
 

@@ -62,6 +62,13 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
     Obs.Trace.record (Obs.Trace.Era_armed { era = !eras });
     observer (Era_armed { era = !eras; plan = era_plan })
   in
+  let spawn =
+    match spawn with
+    | Some s -> s
+    | None ->
+        Coop.spawn ~crash_ctl:(Pmem.crash_ctl pmem)
+          ~decide:(Coop.random_decision (Random.State.make [| 1 |]))
+  in
   let sys = System.create pmem ~registry ~config in
   init sys;
   submit sys;
@@ -95,7 +102,7 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
   in
   let rec normal_mode sys =
     arm ();
-    match guarded sys (fun () -> System.run ?spawn sys) with
+    match guarded sys (fun () -> System.run ~spawn sys) with
     | `Completed ->
         Log.info (fun m ->
             m "workload completed: %d eras, %d crashes" !eras !crashes);
@@ -147,7 +154,7 @@ let run_to_completion pmem ~registry ~config ~submit ?(init = fun _ -> ())
     reattach sys;
     arm ();
     let reclaim = Option.map (fun f () -> f sys) reclaim in
-    let outcome = guarded sys (fun () -> System.recover ?spawn ?reclaim sys) in
+    let outcome = guarded sys (fun () -> System.recover ~spawn ?reclaim sys) in
     fold_repairs ~era:crashed_era;
     match outcome with
     | `Completed ->

@@ -75,11 +75,11 @@ val run_to_completion :
     [recovered] runs after each recovery that completes, heap sweep
     included, before normal mode resumes.
     [reclaim] provides the application's live heap roots for the leak sweep
-    after each successful recovery.  [spawn] substitutes the worker
-    execution strategy of every era (normal and recovery) — see
-    {!System.spawn}; the fuzz harness, the model checker and the CAS
-    experiment pass {!Coop.spawn} to run the whole crash-restart loop
-    cooperatively on one thread.
+    after each successful recovery.  [spawn] is the worker execution
+    strategy of every era (normal and recovery), see {!System.spawn}.  The
+    default is {!Coop.spawn} under one {!Coop.random_decision} over a
+    constant seed for the whole call, so a run is a function of its
+    inputs; the fuzz harness passes its own policy.
 
     @raise Failure if more than [max_crashes] (default 10_000) crashes
     occur — a guard against plans that fire before any progress. *)

@@ -93,12 +93,11 @@ let test_repeated_crashes () =
         expected_balances balances)
     [ 13; 31; 67 ]
 
-let test_conservation_concurrent () =
-  (* 4 workers, random transfers, random crashes: only the conservation
-     invariants are deterministic *)
-  let pmem =
-    Pmem.create ~auto_flush:true ~yield_probability:0.3 ~size:(1 lsl 21) ()
-  in
+(* 4 workers, seeded random transfers and seeded random crash plans,
+   run by the driver's default scheduler.  Returns the transfers, the
+   driver's report and the final balances. *)
+let run_concurrent () =
+  let pmem = Pmem.create ~auto_flush:true ~size:(1 lsl 21) () in
   let registry = R.Registry.create () in
   let accounts = ref None in
   Bank.register registry (fun () -> Option.get !accounts);
@@ -148,8 +147,11 @@ let test_conservation_concurrent () =
         else Crash.Never)
       ()
   in
-  let bank = Option.get !accounts in
-  let balances = Bank.balances bank in
+  (plans, report, Bank.balances (Option.get !accounts))
+
+let test_conservation_concurrent () =
+  let plans, report, balances = run_concurrent () in
+  let n_accounts = List.length balances in
   Alcotest.(check int) "total conserved" (4 * 500)
     (List.fold_left ( + ) 0 balances);
   Alcotest.(check bool) "no overdrafts" true (List.for_all (fun b -> b >= 0) balances);
@@ -165,6 +167,18 @@ let test_conservation_concurrent () =
   Alcotest.(check (list int)) "successes replay" balances
     (Array.to_list replay)
 
+(* The same workload twice gives the same run: every worker interleaving
+   and crash point is a function of the seeds, not of OS timing. *)
+let test_concurrent_replays () =
+  let _, a, balances_a = run_concurrent () in
+  let _, b, balances_b = run_concurrent () in
+  Alcotest.(check (list (pair int int64)))
+    "results" a.R.Driver.results b.R.Driver.results;
+  Alcotest.(check int) "eras" a.R.Driver.eras b.R.Driver.eras;
+  Alcotest.(check int) "crashes" a.R.Driver.crashes b.R.Driver.crashes;
+  Alcotest.(check bool) "crashed" true (a.R.Driver.crashes > 0);
+  Alcotest.(check (list int)) "balances" balances_a balances_b
+
 let () =
   Alcotest.run "bank"
     [
@@ -175,5 +189,7 @@ let () =
           Alcotest.test_case "repeated crashes" `Quick test_repeated_crashes;
           Alcotest.test_case "concurrent conservation" `Quick
             test_conservation_concurrent;
+          Alcotest.test_case "concurrent run replays" `Quick
+            test_concurrent_replays;
         ] );
     ]

@@ -26,17 +26,17 @@ let register_fib registry =
   R.Registry.register registry ~id:fib_id ~name:"fib" ~body
     ~recover:(R.Registry.completing body)
 
-let fib_workload ?(flush_mode = Pmem.Eager) ~stack_kind ~plan () =
+(* The driver runs the workers as seeded fibers, so with any worker count
+   a run is a function of its plan: an At_op crash lands on the same
+   operation every time. *)
+let fib_workload ?(flush_mode = Pmem.Eager) ?(workers = 1) ~stack_kind ~plan
+    () =
   let registry = R.Registry.create () in
   register_fib registry;
   let pmem = Pmem.create ~flush_mode ~size:(1 lsl 21) () in
-  (* single worker: workers are real domains now, so with several of them
-     the interleaving — and therefore which operation the At_op counter
-     lands on — would vary between runs.  One worker keeps every sweep
-     deterministic. *)
   let config =
     {
-      R.System.workers = 1;
+      R.System.workers;
       stack_kind;
       task_capacity = 4;
       task_max_args = 16;
@@ -55,9 +55,9 @@ let fib_workload ?(flush_mode = Pmem.Eager) ~stack_kind ~plan () =
 
 let fib_expected = [ (0, 8L); (1, 13L); (2, 21L) ]
 
-let sweep_fib ?flush_mode stack_kind name () =
+let sweep_fib ?flush_mode ?workers stack_kind name () =
   let _, baseline =
-    fib_workload ?flush_mode ~stack_kind
+    fib_workload ?flush_mode ?workers ~stack_kind
       ~plan:(fun ~era:_ -> Crash.Never)
       ()
   in
@@ -68,7 +68,7 @@ let sweep_fib ?flush_mode stack_kind name () =
   while !point <= 400 do
     let p = !point in
     let _, report =
-      fib_workload ?flush_mode ~stack_kind
+      fib_workload ?flush_mode ?workers ~stack_kind
         ~plan:(fun ~era -> if era = 1 then Crash.At_op p else Crash.Never)
         ()
     in
@@ -141,6 +141,8 @@ let txn_workload ~stack_kind ~plan =
   let area_ref = ref Offset.null in
   register_txn registry (fun _ctx -> !area_ref);
   let pmem = Pmem.create ~size:(1 lsl 21) () in
+  (* one worker: the transaction is a single task, so a second worker
+     would only idle *)
   let config =
     {
       R.System.workers = 1;
@@ -216,6 +218,9 @@ let individual_kill_workload kill_plan =
   let registry = R.Registry.create () in
   register_fib registry;
   let pmem = Pmem.create ~size:(1 lsl 21) () in
+  (* one worker: this calls [System.run] directly, on worker domains, so
+     with several workers which operation a kill lands on would depend on
+     OS timing *)
   let config =
     {
       R.System.workers = 1;
@@ -302,7 +307,7 @@ let test_fib_lose_random () =
       let pmem = Pmem.create ~policy:(Pmem.Lose_random seed) ~size:(1 lsl 21) () in
       let config =
         {
-          R.System.workers = 1;
+          R.System.workers = 2;
           stack_kind = R.System.Bounded_stack 4096;
           task_capacity = 4;
           task_max_args = 16;
@@ -408,6 +413,15 @@ let () =
             (sweep_fib (R.System.Resizable_stack 64) "resizable");
           Alcotest.test_case "linked" `Slow
             (sweep_fib (R.System.Linked_stack 128) "linked");
+          Alcotest.test_case "bounded, 2 workers" `Slow
+            (sweep_fib ~workers:2 (R.System.Bounded_stack 4096)
+               "bounded/2 workers");
+          Alcotest.test_case "resizable, 2 workers" `Slow
+            (sweep_fib ~workers:2 (R.System.Resizable_stack 64)
+               "resizable/2 workers");
+          Alcotest.test_case "linked, 2 workers" `Slow
+            (sweep_fib ~workers:2 (R.System.Linked_stack 128)
+               "linked/2 workers");
           Alcotest.test_case "repeated failures (bounded)" `Slow
             (sweep_fib_repeated (R.System.Bounded_stack 4096) "bounded");
           Alcotest.test_case "repeated failures (linked)" `Slow

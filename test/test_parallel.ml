@@ -88,9 +88,7 @@ let test_crash_during_parallel_flush () =
   let workers = 4 in
   List.iter
     (fun seed ->
-      let pmem =
-        Pmem.create ~yield_probability:0.2 ~size:(workers * line) ()
-      in
+      let pmem = Pmem.create ~size:(workers * line) () in
       Crash.arm (Pmem.crash_ctl pmem)
         (Crash.Random { seed; probability = 0.005 });
       in_domains workers (fun w ->

@@ -261,6 +261,27 @@ let damaged_superblock_refused () =
       Alcotest.(check bool) "image bytes from offset 64 unchanged" true
         (String.equal (tail before) (tail after)))
 
+(* Out-of-range sizing flags are usage errors: the server exits non-zero
+   before READY and never creates the image file. *)
+let bad_flags_refused () =
+  List.iter
+    (fun (flag, start) ->
+      with_image (fun ~image ~sock ->
+          (match start ~image ~sock with
+          | Ok s ->
+              ignore (Harness.stop_server s.Harness.pid);
+              Alcotest.failf "%s reached READY" flag
+          | Error Harness.Killed_before_ready ->
+              Alcotest.failf "%s: server killed before READY" flag
+          | Error (Harness.Died _) -> ());
+          Alcotest.(check bool)
+            (flag ^ ": no image created") false (Sys.file_exists image)))
+    [
+      ("--workers 0", Harness.start_server ~workers:0 ());
+      ("--nclients 0", Harness.start_server ~nclients:0 ());
+      ("--size 0", Harness.start_server ~size:0 ());
+    ]
+
 (* The server's recovery budget refuses for real: started directly (the
    harness passes its own 2000 ms budget) on an existing image with a
    budget no recovery can meet, the server must exit 4 before READY. *)
@@ -638,6 +659,8 @@ let () =
             unknown_client_refused;
           Alcotest.test_case "damaged superblock refused" `Slow
             damaged_superblock_refused;
+          Alcotest.test_case "out-of-range flags refused" `Quick
+            bad_flags_refused;
           Alcotest.test_case "recovery budget refused" `Slow
             recovery_budget_refused;
           Alcotest.test_case "coalesced kill-recover" `Slow

@@ -1,6 +1,7 @@
 (* Targeted tests for the operational surfaces: the image inspector, the
-   driver's crash budget, device latency and scheduling jitter, dump
-   corruption paths, and the crash controller's kill bookkeeping. *)
+   driver's crash budget, device latency, dump corruption paths, the
+   crash controller's kill bookkeeping, the bench gate and the model
+   checker's equivalence leg. *)
 
 module Pmem = Nvram.Pmem
 module Offset = Nvram.Offset
@@ -113,16 +114,6 @@ let test_persist_delay () =
       let elapsed = Unix.gettimeofday () -. t0 in
       Alcotest.(check bool) "latency applied" true (elapsed >= 0.015);
       Nvram.Backend.close backend)
-
-let test_yield_probability_smoke () =
-  (* functional smoke: heavy write traffic with yields enabled stays
-     correct (the scheduling effect itself is tested by E3) *)
-  let pmem = Pmem.create ~yield_probability:0.5 ~size:4096 () in
-  for i = 0 to 999 do
-    Pmem.write_int pmem (off ((i mod 8) * 64)) i
-  done;
-  Alcotest.(check int) "last value visible" 999
-    (Pmem.read_int pmem (off (7 * 64)))
 
 let test_dump_corrupt_pointer () =
   let pmem = Pmem.create ~size:4096 () in
@@ -415,6 +406,35 @@ let test_bench_gate_missing_field_is_an_error () =
     (run_gate baseline truncated);
   List.iter Sys.remove [ baseline; truncated ]
 
+(* ------------------------------------------------------------------ *)
+(* model_check: [--equivalence] checks the workload [--kind] names. *)
+
+let model_check_exe =
+  Filename.concat (Filename.dirname Sys.argv.(0)) "../bin/model_check.exe"
+
+let test_equivalence_honours_kind () =
+  let out = Filename.temp_file "equivalence" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s --equivalence --kind rstack --workers 1 --preempt 0 --ops 2 \
+          > %s"
+         (Filename.quote model_check_exe) (Filename.quote out))
+  in
+  let lines = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "exit" 0 code;
+  let headers =
+    List.filter
+      (fun l ->
+        String.starts_with ~prefix:"[equivalence]" l
+        && not (String.starts_with ~prefix:"[equivalence] equivalent" l))
+      (String.split_on_char '\n' lines)
+  in
+  Alcotest.(check (list bool))
+    "one workload, rstack" [ true ]
+    (List.map (String.starts_with ~prefix:"[equivalence] rstack ") headers)
+
 let () =
   Alcotest.run "tools"
     [
@@ -432,7 +452,6 @@ let () =
       ( "device",
         [
           Alcotest.test_case "persist delay" `Quick test_persist_delay;
-          Alcotest.test_case "yield smoke" `Quick test_yield_probability_smoke;
         ] );
       ( "dump",
         [
@@ -461,5 +480,10 @@ let () =
           Alcotest.test_case "flush budget" `Quick test_bench_gate_flush_budget;
           Alcotest.test_case "unverifiable flush budget is an error" `Quick
             test_bench_gate_flush_budget_unverifiable_is_an_error;
+        ] );
+      ( "model check",
+        [
+          Alcotest.test_case "equivalence honours --kind" `Quick
+            test_equivalence_honours_kind;
         ] );
     ]
